@@ -29,6 +29,7 @@ from .symmetry import (
     check_symmetry_reduction,
     classify_shapley,
     link_transposition_bijection,
+    moved_facet,
     permutation_preserves,
     pi_delta_generators,
     solve_p_system,

@@ -23,8 +23,8 @@ from .exactnum import format_rational
 from .games import face_key, load_game, random_game
 from .symmetry import (
     SYMM_GROUP_MAX_N,
-    check_pi_delta_contained,
     classify_shapley,
+    moved_facet,
     pi_delta_generators,
     p_system_rows,
     solve_p_system,
@@ -49,10 +49,6 @@ EXIT_VERIFICATION = 4
 
 def approx(q: Fraction) -> str:
     return f"{q.numerator / q.denominator:.6g}"
-
-
-def fmt_face(face: Face) -> str:
-    return str(face)
 
 
 def fvec_str(fv) -> str:
@@ -99,7 +95,7 @@ def cmd_info(args) -> int:
     lines = [
         f"n: {delta.n}",
         f"rank: {delta.rank}",
-        "facets: " + " ".join(fmt_face(f) for f in delta.facets),
+        "facets: " + " ".join(map(str, delta.facets)),
         f"f-vector: {fvec_str(fv)}",
         "link f-vectors:",
     ]
@@ -158,13 +154,8 @@ def cmd_shapley(args) -> int:
 def cmd_symmetry(args) -> int:
     delta = load_complex(args.complex)
     gens = pi_delta_generators(delta)
-    verdicts = []
-    for g in gens:
-        bad = next(
-            (f for f in delta.facets if not delta.has_face(g.apply_face(f))), None
-        )
-        verdicts.append((g, bad))
-    report = check_pi_delta_contained(delta)
+    verdicts = [(g, moved_facet(delta, g)) for g in gens]
+    witness = next(((g, bad) for g, bad in verdicts if bad is not None), None)
     group = symm_group(delta) if delta.n <= SYMM_GROUP_MAX_N else None
     if args.format == "json":
         emit_json(
@@ -178,13 +169,10 @@ def cmd_symmetry(args) -> int:
                     }
                     for g, bad in verdicts
                 ],
-                "pi_delta_contained": report.contained,
+                "pi_delta_contained": witness is None,
                 "witness": (
-                    {
-                        "perm": list(report.witness_generator.images),
-                        "face": list(report.witness_face.vertices),
-                    }
-                    if not report.contained
+                    {"perm": list(witness[0].images), "face": list(witness[1].vertices)}
+                    if witness
                     else None
                 ),
                 "pairing": "canonical sorted order for overlapping swaps",
@@ -200,14 +188,14 @@ def cmd_symmetry(args) -> int:
         )
     lines.append(f"generated-subgroup generators: {len(gens)}")
     for g, bad in verdicts:
-        verdict = "preserves" if bad is None else f"moves {fmt_face(bad)} outside"
+        verdict = "preserves" if bad is None else f"moves {bad} outside"
         lines.append(f"  {g}: {verdict}")
-    if report.contained:
+    if witness is None:
         lines.append("pi(Delta) contained in Symm(Delta): yes")
     else:
         lines.append(
             "pi(Delta) contained in Symm(Delta): no "
-            f"(witness {report.witness_generator} on {fmt_face(report.witness_face)})"
+            f"(witness {witness[0]} on {witness[1]})"
         )
     lines.append("pairing: canonical sorted order for overlapping swaps")
     emit(lines)
@@ -300,7 +288,7 @@ def cmd_decompose(args) -> int:
     if dec.status is DecompositionStatus.EXACT:
         for f in dec.facet_order:
             w = dec.facet_weights[f]
-            lines.append(f"  c_{fmt_face(f)} = {format_rational(w)}  {approx(w)}")
+            lines.append(f"  c_{f} = {format_rational(w)}  {approx(w)}")
         lines.append("cross-validated on 20 seeded random games: yes")
     else:
         lines.append(
@@ -310,7 +298,7 @@ def cmd_decompose(args) -> int:
         lam = dec.certificate
         for t, coeff in zip(dec.row_faces, lam):
             if coeff != 0:
-                lines.append(f"  {format_rational(coeff)} * row[{fmt_face(t)}]")
+                lines.append(f"  {format_rational(coeff)} * row[{t}]")
     emit(lines)
     return EXIT_OK
 
@@ -349,7 +337,7 @@ def cmd_efficiency(args) -> int:
         return EXIT_OK if (check is None or check.equal) else EXIT_VERIFICATION
     lines = ["a_T coefficients (canonical tables):"]
     for t, a in coeffs.items():
-        lines.append(f"  {fmt_face(t)}: {format_rational(a)}  {approx(a)}")
+        lines.append(f"  {t}: {format_rational(a)}  {approx(a)}")
     if closed is not None:
         lines.append(
             "closed form matches construction: "

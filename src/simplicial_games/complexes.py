@@ -169,6 +169,11 @@ class SimplicialComplex:
     def has_face(self, face: FaceLike) -> bool:
         return as_face(face).mask in self._face_masks
 
+    @property
+    def face_masks(self) -> frozenset[int]:
+        """The faces as bitmasks, for set-membership tests on raw masks."""
+        return self._face_masks
+
     def require_face(self, face: FaceLike) -> Face:
         f = as_face(face)
         if f.mask not in self._face_masks:

@@ -24,7 +24,7 @@ from .errors import (
     VertexNotInComplex,
 )
 from .exactnum import format_rational, parse_rational
-from .symmetry import Permutation, permutation_preserves
+from .symmetry import Permutation, moved_facet
 
 
 class Game:
@@ -90,12 +90,8 @@ class Game:
 
     def permuted(self, perm: Permutation) -> "Game":
         """The game T -> v(pi T); pi must preserve the complex."""
-        if not permutation_preserves(self.complex, perm):
-            bad = next(
-                f
-                for f in self.complex.facets
-                if not self.complex.has_face(perm.apply_face(f))
-            )
+        bad = moved_facet(self.complex, perm)
+        if bad is not None:
             raise PermutationNotSymmetry(
                 f"{perm} maps face {bad} outside the complex"
             )

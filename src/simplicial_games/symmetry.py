@@ -1,8 +1,17 @@
 """Symmetries of a complex and the common-probability linear system.
 
-Symm(D) is the subgroup of S_n whose members map faces to faces; it is
-found by exhaustive scan (n <= 10), checking images of facets only, since
-a bijection preserving the facet set preserves the whole complex.
+A permutation acts on faces as a bit permutation of the vertex masks.  One
+primitive, :func:`moved_facet`, maps each facet mask through a per-vertex
+bit table and reports the first facet sent outside the complex; since a
+bijection preserving the facet set preserves the whole complex, this is the
+preservation test everywhere.
+
+Symm(D) is the subgroup of S_n whose members map faces to faces.  It is
+found by backtracking over vertex images (n <= 10): vertex v may go to w
+only when their vertex-link f-vectors agree or neither is a vertex, and a
+branch is cut as soon as the image of the assigned part of some facet is no
+longer a face.  The group order is the product of the orbit sizes along the
+stabilizer chain of 1, 2, ..., n.
 
 The generated subgroup driving the symmetry reduction is built from two
 generator families: for every vertex i, the permutation swapping two
@@ -17,17 +26,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from typing import TYPE_CHECKING, Mapping
+from functools import cached_property
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .complexes import Face, FVector, SimplicialComplex
-from .errors import EmptyComplex, GroundSetTooLarge, HypothesisNotMet, NotPureLinks
+from .errors import (
+    DimensionMismatch,
+    EmptyComplex,
+    GroundSetTooLarge,
+    HypothesisNotMet,
+    NotPureLinks,
+)
 from .exactnum import LinearSolution, RationalMatrix, solve_exact
 
 if TYPE_CHECKING:
     from .values import ProbabilityTable
 
 SYMM_GROUP_MAX_N = 10
+
+
+def _image_mask(mask: int, bits: list[int]) -> int:
+    """The image of a vertex mask, given the image bit of each vertex."""
+    img = 0
+    while mask:
+        low = mask & -mask
+        img |= bits[low.bit_length() - 1]
+        mask ^= low
+    return img
 
 
 @dataclass(frozen=True)
@@ -60,8 +86,13 @@ class Permutation:
     def apply(self, vertex: int) -> int:
         return self.images[vertex - 1]
 
+    @property
+    def bits(self) -> list[int]:
+        """The bit table: bits[v-1] is the mask of the image of vertex v."""
+        return [1 << (w - 1) for w in self.images]
+
     def apply_face(self, face: Face) -> Face:
-        return Face.from_vertices(self.images[v - 1] for v in face.vertices)
+        return Face(_image_mask(face.mask, self.bits))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(v) = self(other(v))."""
@@ -101,38 +132,139 @@ class Permutation:
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
-    """An explicitly enumerated subgroup of S_n."""
+def moved_facet(delta: SimplicialComplex, perm: Permutation) -> Face | None:
+    """The first facet perm maps outside the complex, or None if it preserves it.
 
-    n: int
-    elements: tuple[Permutation, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm in set(self.elements)
+    A bijection sending every facet to a face preserves the whole complex.
+    """
+    if perm.n != delta.n:
+        raise DimensionMismatch(
+            f"permutation of 1..{perm.n} applied to a complex over 1..{delta.n}"
+        )
+    bits = perm.bits
+    faces = delta.face_masks
+    for f in delta.facets:
+        if _image_mask(f.mask, bits) not in faces:
+            return f
+    return None
 
 
 def permutation_preserves(delta: SimplicialComplex, perm: Permutation) -> bool:
-    """Does perm map the complex onto itself? Facet images suffice."""
-    return all(delta.has_face(perm.apply_face(f)) for f in delta.facets)
+    """Does perm map the complex onto itself?"""
+    return moved_facet(delta, perm) is None
+
+
+def _link_f_vectors(delta: SimplicialComplex) -> list[FVector | None]:
+    """f(Link(v+1)) for each v in 0..n-1, or None where v+1 is not a vertex.
+
+    The faces of Link(v+1) of cardinality c are the faces through v+1 of
+    cardinality c+1, so one pass over the faces counts every link.
+    """
+    counts: list[list[int]] = [[] for _ in range(delta.n)]
+    for f in delta.face_masks:
+        card = f.bit_count()
+        while f:
+            low = f & -f
+            row = counts[low.bit_length() - 1]
+            if len(row) < card:
+                row.extend([0] * (card - len(row)))
+            row[card - 1] += 1
+            f ^= low
+    return [tuple(row) if row else None for row in counts]
+
+
+class SymmetryGroup:
+    """Symm(delta), searched by backtracking over vertex images.
+
+    Vertex v may go to w only when their vertex-link f-vectors agree or
+    neither is a vertex; a branch is cut as soon as the partial image of a
+    facet is not a face.  ``order`` multiplies, over k, the orbit size of k
+    in the pointwise stabilizer of 1..k-1, each orbit member found by one
+    search stopped at its first hit.  ``in`` is the preservation test, and
+    ``elements`` yields every member lazily, in lexicographic order of the
+    image tuples.
+    """
+
+    def __init__(self, delta: SimplicialComplex):
+        self.complex = delta
+        self.n = delta.n
+        self._faces = delta.face_masks
+        self._facets = [f.mask for f in delta.facets]
+        # _holders[v]: indices of the facets through vertex v+1
+        self._holders = [
+            [k for k, m in enumerate(self._facets) if m >> v & 1] for v in range(self.n)
+        ]
+        # _allowed[v]: the 0-based images vertex v+1 may take
+        profile = _link_f_vectors(delta)
+        self._allowed = [
+            [w for w in range(self.n) if profile[w] == profile[v]] for v in range(self.n)
+        ]
+
+    @cached_property
+    def order(self) -> int:
+        order = 1
+        for k in range(self.n):
+            fixed = list(range(k))
+            order *= sum(
+                1
+                for w in self._allowed[k]
+                if w == k
+                or (w > k and next(self._completions(fixed + [w]), None) is not None)
+            )
+        return order
+
+    @property
+    def elements(self) -> Iterator[Permutation]:
+        return (Permutation(images) for images in self._completions([]))
+
+    def __contains__(self, perm: Permutation) -> bool:
+        return perm.n == self.n and moved_facet(self.complex, perm) is None
+
+    def _completions(self, prefix: list[int]) -> Iterator[tuple[int, ...]]:
+        """Image tuples of the members sending vertex v+1 to prefix[v]+1."""
+        img = [0] * len(self._facets)
+        images = [0] * self.n
+        for v, w in enumerate(prefix):
+            if not self._place(v, w, img):
+                return
+            images[v] = w
+        used = sum(1 << w for w in prefix)
+        yield from self._search(len(prefix), images, img, used)
+
+    def _place(self, v: int, w: int, img: list[int]) -> bool:
+        """Add w to the partial image of each facet through v, if all stay faces."""
+        bit = 1 << w
+        holders = self._holders[v]
+        for done, k in enumerate(holders):
+            if (img[k] | bit) not in self._faces:
+                for j in holders[:done]:
+                    img[j] ^= bit
+                return False
+            img[k] |= bit
+        return True
+
+    def _search(
+        self, v: int, images: list[int], img: list[int], used: int
+    ) -> Iterator[tuple[int, ...]]:
+        if v == self.n:
+            yield tuple(w + 1 for w in images)
+            return
+        for w in self._allowed[v]:
+            if used >> w & 1 or not self._place(v, w, img):
+                continue
+            images[v] = w
+            yield from self._search(v + 1, images, img, used | 1 << w)
+            for k in self._holders[v]:
+                img[k] ^= 1 << w
 
 
 def symm_group(delta: SimplicialComplex) -> SymmetryGroup:
-    """All permutations of [n] preserving the complex, by exhaustive scan."""
+    """Symm(delta): all permutations of [n] preserving the complex."""
     if delta.n > SYMM_GROUP_MAX_N:
         raise GroundSetTooLarge(
-            f"exhaustive symmetry scan capped at n={SYMM_GROUP_MAX_N}, got n={delta.n}"
+            f"symmetry group search capped at n={SYMM_GROUP_MAX_N}, got n={delta.n}"
         )
-    elems = []
-    for images in permutations(range(1, delta.n + 1)):
-        perm = Permutation(images)
-        if permutation_preserves(delta, perm):
-            elems.append(perm)
-    return SymmetryGroup(delta.n, tuple(elems))
+    return SymmetryGroup(delta)
 
 
 def swap_permutation(n: int, left: Face, right: Face) -> Permutation:
@@ -156,31 +288,37 @@ def pi_delta_generators(delta: SimplicialComplex) -> tuple[Permutation, ...]:
     """Generators of the subgroup the symmetry reduction quantifies over.
 
     Deduplicated, in deterministic order: link-pair swaps per vertex first,
-    then the link-intersection transpositions.
+    then the link-intersection transpositions.  None is the identity: a swap
+    of two distinct sets moves their symmetric difference.
     """
     out: list[Permutation] = []
     seen: set[tuple[int, ...]] = set()
 
     def emit(p: Permutation) -> None:
-        if not p.is_identity() and p.images not in seen:
+        if p.images not in seen:
             seen.add(p.images)
             out.append(p)
 
+    # A swap depends only on the unordered pair (L-T, T-L), so candidates
+    # are deduplicated on that pair of masks before a Permutation is built.
+    swapped: set[tuple[int, int]] = set()
     verts = delta.vertices
     for i in verts:
-        lk = delta.link(Face.from_vertices([i]))
-        by_card: dict[int, list[Face]] = {}
-        for t in lk.faces:
-            if t.cardinality > 0:
-                by_card.setdefault(t.cardinality, []).append(t)
+        by_card: dict[int, list[int]] = {}
+        for t in delta.link(Face.from_vertices([i])).faces:
+            if t.mask:
+                by_card.setdefault(t.cardinality, []).append(t.mask)
         for card in sorted(by_card):
             for left, right in combinations(by_card[card], 2):
-                emit(swap_permutation(delta.n, left, right))
+                lo, ro = left & ~right, right & ~left
+                key = (lo, ro) if lo < ro else (ro, lo)
+                if key not in swapped:
+                    swapped.add(key)
+                    emit(swap_permutation(delta.n, Face(left), Face(right)))
+    # Every vertex link contains the empty face, so any two vertex links
+    # share a face: every transposition of two vertices is a generator.
     for i, j in combinations(verts, 2):
-        li = delta.link(Face.from_vertices([i]))
-        lj = delta.link(Face.from_vertices([j]))
-        if set(li.faces) & set(lj.faces):
-            emit(Permutation.transposition(delta.n, i, j))
+        emit(Permutation.transposition(delta.n, i, j))
     return tuple(out)
 
 
@@ -201,9 +339,9 @@ def check_pi_delta_contained(delta: SimplicialComplex) -> ContainmentReport:
     maps outside the complex.
     """
     for gen in pi_delta_generators(delta):
-        for f in delta.facets:
-            if not delta.has_face(gen.apply_face(f)):
-                return ContainmentReport(False, gen, f)
+        moved = moved_facet(delta, gen)
+        if moved is not None:
+            return ContainmentReport(False, gen, moved)
     return ContainmentReport(True)
 
 
@@ -318,11 +456,3 @@ def link_transposition_bijection(
         else:
             out[t] = t
     return out
-
-
-def permutation_to_dict(perm: Permutation) -> dict:
-    return {"perm": list(perm.images)}
-
-
-def permutation_from_dict(data: Mapping) -> Permutation:
-    return Permutation(tuple(data["perm"]))

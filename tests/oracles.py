@@ -58,9 +58,9 @@ def ext_ids(n: int, faces: set[int], t: int) -> set[int]:
     }
 
 
-def symm_order(n: int, faces: set[int]) -> int:
-    """Order of the face-preserving subgroup of S_n, by definition scan."""
-    count = 0
+def symm_elements(n: int, faces: set[int]) -> set[tuple[int, ...]]:
+    """Image tuples of the face-preserving permutations of [n], by definition scan."""
+    out = set()
     for images in permutations(range(1, n + 1)):
         ok = True
         for f in faces:
@@ -72,8 +72,56 @@ def symm_order(n: int, faces: set[int]) -> int:
                 ok = False
                 break
         if ok:
-            count += 1
-    return count
+            out.add(images)
+    return out
+
+
+def symm_order(n: int, faces: set[int]) -> int:
+    """Order of the face-preserving subgroup of S_n, by definition scan."""
+    return len(symm_elements(n, faces))
+
+
+def pi_delta_generators_ref(n: int, faces: set[int]) -> list[tuple[int, ...]]:
+    """Image tuples of the generated subgroup's generators, by definition.
+
+    For each vertex i in ascending order, each cardinality in ascending
+    order, and each pair L, T of link members of that cardinality (canonical
+    face order, pairs in combination order): the permutation pairing sorted
+    L-minus-T with sorted T-minus-L.  Then, for each pair of vertices i < j
+    whose links share a face, the transposition (i j).  Identities and
+    repeated image tuples are dropped.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def emit(images: tuple[int, ...]) -> None:
+        if images != tuple(range(1, n + 1)) and images not in out:
+            out.append(images)
+
+    def vertices_of(m):
+        return [v for v in range(1, n + 1) if m >> (v - 1) & 1]
+
+    verts = [v for v in range(1, n + 1) if 1 << (v - 1) in faces]
+    links = {i: link_masks(n, faces, 1 << (i - 1)) for i in verts}
+    for i in verts:
+        # canonical face order: cardinality, then the sorted vertex tuple
+        members = sorted(links[i], key=lambda m: (m.bit_count(), vertices_of(m)))
+        for card in range(1, n + 1):
+            same = [t for t in members if t.bit_count() == card]
+            for a in range(len(same)):
+                for b in range(a + 1, len(same)):
+                    left, right = same[a], same[b]
+                    images = list(range(1, n + 1))
+                    for x, y in zip(vertices_of(left & ~right), vertices_of(right & ~left)):
+                        images[x - 1], images[y - 1] = y, x
+                    emit(tuple(images))
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            i, j = verts[a], verts[b]
+            if links[i] & links[j]:
+                images = list(range(1, n + 1))
+                images[i - 1], images[j - 1] = j, i
+                emit(tuple(images))
+    return out
 
 
 def eliminate_rank(rows: list[list[Fraction]]) -> int:

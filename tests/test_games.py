@@ -19,6 +19,7 @@ from simplicial_games import (
 from simplicial_games.games import game_from_dict, game_to_dict
 from simplicial_games.errors import (
     ComplexMismatch,
+    DimensionMismatch,
     EmptyCarrierNotAllowed,
     FaceNotInComplex,
     GameFaceNotInComplex,
@@ -211,6 +212,13 @@ def test_permuted_game_requires_symmetry():
     delta = figure_b()
     with pytest.raises(PermutationNotSymmetry):
         Game(delta, {}).permuted(Permutation.transposition(5, 1, 3))
+
+
+@pytest.mark.parametrize("size", [2, 7])
+def test_permuted_game_rejects_wrong_size_permutation(size):
+    delta = full_simplex(5)
+    with pytest.raises(DimensionMismatch):
+        Game(delta, {}).permuted(Permutation.identity(size))
 
 
 def test_permuted_game_figure_b_reflection():

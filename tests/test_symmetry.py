@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from random import Random
 
 import pytest
@@ -9,12 +10,14 @@ from simplicial_games import (
     Permutation,
     SimplicialComplex,
     SolveStatus,
+    SymmetryGroup,
     canonical_shapley_tables,
     check_pi_delta_contained,
     check_symmetry_reduction,
     classify_shapley,
     full_simplex,
     link_transposition_bijection,
+    moved_facet,
     permutation_preserves,
     pi_delta_generators,
     solve_p_system,
@@ -22,6 +25,7 @@ from simplicial_games import (
     symm_group,
 )
 from simplicial_games.errors import (
+    DimensionMismatch,
     EmptyComplex,
     GroundSetTooLarge,
     HypothesisNotMet,
@@ -29,13 +33,25 @@ from simplicial_games.errors import (
 )
 from simplicial_games.values import ProbabilityTable
 from conftest import cycle, figure_a, figure_b
-from oracles import symm_order
+from oracles import pi_delta_generators_ref, symm_elements, symm_order
 
 F = Fraction
 
 
 def face(*vs):
     return Face.from_vertices(vs)
+
+
+def random_complexes(seed: int, count: int, max_n: int):
+    """Seeded random complexes on 1..max_n vertices, up to five facets each."""
+    rng = Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(1, n))
+            for _ in range(rng.randint(0, 5))
+        ]
+        yield SimplicialComplex.from_facets(n, facets)
 
 
 # -- Permutation basics ------------------------------------------------------
@@ -56,14 +72,6 @@ def test_permutation_compose_inverse():
 def test_permutation_cycle_string():
     assert str(Permutation.identity(3)) == "id"
     assert str(Permutation.from_mapping(5, {1: 4, 4: 1, 2: 5, 5: 2})) == "(1 4)(2 5)"
-
-
-def test_permutation_json_roundtrip():
-    from simplicial_games.symmetry import permutation_from_dict, permutation_to_dict
-
-    pi = Permutation((2, 1, 3))
-    assert permutation_to_dict(pi) == {"perm": [2, 1, 3]}
-    assert permutation_from_dict(permutation_to_dict(pi)) == pi
 
 
 # -- Symm(Delta) -------------------------------------------------------------
@@ -122,6 +130,40 @@ def test_symm_ground_set_cap():
         symm_group(SimplicialComplex.from_facets(11, [[1, 2]]))
 
 
+def test_symm_order_matches_oracle_on_random_complexes():
+    for k, delta in enumerate(random_complexes(11, 200, 7)):
+        faces = {f.mask for f in delta.faces}
+        group = symm_group(delta)
+        assert group.order == symm_order(delta.n, faces), delta
+        if k % 10 == 0:
+            elements = {p.images for p in group.elements}
+            assert elements == symm_elements(delta.n, faces), delta
+
+
+def test_symm_elements_lexicographic_and_members():
+    group = symm_group(cycle(5))
+    images = [p.images for p in group.elements]
+    assert images == sorted(images) and len(images) == group.order == 10
+    assert all(p in group for p in group.elements)
+    assert Permutation.transposition(5, 1, 2) not in group
+    assert Permutation.identity(4) not in group  # wrong size: not a member
+
+
+def test_symm_group_with_non_vertices():
+    # 4, 5 and 6 lie in no face and permute freely; 1 and 3 swap
+    delta = SimplicialComplex.from_facets(6, [[1, 2], [2, 3]])
+    assert symm_group(delta).order == 2 * 6
+    assert symm_group(SimplicialComplex.from_facets(3, [])).order == 6
+
+
+def test_symm_search_above_the_cap():
+    # the cap guards the CLI output, not the search: dihedral orders for n > 10
+    for n in (12, 20):
+        assert SymmetryGroup(cycle(n)).order == 2 * n
+    complete_graph = SimplicialComplex.from_facets(14, combinations(range(1, 15), 2))
+    assert SymmetryGroup(complete_graph).order == factorial(14)
+
+
 def test_permutation_preserves_is_generator_mode():
     # verification of a single permutation works above the exhaustive cap
     big = SimplicialComplex.from_facets(12, [[i, i + 1] for i in range(1, 12)])
@@ -174,6 +216,37 @@ def test_containment_figure_b_fails_with_witness():
     # and indeed breaks the complex
     assert Permutation.transposition(5, 1, 3) in set(pi_delta_generators(figure_b()))
     assert not permutation_preserves(figure_b(), Permutation.transposition(5, 1, 3))
+
+
+def test_moved_facet_reports_first_moved_facet():
+    delta = figure_b()
+    assert moved_facet(delta, Permutation.transposition(5, 4, 5)) is None
+    assert moved_facet(delta, Permutation.transposition(5, 1, 3)) == face(3, 4, 5)
+    assert moved_facet(delta, Permutation.transposition(5, 1, 4)) == face(1, 2, 3)
+
+
+@pytest.mark.parametrize("size", [2, 7])
+def test_wrong_size_permutation_is_rejected(size):
+    delta = full_simplex(5)
+    perm = Permutation.identity(size)
+    with pytest.raises(DimensionMismatch):
+        permutation_preserves(delta, perm)
+    with pytest.raises(DimensionMismatch):
+        moved_facet(delta, perm)
+
+
+def test_generators_match_reference(fixtures):
+    for name, delta in fixtures.items():
+        faces = {f.mask for f in delta.faces}
+        got = [p.images for p in pi_delta_generators(delta)]
+        assert got == pi_delta_generators_ref(delta.n, faces), name
+
+
+def test_generators_match_reference_on_random_complexes():
+    for delta in random_complexes(12, 60, 7):
+        faces = {f.mask for f in delta.faces}
+        got = [p.images for p in pi_delta_generators(delta)]
+        assert got == pi_delta_generators_ref(delta.n, faces), delta
 
 
 def test_containment_path_graph():
