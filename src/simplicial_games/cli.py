@@ -264,7 +264,7 @@ def cmd_psystem(args) -> int:
 
 def cmd_decompose(args) -> int:
     delta = load_complex(args.complex)
-    dec = decompose_shapley(delta, args.player, seed=args.seed)
+    dec = decompose_shapley(delta, args.player)
     if args.format == "json":
         emit_json(
             {
@@ -289,7 +289,6 @@ def cmd_decompose(args) -> int:
         for f in dec.facet_order:
             w = dec.facet_weights[f]
             lines.append(f"  c_{f} = {format_rational(w)}  {approx(w)}")
-        lines.append("cross-validated on 20 seeded random games: yes")
     else:
         lines.append(
             "inconsistency certificate (combination of rows vanishing on the "
@@ -466,9 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     except SimplicialGamesError as e:
         sys.stderr.write(f"error[{e.code}]: {e}\n")
         return e.exit_code
-    except FileNotFoundError as e:
-        sys.stderr.write(f"error[FileNotFound]: {e}\n")
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

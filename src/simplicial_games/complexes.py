@@ -19,8 +19,10 @@ from typing import Iterable, Iterator, Union
 from .errors import (
     EmptyComplex,
     FaceNotInComplex,
+    FileNotFound,
     ParseError,
     TooManyVertices,
+    VertexNotInComplex,
     VertexOutOfRange,
 )
 
@@ -180,6 +182,13 @@ class SimplicialComplex:
             raise FaceNotInComplex(f"{f} is not a face of the complex")
         return f
 
+    def require_vertex(self, i: int) -> Face:
+        """The face {i}, or VertexNotInComplex when i is not a vertex."""
+        single = Face.from_vertices([i])
+        if single.mask not in self._face_masks:
+            raise VertexNotInComplex(f"vertex {i} is not in the complex")
+        return single
+
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.n + 1) if (1 << (v - 1)) in self._face_masks)
@@ -299,13 +308,22 @@ def complex_from_dict(data: object) -> SimplicialComplex:
     return SimplicialComplex.from_facets(n, faces)
 
 
-def load_complex(path: str) -> SimplicialComplex:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+def read_json(path: str) -> object:
+    """The JSON document in a UTF-8 file; any unreadable file is a ParseError."""
     try:
-        data = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as e:
+        raise FileNotFound(str(e)) from None
     except json.JSONDecodeError as e:
         raise ParseError(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
-    return complex_from_dict(data)
+    except OSError as e:
+        raise ParseError(str(e)) from None
+    except ValueError as e:  # undecodable bytes, or an integer over the digit limit
+        raise ParseError(f"{path}: {e}") from None
+
+
+def load_complex(path: str) -> SimplicialComplex:
+    return complex_from_dict(read_json(path))

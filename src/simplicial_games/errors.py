@@ -16,6 +16,10 @@ class ParseError(SimplicialGamesError):
     exit_code = 2
 
 
+class FileNotFound(ParseError):
+    code = "FileNotFound"
+
+
 class DimensionMismatch(SimplicialGamesError):
     code = "DimensionMismatch"
 

@@ -32,8 +32,11 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ParseError(f"not a rational 'p/q' literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError as e:  # over the interpreter's integer digit limit
+        raise ParseError(f"rational literal too long: {e}") from None
     if den == 0:
         raise ParseError(f"zero denominator in rational literal: {text!r}")
     return Fraction(num, den)

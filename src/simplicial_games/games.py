@@ -8,12 +8,11 @@ the probing basis for every axiom check downstream.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from random import Random
 from typing import Mapping
 
-from .complexes import EMPTY_FACE, Face, FaceLike, SimplicialComplex, as_face
+from .complexes import EMPTY_FACE, Face, FaceLike, SimplicialComplex, as_face, read_json
 from .errors import (
     ComplexMismatch,
     EmptyCarrierNotAllowed,
@@ -21,7 +20,6 @@ from .errors import (
     GameFaceNotInComplex,
     ParseError,
     PermutationNotSymmetry,
-    VertexNotInComplex,
 )
 from .exactnum import format_rational, parse_rational
 from .symmetry import Permutation, moved_facet
@@ -79,9 +77,7 @@ class Game:
 
     def is_dummy(self, i: int) -> bool:
         """Does player i add exactly v({i}) to every coalition it can join?"""
-        single = Face.from_vertices([i])
-        if not self.complex.has_face(single):
-            raise VertexNotInComplex(f"vertex {i} is not in the complex")
+        single = self.complex.require_vertex(i)
         vi = self.value(single)
         for t in self.complex.link(single).faces:
             if self.value(t.union(single)) != self.value(t) + vi:
@@ -191,9 +187,7 @@ def random_dummy_game(delta: SimplicialComplex, i: int, rng: Random) -> Game:
     Faces without i get independent random worth; every face containing i
     is pinned to v(T) + v({i}) for T the face minus i.
     """
-    single = Face.from_vertices([i])
-    if not delta.has_face(single):
-        raise VertexNotInComplex(f"vertex {i} is not in the complex")
+    single = delta.require_vertex(i)
     values: dict[Face, Fraction] = {}
     for f in delta.faces:
         if f == EMPTY_FACE or i in f:
@@ -243,12 +237,4 @@ def game_from_dict(data: object, delta: SimplicialComplex) -> Game:
 
 
 def load_game(path: str, delta: SimplicialComplex) -> Game:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(
-            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
-    return game_from_dict(data, delta)
+    return game_from_dict(read_json(path), delta)

@@ -9,8 +9,8 @@ uniformly within each size, sizes counted by the link f-vector:
 
 with r_i the rank of the link.  On a full simplex this reduces exactly to
 the classical Shapley value, which is also implemented here independently
-(by permutation enumeration, not by the weight formula) so the two routes
-can confirm each other.
+(by permutation enumeration, not by the weight formula) as the reference
+the tests compare against.
 
 Efficiency aggregates come from the coefficient construction
 
@@ -20,7 +20,10 @@ Efficiency aggregates come from the coefficient construction
 which makes sum_i phi_i(v) = sum_T a_T v(T) an identity.  The facet
 decomposition solves, per coalition T in the link, for weights c_F over
 the facets containing T+i so the weighted classical Shapley values on
-facet restrictions reproduce the generalized value.
+facet restrictions reproduce the generalized value.  Both sides are linear
+in the marginals v(T+i) - v(T), which are independent over the link, so the
+system's rows are exactly that identity: an exact solution proves the
+decomposition for every game, and no game needs to be sampled.
 """
 
 from __future__ import annotations
@@ -83,18 +86,11 @@ GroupValue = dict[int, Fraction]
 EfficiencyCoefficients = dict[Face, Fraction]
 
 
-def _require_vertex(delta: SimplicialComplex, i: int) -> Face:
-    single = Face.from_vertices([i])
-    if not delta.has_face(single):
-        raise VertexNotInComplex(f"vertex {i} is not in the complex")
-    return single
-
-
 def probabilistic_value(v: Game, i: int, table: ProbabilityTable) -> Fraction:
     """sum_T p_T (v(T+i) - v(T)) over the link of i."""
     if table.player != i:
         raise PlayerMismatch(f"table belongs to player {table.player}, not {i}")
-    single = _require_vertex(v.complex, i)
+    single = v.complex.require_vertex(i)
     link = v.complex.link(single)
     total = Fraction(0)
     for t, p in table.weights.items():
@@ -106,7 +102,7 @@ def probabilistic_value(v: Game, i: int, table: ProbabilityTable) -> Fraction:
 
 def generalized_shapley(v: Game, i: int) -> Fraction:
     """The size-uniform value of player i, exactly."""
-    single = _require_vertex(v.complex, i)
+    single = v.complex.require_vertex(i)
     link = v.complex.link(single)
     fv = link.f_vector()
     r_i = link.rank
@@ -289,11 +285,10 @@ class DecompositionStatus(Enum):
 class Decomposition:
     """Facet weights writing the generalized value as classical Shapley values.
 
-    ``facet_weights`` (status EXACT) maps each facet containing the player
-    to its weight c_F, free variables fixed to 0.  ``c_tilde`` rescales
-    per coalition cardinality t: c_F (r_i+1) / (|F| C(|F|-1, t)), so each
-    system row reads sum_F c_tilde[(F, t)] * f_{t-1}(Link(i)) = 1.
-    ``row_faces``/``matrix``/``rhs`` expose the solved system; for
+    ``row_faces``/``matrix``/``rhs`` are the solved system: one row per
+    coalition T in the link of the player, one column per facet in
+    ``facet_order``.  For EXACT, ``facet_weights`` maps each facet
+    containing the player to its weight c_F, free variables fixed to 0; for
     INFEASIBLE, ``certificate`` is lam with lam @ matrix = 0, lam @ rhs = 1.
     """
 
@@ -304,13 +299,10 @@ class Decomposition:
     matrix: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
     facet_weights: dict[Face, Fraction] | None = None
-    c_tilde: dict[tuple[Face, int], Fraction] | None = None
     certificate: tuple[Fraction, ...] | None = None
 
 
-def decompose_shapley(
-    delta: SimplicialComplex, i: int, seed: int = 0, check_games: int = 20
-) -> Decomposition:
+def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
     """Solve for facet weights reproducing the generalized Shapley value.
 
     One equation per coalition T in the link of i:
@@ -318,11 +310,12 @@ def decompose_shapley(
         sum_{F facet >= T+i} c_F (1/|F|) / C(|F|-1, |T|)
             = (1/(r_i+1)) / f_{|T|-1}(Link(i))
 
-    Solved exactly in the unknowns c_F over facets containing i; when a
-    solution exists it is cross-checked on seeded random games against the
-    direct generalized value.
+    Solved exactly in the unknowns c_F over facets containing i.  The left
+    side is the weight the combined classical values put on the marginal
+    v(T+i) - v(T), the right side the weight the generalized value puts on
+    it, so a solution reproduces the generalized value on every game.
     """
-    single = _require_vertex(delta, i)
+    single = delta.require_vertex(i)
     link = delta.link(single)
     fv = link.f_vector()
     r_i = link.rank
@@ -354,35 +347,9 @@ def decompose_shapley(
             certificate=solution.certificate,
             **base,
         )
-
-    weights = {f: solution.particular[col[f]] for f in facet_order}
-    c_tilde = {}
-    for f in facet_order:
-        size = f.cardinality
-        for card in range(size):
-            c_tilde[(f, card)] = (
-                weights[f] * (r_i + 1) / (size * math.comb(size - 1, card))
-            )
-    rng = Random(seed)
-    for _ in range(check_games):
-        v = random_game(delta, rng)
-        combined = sum(
-            (
-                weights[f] * classical_shapley_oracle(v, i, f.vertices)
-                for f in facet_order
-            ),
-            Fraction(0),
-        )
-        direct = generalized_shapley(v, i)
-        if combined != direct:
-            raise RuntimeError(
-                "decomposition cross-check failed despite a consistent system; "
-                "this is a bug"
-            )
     return Decomposition(
         status=DecompositionStatus.EXACT,
-        facet_weights=weights,
-        c_tilde=c_tilde,
+        facet_weights={f: solution.particular[col[f]] for f in facet_order},
         **base,
     )
 

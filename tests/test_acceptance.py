@@ -213,14 +213,14 @@ def test_criterion_7_decomposition():
     for n in range(2, 6):
         delta = full_simplex(n)
         for i in delta.vertices:
-            dec = decompose_shapley(delta, i, seed=7)
+            dec = decompose_shapley(delta, i)
             if dec.status is not DecompositionStatus.EXACT:
                 failures.append(("simplex", n, i, "not exact"))
             elif dec.facet_weights != {face(*range(1, n + 1)): F(1)}:
                 failures.append(("simplex", n, i, dec.facet_weights))
     delta = figure_a()
     for i in delta.vertices:
-        dec = decompose_shapley(delta, i, seed=7)
+        dec = decompose_shapley(delta, i)
         if dec.status is DecompositionStatus.EXACT:
             rng = Random(7000 + i)
             for g in range(20):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,15 @@ def test_decompose_simplex(files, capsys):
     assert "c_{1,2,3,4} = 1" in out
 
 
+def test_decompose_full_11_simplex(tmp_path, capsys):
+    # the answer is one facet of weight 1; no 11-player oracle may run
+    path = tmp_path / "simplex11.json"
+    path.write_text(json.dumps({"n": 11, "facets": [list(range(1, 12))]}))
+    code, out, err = run(capsys, "decompose", "--complex", str(path), "--player", "1")
+    assert code == 0, err
+    assert "c_{1,2,3,4,5,6,7,8,9,10,11} = 1  1" in out
+
+
 def test_decompose_infeasible_reports_certificate(files, capsys):
     code, out, _ = run(
         capsys, "decompose", "--complex", files["figure_a.json"], "--player", "3"
@@ -190,3 +200,26 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "info", "--complex", "/nonexistent/x.json")
     assert code == 2
     assert err.startswith("error[FileNotFound]:")
+
+
+HOSTILE = {
+    "non_utf8": ("--complex", b'{"n": 4, "facets": [[1, 2]]}\xff'),
+    "directory": ("--complex", None),
+    "huge_n": ("--complex", b'{"n": ' + b"7" * 5000 + b', "facets": [[1, 2]]}'),
+    "huge_value": ("--game", b'{"values": {"1,2": "' + b"7" * 5000 + b'"}}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_input_exits_2(name, files, tmp_path, capsys):
+    flag, content = HOSTILE[name]
+    path = tmp_path / "hostile"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = ["shapley", "--complex", files["cycle4.json"], "--game", files["edge_game.json"]]
+    argv[argv.index(flag) + 1] = str(path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert re.fullmatch(r"error\[\w+\]: [^\n]*\n", err), err

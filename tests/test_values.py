@@ -30,6 +30,7 @@ from simplicial_games import (
     scale_add,
     shapley_efficiency_closed_form,
 )
+from simplicial_games import values
 from simplicial_games.games import random_rational
 from simplicial_games.values import DecompositionStatus
 from simplicial_games.errors import (
@@ -39,7 +40,7 @@ from simplicial_games.errors import (
     TooManyPlayers,
     VertexNotInComplex,
 )
-from conftest import cycle, figure_a, figure_b
+from conftest import all_fixtures, boundary_simplex, cycle, figure_a, figure_b
 from oracles import system_inconsistent
 
 F = Fraction
@@ -338,27 +339,8 @@ def test_decompose_figure_a_per_player():
     for i in delta.vertices:
         dec = decompose_shapley(delta, i)
         outcomes[i] = dec.status
-        if dec.status is DecompositionStatus.EXACT:
-            # weighted facet-restricted classical values reproduce the
-            # generalized value on fresh games
-            rng = Random(100 + i)
-            for _ in range(5):
-                v = random_game(delta, rng)
-                combined = sum(
-                    (
-                        w * classical_shapley_oracle(v, i, f.vertices)
-                        for f, w in dec.facet_weights.items()
-                    ),
-                    F(0),
-                )
-                assert combined == generalized_shapley(v, i)
-        else:
-            lam = dec.certificate
-            rows, rhs = dec.matrix, dec.rhs
-            for c in range(len(dec.facet_order)):
-                assert sum(lam[r] * rows[r][c] for r in range(len(rows))) == 0
-            assert sum(lam[r] * rhs[r] for r in range(len(rows))) == 1
-            assert system_inconsistent(rows, rhs)
+        if dec.status is DecompositionStatus.INFEASIBLE:
+            assert system_inconsistent(dec.matrix, dec.rhs)
     assert outcomes == {
         1: DecompositionStatus.EXACT,
         2: DecompositionStatus.INFEASIBLE,
@@ -382,24 +364,71 @@ def test_decompose_figure_b_cone_points():
     assert dec1.facet_weights == {face(1, 2, 3): F(1)}
 
 
-def test_decompose_c_tilde_row_identity():
-    # sum over facets of c~_{F,t} * f_{t-1}(link) = 1 on every solved row
-    delta = figure_b()
+def decomposition_corpus() -> dict[str, SimplicialComplex]:
+    corpus = all_fixtures()
+    for n in range(5, 9):
+        corpus[f"skeleton_{n}_3"] = full_simplex(n).skeleton(3)
+    for n in range(4, 7):
+        corpus[f"boundary_simplex_{n}"] = boundary_simplex(n)
+    corpus["cone_cycle_5"] = SimplicialComplex.from_facets(
+        6, [[i, i % 5 + 1, 6] for i in range(1, 6)]
+    )
+    return corpus
+
+
+DECOMPOSITION_CORPUS = decomposition_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITION_CORPUS))
+def test_decompose_solves_the_coefficient_identity(name):
+    # every row is sum_F c_F / (|F| C(|F|-1, |T|)) = 1 / ((r_i+1) f_{|T|-1});
+    # weighted facet-restricted classical values then reproduce the
+    # generalized value on every game
+    delta = DECOMPOSITION_CORPUS[name]
+    rng = Random(100)
     for i in delta.vertices:
         dec = decompose_shapley(delta, i)
-        if dec.status is not DecompositionStatus.EXACT:
+        if dec.status is DecompositionStatus.INFEASIBLE:
+            lam, rows, rhs = dec.certificate, dec.matrix, dec.rhs
+            for c in range(len(dec.facet_order)):
+                assert sum(lam[r] * rows[r][c] for r in range(len(rows))) == 0
+            assert sum(lam[r] * rhs[r] for r in range(len(rows))) == 1
             continue
-        link = delta.link(face(i))
+        weights = dec.facet_weights
+        single = face(i)
+        link = delta.link(single)
         fv = link.f_vector()
         for t in link.faces:
-            total = sum(
+            k = t.cardinality
+            lhs = sum(
                 (
-                    dec.c_tilde[(f, t.cardinality)]
-                    for f in delta.facets_containing(t.union(face(i)))
+                    weights[f] / (f.cardinality * comb(f.cardinality - 1, k))
+                    for f in delta.facets_containing(t.union(single))
                 ),
                 F(0),
             )
-            assert total * fv[t.cardinality] == 1
+            assert lhs == F(1, (link.rank + 1) * fv[k])
+        for _ in range(5):
+            v = random_game(delta, rng)
+            combined = sum(
+                (
+                    w * classical_shapley_all(v, f.vertices)[i]
+                    for f, w in weights.items()
+                ),
+                F(0),
+            )
+            assert combined == generalized_shapley(v, i)
+
+
+def test_decompose_samples_no_game(monkeypatch, fixtures):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("decompose_shapley must not sample games")
+
+    monkeypatch.setattr(values, "classical_shapley_all", unreachable)
+    monkeypatch.setattr(values, "random_game", unreachable)
+    for delta in fixtures.values():
+        for i in delta.vertices:
+            decompose_shapley(delta, i)
 
 
 def test_decompose_requires_vertex():
