@@ -120,6 +120,18 @@ def _subfaces(face: Face) -> Iterator[Face]:
         sub = (sub - 1) & mask
 
 
+def _check_vertex_ids(n: int, faces: Iterable[Face]) -> None:
+    """Raise unless 0 <= n <= MAX_VERTICES and every face lies in 1..n."""
+    if n > MAX_VERTICES:
+        raise TooManyVertices(f"at most {MAX_VERTICES} vertices supported, got n={n}")
+    if n < 0:
+        raise VertexOutOfRange(f"vertex count must be >= 0, got {n}")
+    limit = (1 << n) - 1
+    for f in faces:
+        if f.mask & ~limit:
+            raise VertexOutOfRange(f"face {f} has vertices outside 1..{n}")
+
+
 class SimplicialComplex:
     """A downward-closed family of faces, with its facet list and rank.
 
@@ -131,17 +143,8 @@ class SimplicialComplex:
     __slots__ = ("n", "faces", "facets", "rank", "_face_masks", "_link_cache")
 
     def __init__(self, n: int, faces: Iterable[Face]):
-        if n > MAX_VERTICES:
-            raise TooManyVertices(f"at most {MAX_VERTICES} vertices supported, got n={n}")
-        if n < 0:
-            raise VertexOutOfRange(f"vertex count must be >= 0, got {n}")
         face_set = frozenset(faces)
-        limit = (1 << n) - 1
-        for f in face_set:
-            if f.mask & ~limit:
-                raise VertexOutOfRange(
-                    f"face {f} has vertices outside 1..{n}"
-                )
+        _check_vertex_ids(n, face_set)
         self.n = n
         self.faces: tuple[Face, ...] = tuple(sorted(face_set, key=Face.sort_key))
         self._face_masks = frozenset(f.mask for f in face_set)
@@ -160,9 +163,10 @@ class SimplicialComplex:
         Redundant (non-maximal) inputs are absorbed; the facet list is
         recomputed from the closure.
         """
+        faces = [as_face(raw) for raw in facet_list]
+        _check_vertex_ids(n, faces)  # before the closure, which is 2^|face| each
         closure: set[Face] = set()
-        for raw in facet_list:
-            face = as_face(raw)
+        for face in faces:
             closure.update(_subfaces(face))
         return cls(n, closure)
 

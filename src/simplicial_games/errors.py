@@ -44,6 +44,10 @@ class VertexNotInComplex(SimplicialGamesError):
     code = "VertexNotInComplex"
 
 
+class EmptyCoalitionWorth(SimplicialGamesError):
+    code = "EmptyCoalitionWorth"
+
+
 class EmptyCarrierNotAllowed(SimplicialGamesError):
     code = "EmptyCarrierNotAllowed"
 

@@ -1,4 +1,4 @@
-"""Exact rational scalars and dense exact linear-system solving.
+"""Exact rational scalars and exact linear-system solving.
 
 Scalars are arbitrary-precision ``fractions.Fraction`` values (re-exported
 as :data:`Rational`): always normalized, positive denominator, and raising
@@ -6,10 +6,14 @@ as :data:`Rational`): always normalized, positive denominator, and raising
 anywhere; decimal rendering is a display concern of the CLI.
 
 ``solve_exact`` performs Gauss-Jordan elimination with first-nonzero pivot
-selection, so results are fully deterministic.  Underdetermined systems
-report the particular solution with every free variable fixed to 0, plus a
-basis of the nullspace.  Inconsistent systems carry a certificate: a row
-vector ``lam`` with ``lam @ A == 0`` and ``lam @ b == 1``.
+selection, so results are fully deterministic.  It eliminates sparse rows
+(only the nonzeros of ``[A | b]``, by column), so zero entries cost
+nothing.  Underdetermined systems report the particular solution with every
+free variable fixed to 0, plus a basis of the nullspace.  Inconsistent
+systems carry a certificate: a row vector ``lam`` with ``lam @ A == 0`` and
+``lam @ b == 1``.  Only then is the system eliminated a second time as
+``[A | I | b]``, whose identity block records the row operations; the
+pivots depend on ``A`` alone, so both passes choose the same ones.
 """
 
 from __future__ import annotations
@@ -99,79 +103,98 @@ class RationalMatrix:
     def row(self, r: int) -> list[Fraction]:
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
-    def matvec(self, xs: Sequence[Fraction]) -> list[Fraction]:
-        if len(xs) != self.cols:
-            raise DimensionMismatch(f"vector length {len(xs)} != cols {self.cols}")
-        return [
-            sum((self.at(r, c) * xs[c] for c in range(self.cols)), Fraction(0))
-            for r in range(self.rows)
-        ]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
+
+
+_ZERO = Fraction(0)
+
+
+def _sparse_row(dense: list[Fraction], extra: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The nonzeros of ``dense`` by column, then the nonzeros of ``extra``."""
+    row = {c: e for c, e in enumerate(dense) if e}
+    row.update((c, e) for c, e in extra.items() if e)
+    return row
+
+
+def _eliminate(rows: list[dict[int, Fraction]], n: int) -> dict[int, int]:
+    """Reduce sparse rows in place to RREF on columns 0..n-1.
+
+    Columns from n on are carried along but never pivot.  Returns the
+    pivot row of each pivot column; the rank is its length.
+    """
+    m = len(rows)
+    pivot_of_col: dict[int, int] = {}
+    rank = 0
+    for c in range(n):
+        pr = next((r for r in range(rank, m) if c in rows[r]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        piv = rows[rank][c]
+        prow = rows[rank] = {k: e / piv for k, e in rows[rank].items()}
+        for r in range(m):
+            row = rows[r]
+            if r == rank or c not in row:
+                continue
+            f = row[c]
+            for k, e in prow.items():
+                if k in row:
+                    x = row[k] - f * e
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
+                else:
+                    row[k] = -f * e
+        pivot_of_col[c] = rank
+        rank += 1
+    return pivot_of_col
 
 
 def solve_exact(a: RationalMatrix, b: Sequence[Fraction | int]) -> LinearSolution:
     """Solve A x = b exactly over the rationals.
 
-    Gauss-Jordan elimination; in each column the first row (top to bottom)
-    with a nonzero entry becomes the pivot.
+    Gauss-Jordan elimination on sparse rows; in each column the first row
+    (top to bottom) with a nonzero entry becomes the pivot.  The identity
+    block that yields a certificate is carried only when the first pass
+    finds the system inconsistent.
     """
     if a.rows != len(b):
         raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)}")
     m, n = a.rows, a.cols
-    # Augment [A | I | b]; the I block tracks row operations so an
-    # inconsistent row yields a certificate against the original system.
-    tab = [
-        a.row(r) + [Fraction(int(r == k)) for k in range(m)] + [Fraction(b[r])]
-        for r in range(m)
-    ]
-    width = n + m + 1
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for c in range(n):
-        pr = next((r for r in range(rank, m) if tab[r][c] != 0), None)
-        if pr is None:
-            continue
-        tab[rank], tab[pr] = tab[pr], tab[rank]
-        piv = tab[rank][c]
-        tab[rank] = [e / piv for e in tab[rank]]
-        for r in range(m):
-            if r != rank and tab[r][c] != 0:
-                f = tab[r][c]
-                tab[r] = [tab[r][k] - f * tab[rank][k] for k in range(width)]
-        pivot_of_col[c] = rank
-        rank += 1
+    rows = [_sparse_row(a.row(r), {n: Fraction(b[r])}) for r in range(m)]
+    pivot_of_col = _eliminate(rows, n)
+    rank = len(pivot_of_col)
 
-    for r in range(rank, m):
-        if tab[r][-1] != 0:
-            lam = [e / tab[r][-1] for e in tab[r][n : n + m]]
-            return LinearSolution(
-                status=SolveStatus.INCONSISTENT,
-                particular=None,
-                nullspace_basis=(),
-                certificate=tuple(lam),
-            )
+    if any(n in rows[r] for r in range(rank, m)):
+        # Eliminate [A | I | b] again; the I block records the row
+        # operations, so an inconsistent row yields a certificate against
+        # the original system.  The pivots depend on A alone, so they repeat.
+        rows = [
+            _sparse_row(a.row(r), {n + r: Fraction(1), n + m: Fraction(b[r])})
+            for r in range(m)
+        ]
+        _eliminate(rows, n)
+        row = next(rows[r] for r in range(rank, m) if n + m in rows[r])
+        rhs = row[n + m]
+        return LinearSolution(
+            status=SolveStatus.INCONSISTENT,
+            particular=None,
+            nullspace_basis=(),
+            certificate=tuple(row.get(n + k, _ZERO) / rhs for k in range(m)),
+        )
 
     free_cols = [c for c in range(n) if c not in pivot_of_col]
-    particular = [Fraction(0)] * n
+    particular = [_ZERO] * n
     for c, r in pivot_of_col.items():
-        particular[c] = tab[r][-1]
+        particular[c] = rows[r].get(n, _ZERO)
     basis = []
     for fc in free_cols:
-        z = [Fraction(0)] * n
+        z = [_ZERO] * n
         z[fc] = Fraction(1)
         for c, r in pivot_of_col.items():
-            z[c] = -tab[r][fc]
+            z[c] = -rows[r].get(fc, _ZERO)
         basis.append(tuple(z))
     status = SolveStatus.UNIQUE if not free_cols else SolveStatus.UNDERDETERMINED
     return LinearSolution(

@@ -16,6 +16,7 @@ from .complexes import EMPTY_FACE, Face, FaceLike, SimplicialComplex, as_face, r
 from .errors import (
     ComplexMismatch,
     EmptyCarrierNotAllowed,
+    EmptyCoalitionWorth,
     FaceNotInComplex,
     GameFaceNotInComplex,
     ParseError,
@@ -42,7 +43,7 @@ class Game:
                 raise GameFaceNotInComplex(f"{face} is not a face of the complex")
             if face == EMPTY_FACE:
                 if worth != 0:
-                    raise ValueError("the empty coalition is always worth 0")
+                    raise EmptyCoalitionWorth("the empty coalition is always worth 0")
                 continue
             if worth != 0:
                 cleaned[face] = worth

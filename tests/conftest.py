@@ -52,6 +52,22 @@ def all_fixtures() -> dict[str, SimplicialComplex]:
     return fixtures
 
 
+def golden_fixtures() -> dict[str, SimplicialComplex]:
+    """The acceptance corpus plus the extra complexes of ``tests/golden/``."""
+    fixtures = all_fixtures()
+    fixtures.update(
+        {
+            "path_3": SimplicialComplex.from_facets(3, [[1, 2], [2, 3]]),
+            "mixed_5": SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4], [5]]),
+            "loose_6": SimplicialComplex.from_facets(6, [[1, 2], [2, 3]]),
+            "simplex_8": full_simplex(8),
+            "cycle_11": cycle(11),
+            "skeleton_11_2": SimplicialComplex.from_facets(11, combinations(range(1, 12), 2)),
+        }
+    )
+    return fixtures
+
+
 @pytest.fixture(scope="session")
 def fixtures() -> dict[str, SimplicialComplex]:
     return all_fixtures()

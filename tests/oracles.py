@@ -2,11 +2,16 @@
 
 Everything here works on raw bitmasks and scans all 2^n subsets (n <= 12),
 testing membership straight from the definitions.  Expected values frozen
-into the tests were computed with these oracles.
+into the tests were computed with these oracles.  ``solve_exact_ref`` is the
+dense Gauss-Jordan solver that ``exactnum.solve_exact`` replaced, kept as
+the reference its results must equal.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+from simplicial_games.errors import DimensionMismatch
+from simplicial_games.exactnum import LinearSolution, SolveStatus
 
 
 def closure_masks(n: int, facet_masks: list[int]) -> set[int]:
@@ -151,3 +156,70 @@ def system_inconsistent(matrix, rhs) -> bool:
     rows = [[Fraction(e) for e in row] for row in matrix]
     aug = [row + [Fraction(b)] for row, b in zip(rows, rhs)]
     return eliminate_rank(rows) < eliminate_rank(aug)
+
+
+def matvec(a, xs) -> list[Fraction]:
+    """A @ xs for a RationalMatrix A."""
+    if len(xs) != a.cols:
+        raise DimensionMismatch(f"vector length {len(xs)} != cols {a.cols}")
+    return [
+        sum((a.at(r, c) * xs[c] for c in range(a.cols)), Fraction(0))
+        for r in range(a.rows)
+    ]
+
+
+def solve_exact_ref(a, b) -> LinearSolution:
+    """Dense Gauss-Jordan on [A | I | b] with first-nonzero pivots."""
+    if a.rows != len(b):
+        raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)}")
+    m, n = a.rows, a.cols
+    # Augment [A | I | b]; the I block tracks row operations so an
+    # inconsistent row yields a certificate against the original system.
+    tab = [
+        a.row(r) + [Fraction(int(r == k)) for k in range(m)] + [Fraction(b[r])]
+        for r in range(m)
+    ]
+    width = n + m + 1
+    pivot_of_col: dict[int, int] = {}
+    rank = 0
+    for c in range(n):
+        pr = next((r for r in range(rank, m) if tab[r][c] != 0), None)
+        if pr is None:
+            continue
+        tab[rank], tab[pr] = tab[pr], tab[rank]
+        piv = tab[rank][c]
+        tab[rank] = [e / piv for e in tab[rank]]
+        for r in range(m):
+            if r != rank and tab[r][c] != 0:
+                f = tab[r][c]
+                tab[r] = [tab[r][k] - f * tab[rank][k] for k in range(width)]
+        pivot_of_col[c] = rank
+        rank += 1
+
+    for r in range(rank, m):
+        if tab[r][-1] != 0:
+            lam = [e / tab[r][-1] for e in tab[r][n : n + m]]
+            return LinearSolution(
+                status=SolveStatus.INCONSISTENT,
+                particular=None,
+                nullspace_basis=(),
+                certificate=tuple(lam),
+            )
+
+    free_cols = [c for c in range(n) if c not in pivot_of_col]
+    particular = [Fraction(0)] * n
+    for c, r in pivot_of_col.items():
+        particular[c] = tab[r][-1]
+    basis = []
+    for fc in free_cols:
+        z = [Fraction(0)] * n
+        z[fc] = Fraction(1)
+        for c, r in pivot_of_col.items():
+            z[c] = -tab[r][fc]
+        basis.append(tuple(z))
+    status = SolveStatus.UNIQUE if not free_cols else SolveStatus.UNDERDETERMINED
+    return LinearSolution(
+        status=status,
+        particular=tuple(particular),
+        nullspace_basis=tuple(basis),
+    )

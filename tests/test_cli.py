@@ -176,6 +176,16 @@ def test_vertex_out_of_range_exits_3(tmp_path, capsys):
     assert err.startswith("error[VertexOutOfRange]:")
 
 
+def test_out_of_range_facet_rejected_before_closure(tmp_path, capsys):
+    # a 60-vertex facet has 2^60 subfaces; the ids are checked first
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "facets": [list(range(1, 61))]}))
+    code, out, err = run(capsys, "info", "--complex", str(bad))
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(r"error\[VertexOutOfRange\]: [^\n]*\n", err), err
+
+
 def test_game_face_not_in_complex_exits_3(files, tmp_path, capsys):
     bad = tmp_path / "bad_game.json"
     bad.write_text('{"values": {"1,3": "1"}}')

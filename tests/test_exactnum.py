@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -7,11 +8,15 @@ from hypothesis import strategies as st
 from simplicial_games import (
     RationalMatrix,
     SolveStatus,
+    decompose_shapley,
     format_rational,
+    full_simplex,
     parse_rational,
     solve_exact,
 )
 from simplicial_games.errors import DimensionMismatch, ParseError
+from conftest import boundary_simplex, golden_fixtures
+from oracles import matvec, solve_exact_ref, system_inconsistent
 
 F = Fraction
 
@@ -79,7 +84,7 @@ def test_solve_link_fvector_row():
     assert sol.status is SolveStatus.UNDERDETERMINED
     # the canonical weights p_k = 1/(r s_k) with r=2, s=(1,2) satisfy the row
     candidate = [F(1, 2), F(1, 4)]
-    assert a.matvec(candidate) == [F(1)]
+    assert matvec(a, candidate) == [F(1)]
 
 
 def test_solve_inconsistent_with_certificate():
@@ -123,19 +128,19 @@ def small_systems(draw):
 def test_consistent_solves_have_exact_residual(system):
     rows, x = system
     a = RationalMatrix.from_rows(rows)
-    b = a.matvec(x)
+    b = matvec(a, x)
     sol = solve_exact(a, b)
     assert sol.status is not SolveStatus.INCONSISTENT
-    assert a.matvec(list(sol.particular)) == b
+    assert matvec(a, list(sol.particular)) == b
     for z in sol.nullspace_basis:
-        assert a.matvec(list(z)) == [F(0)] * a.rows
+        assert matvec(a, list(z)) == [F(0)] * a.rows
 
 
 @given(small_systems(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
 def test_certificates_verify_on_perturbed_rhs(system, shift):
     rows, x = system
     a = RationalMatrix.from_rows(rows)
-    b = a.matvec(x)
+    b = matvec(a, x)
     b[0] += shift
     sol = solve_exact(a, b)
     if sol.status is SolveStatus.INCONSISTENT:
@@ -146,4 +151,104 @@ def test_certificates_verify_on_perturbed_rhs(system, shift):
         )
         assert sum(lam[r] * b[r] for r in range(a.rows)) == 1
     else:
-        assert a.matvec(list(sol.particular)) == b
+        assert matvec(a, list(sol.particular)) == b
+
+
+# -- differential gate: the sparse solver against the dense reference ---------
+
+
+def random_system(rng: Random) -> tuple[RationalMatrix, list[Fraction]]:
+    """A seeded system of shape 0..12 x 0..12, dense or at most 20% dense.
+
+    Some have rows duplicated and combined from earlier ones (rank
+    deficient), a perturbed consistent rhs (inconsistent), or a zero row
+    and a zero column.
+    """
+    m, n = rng.randint(0, 12), rng.randint(0, 12)
+    density = rng.choice([1.0, 0.2, 0.1])
+
+    def entry() -> Fraction:
+        if rng.random() >= density:
+            return F(0)
+        return F(rng.randint(-5, 5), rng.randint(1, 4))
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m >= 2 and rng.random() < 0.5:
+        for r in range(m // 2, m):
+            i, j = rng.randrange(r), rng.randrange(r)
+            s, t = F(rng.randint(-3, 3)), F(rng.randint(-3, 3), 2)
+            rows[r] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+    if m and n and rng.random() < 0.3:
+        zero_row, zero_col = rng.randrange(m), rng.randrange(n)
+        rows[zero_row] = [F(0)] * n
+        for row in rows:
+            row[zero_col] = F(0)
+    a = RationalMatrix(m, n, [e for row in rows for e in row])
+    rhs_kind = rng.choice(["random", "consistent", "perturbed"])
+    if rhs_kind == "random":
+        b = [entry() for _ in range(m)]
+    else:
+        b = matvec(a, [entry() for _ in range(n)])
+        if rhs_kind == "perturbed" and m:
+            b[rng.randrange(m)] += rng.randint(1, 5)
+    return a, b
+
+
+def check_certificate(rows, b, lam) -> None:
+    n = len(rows[0]) if rows else 0
+    assert all(sum(lam[r] * rows[r][c] for r in range(len(rows))) == 0 for c in range(n))
+    assert sum(lam[r] * b[r] for r in range(len(rows))) == 1
+
+
+def test_solve_exact_matches_dense_reference_on_random_systems():
+    statuses = {status: 0 for status in SolveStatus}
+    for seed in range(400):
+        a, b = random_system(Random(seed))
+        rows = [a.row(r) for r in range(a.rows)]
+        sol = solve_exact(a, b)
+        assert sol == solve_exact_ref(a, b), seed
+        statuses[sol.status] += 1
+        assert (sol.status is SolveStatus.INCONSISTENT) == system_inconsistent(rows, b)
+        if sol.status is SolveStatus.INCONSISTENT:
+            check_certificate(rows, b, sol.certificate)
+    # the corpus reaches every outcome often
+    assert min(statuses.values()) >= 30, statuses
+
+
+@pytest.mark.parametrize("size", range(13))
+def test_solve_exact_matches_dense_reference_on_empty_shapes(size):
+    for a, b in [
+        (RationalMatrix(size, 0, []), [F(0)] * size),
+        (RationalMatrix(size, 0, []), [F(k % 3) for k in range(size)]),
+        (RationalMatrix(0, size, []), []),
+    ]:
+        assert solve_exact(a, b) == solve_exact_ref(a, b)
+
+
+def decomposition_systems():
+    corpus = {f"golden {name}": delta for name, delta in golden_fixtures().items()}
+    for n in range(5, 11):
+        corpus[f"skeleton_{n}_3"] = full_simplex(n).skeleton(3)
+    for n in range(4, 9):
+        corpus[f"boundary_simplex_{n}"] = boundary_simplex(n)
+    corpus["skeleton_8_4"] = full_simplex(8).skeleton(4)
+    return corpus
+
+
+DECOMPOSITION_SYSTEMS = decomposition_systems()
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITION_SYSTEMS))
+def test_decompose_solves_as_the_dense_reference(name):
+    delta = DECOMPOSITION_SYSTEMS[name]
+    for i in delta.vertices:
+        dec = decompose_shapley(delta, i)
+        a = RationalMatrix.from_rows(dec.matrix)
+        ref = solve_exact_ref(a, dec.rhs)
+        assert solve_exact(a, dec.rhs) == ref
+        if ref.status is SolveStatus.INCONSISTENT:
+            assert dec.certificate == ref.certificate
+            check_certificate(dec.matrix, dec.rhs, dec.certificate)
+            assert system_inconsistent(dec.matrix, dec.rhs)
+        else:
+            assert dec.facet_weights == dict(zip(dec.facet_order, ref.particular))

@@ -21,6 +21,7 @@ from simplicial_games.errors import (
     ComplexMismatch,
     DimensionMismatch,
     EmptyCarrierNotAllowed,
+    EmptyCoalitionWorth,
     FaceNotInComplex,
     GameFaceNotInComplex,
     ParseError,
@@ -39,7 +40,7 @@ def test_empty_coalition_pinned_to_zero():
     delta = full_simplex(2)
     v = Game(delta, {face(1): F(3)})
     assert v.value(EMPTY_FACE) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyCoalitionWorth):
         Game(delta, {EMPTY_FACE: F(1)})
 
 

@@ -12,34 +12,18 @@ re-record them with the package on the import path::
 import io
 import json
 from contextlib import redirect_stdout
-from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from simplicial_games import SimplicialComplex, full_simplex
+from simplicial_games import SimplicialComplex
 from simplicial_games.cli import main
 from simplicial_games.complexes import complex_to_dict
-from conftest import all_fixtures, cycle
+from conftest import golden_fixtures
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("table", "json")
 COMMANDS = ("symmetry", "decompose")
-
-
-def golden_fixtures() -> dict[str, SimplicialComplex]:
-    fixtures = all_fixtures()
-    fixtures.update(
-        {
-            "path_3": SimplicialComplex.from_facets(3, [[1, 2], [2, 3]]),
-            "mixed_5": SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4], [5]]),
-            "loose_6": SimplicialComplex.from_facets(6, [[1, 2], [2, 3]]),
-            "simplex_8": full_simplex(8),
-            "cycle_11": cycle(11),
-            "skeleton_11_2": SimplicialComplex.from_facets(11, combinations(range(1, 12), 2)),
-        }
-    )
-    return fixtures
 
 
 def command_stdout(

@@ -9,6 +9,7 @@ from simplicial_games import (
     Face,
     Game,
     ProbabilityTable,
+    RationalMatrix,
     SimplicialComplex,
     axiom_suite,
     canonical_shapley_tables,
@@ -41,7 +42,7 @@ from simplicial_games.errors import (
     VertexNotInComplex,
 )
 from conftest import all_fixtures, boundary_simplex, cycle, figure_a, figure_b
-from oracles import system_inconsistent
+from oracles import solve_exact_ref, system_inconsistent
 
 F = Fraction
 
@@ -429,6 +430,16 @@ def test_decompose_samples_no_game(monkeypatch, fixtures):
     for delta in fixtures.values():
         for i in delta.vertices:
             decompose_shapley(delta, i)
+
+
+def test_decompose_boundary_of_8_simplex():
+    # the largest system of the boundary family the suite decomposes
+    delta = boundary_simplex(8)
+    dec = decompose_shapley(delta, 1)
+    assert (len(dec.row_faces), len(dec.facet_order)) == (127, 7)
+    assert dec.status is DecompositionStatus.EXACT
+    ref = solve_exact_ref(RationalMatrix.from_rows(dec.matrix), dec.rhs)
+    assert dec.facet_weights == dict(zip(dec.facet_order, ref.particular))
 
 
 def test_decompose_requires_vertex():
