@@ -314,7 +314,7 @@ def cmd_efficiency(args) -> int:
     check = None
     if args.game:
         game = load_game(args.game, delta)
-        check = check_efficiency_identity(delta, tables, game)
+        check = check_efficiency_identity(coeffs, tables, game)
     if args.format == "json":
         emit_json(
             {
@@ -368,9 +368,10 @@ def cmd_verify(args) -> int:
     games = [random_game(delta, rng) for _ in range(10)]
     if args.game:
         games.append(load_game(args.game, delta))
+    coeffs = efficiency_coefficients(delta, tables)
     identity_results = []
     for k, game in enumerate(games):
-        check = check_efficiency_identity(delta, tables, game)
+        check = check_efficiency_identity(coeffs, tables, game)
         identity_results.append(check)
         status = "ok" if check.equal else f"FAIL (residual {check.residual})"
         lines.append(f"efficiency identity game {k}: {status}")

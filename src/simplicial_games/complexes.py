@@ -137,21 +137,35 @@ class SimplicialComplex:
 
     Construct via :meth:`from_facets`; ``faces`` is the full closure in
     canonical order, ``facets`` the inclusion-maximal members, ``rank`` the
-    largest face cardinality (-1 for the empty family).
+    largest face cardinality (-1 for the empty family).  The constructor
+    takes the face family as given: it must be downward closed, and the
+    facet pass relies on that.
     """
 
     __slots__ = ("n", "faces", "facets", "rank", "_face_masks", "_link_cache")
 
     def __init__(self, n: int, faces: Iterable[Face]):
+        """Store a downward-closed family of faces on the ground set [n].
+
+        ``faces`` must be downward closed (every subset of a face is listed);
+        this is not checked.  Then f is a facet iff no f + j is a face, that
+        is, iff f is not g - j for a face g and a vertex j of g: one pass
+        over the vertices of every face marks the faces that are not facets.
+        """
         face_set = frozenset(faces)
         _check_vertex_ids(n, face_set)
         self.n = n
         self.faces: tuple[Face, ...] = tuple(sorted(face_set, key=Face.sort_key))
         self._face_masks = frozenset(f.mask for f in face_set)
+        covered = set()
+        for mask in self._face_masks:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                covered.add(mask ^ low)
+                rest ^= low
         self.facets: tuple[Face, ...] = tuple(
-            f
-            for f in self.faces
-            if not any(f.mask != g.mask and f.issubset(g) for g in face_set)
+            f for f in self.faces if f.mask not in covered
         )
         self.rank = max((f.cardinality for f in face_set), default=-1)
         self._link_cache: dict[int, "SimplicialComplex"] = {}
@@ -205,18 +219,19 @@ class SimplicialComplex:
     def link(self, s: FaceLike) -> "SimplicialComplex":
         """Faces disjoint from s whose union with s is again a face.
 
-        For a vertex this is exactly the set of coalitions the player can
-        join. The result lives on the same ground set [n].
+        These are the g - s for the faces g that contain s.  For a vertex
+        this is exactly the set of coalitions the player can join.  The
+        result lives on the same ground set [n].
         """
         s = self.require_face(s)
         cached = self._link_cache.get(s.mask)
         if cached is not None:
             return cached
-        members = [
-            t for t in self.faces if t.isdisjoint(s) and self.has_face(t.union(s))
-        ]
-        result = SimplicialComplex(self.n, members)
-        self._link_cache[s.mask] = result
+        sm = s.mask
+        result = SimplicialComplex(
+            self.n, [Face(f.mask ^ sm) for f in self.faces if f.mask & sm == sm]
+        )
+        self._link_cache[sm] = result
         return result
 
     def star(self, s: FaceLike) -> frozenset[Face]:

@@ -59,7 +59,7 @@ class Game:
 
     def mask_table(self) -> dict[int, Fraction]:
         """All faces as mask -> worth, zeros included (fast lookups)."""
-        table = {f.mask: Fraction(0) for f in self.complex.faces}
+        table = dict.fromkeys((f.mask for f in self.complex.faces), Fraction(0))
         for f, w in self.values.items():
             table[f.mask] = w
         return table
@@ -167,19 +167,22 @@ def random_game(delta: SimplicialComplex, rng: Random) -> Game:
 
 
 def random_monotone_game(delta: SimplicialComplex, rng: Random) -> Game:
-    """A nonnegative combination of carrier games, hence monotone."""
-    weights = {
-        f: random_rational(rng, lo=0) for f in delta.faces if f != EMPTY_FACE
+    """A nonnegative combination of carrier games, hence monotone.
+
+    Each nonempty face draws a weight in canonical order; a face is worth the
+    sum of the weights of its subfaces, accumulated one vertex bit at a time
+    over the downward-closed face set (a subset-sum pass, O(n |faces|)).
+    """
+    worth = {
+        f.mask: random_rational(rng, lo=0) if f != EMPTY_FACE else Fraction(0)
+        for f in delta.faces
     }
-    values = {}
-    for s in delta.faces:
-        if s == EMPTY_FACE:
-            continue
-        total = sum(
-            (w for t, w in weights.items() if t.issubset(s)), Fraction(0)
-        )
-        values[s] = total
-    return Game(delta, values)
+    for j in range(delta.n):
+        bit = 1 << j
+        for m in worth:
+            if m & bit:
+                worth[m] += worth[m ^ bit]
+    return Game(delta, {Face(m): w for m, w in worth.items() if m})
 
 
 def random_dummy_game(delta: SimplicialComplex, i: int, rng: Random) -> Game:

@@ -105,13 +105,15 @@ def generalized_shapley(v: Game, i: int) -> Fraction:
     single = v.complex.require_vertex(i)
     link = v.complex.link(single)
     fv = link.f_vector()
-    r_i = link.rank
-    total = Fraction(0)
+    worth = v.mask_table()
+    bit = single.mask
+    # the marginals summed per coalition size, each sum divided once by f_k
+    sums = [Fraction(0)] * len(fv)
     for t in link.faces:
-        total += Fraction(1, fv[t.cardinality]) * (
-            v.value(t.union(single)) - v.value(t)
-        )
-    return total / (r_i + 1)
+        m = t.mask
+        sums[m.bit_count()] += worth[m | bit] - worth[m]
+    total = sum((s / count for s, count in zip(sums, fv)), Fraction(0))
+    return total / (link.rank + 1)
 
 
 def _player_set(v: Game, players: Iterable[int] | None) -> tuple[int, ...]:
@@ -261,17 +263,18 @@ class EfficiencyCheck:
 
 
 def check_efficiency_identity(
-    delta: SimplicialComplex,
+    coeffs: EfficiencyCoefficients,
     tables: Mapping[int, ProbabilityTable],
     v: Game,
 ) -> EfficiencyCheck:
     """Compare sum_i phi_i(v) against sum_T a_T v(T), exactly.
 
-    The construction of a_T makes this an identity; a nonzero residual is
-    a bug certificate, never a property of the inputs.
+    ``coeffs`` are ``efficiency_coefficients(v.complex, tables)``, computed
+    once by the caller for any number of games.  The construction of a_T
+    makes this an identity; a nonzero residual is a bug certificate, never
+    a property of the inputs.
     """
     lhs = sum(group_value(v, tables).values(), Fraction(0))
-    coeffs = efficiency_coefficients(delta, tables)
     rhs = sum((a * v.value(t) for t, a in coeffs.items()), Fraction(0))
     return EfficiencyCheck(lhs == rhs, lhs, rhs, lhs - rhs)
 

@@ -1,10 +1,12 @@
 """Shared fixture complexes used across the suite."""
 
 from itertools import combinations
+from random import Random
 
 import pytest
 
 from simplicial_games import SimplicialComplex, full_simplex
+from oracles import facet_masks_of
 
 
 def figure_a() -> SimplicialComplex:
@@ -66,6 +68,23 @@ def golden_fixtures() -> dict[str, SimplicialComplex]:
         }
     )
     return fixtures
+
+
+def random_nonpure_complexes(count: int, seed: int) -> list[SimplicialComplex]:
+    """``count`` seeded complexes on 2..10 vertices whose facets differ in size."""
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 10)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(1, min(n, 5)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        delta = SimplicialComplex.from_facets(n, facets)
+        tops = facet_masks_of({f.mask for f in delta.faces})
+        if len({f.bit_count() for f in tops}) > 1:
+            out.append(delta)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -3,15 +3,19 @@
 Everything here works on raw bitmasks and scans all 2^n subsets (n <= 12),
 testing membership straight from the definitions.  Expected values frozen
 into the tests were computed with these oracles.  ``solve_exact_ref`` is the
-dense Gauss-Jordan solver that ``exactnum.solve_exact`` replaced, kept as
-the reference its results must equal.
+dense Gauss-Jordan solver that ``exactnum.solve_exact`` replaced, and
+``generalized_shapley_ref`` and ``random_monotone_game_ref`` are the
+term-by-term value and the all-pairs monotone game that the package's
+faster versions replaced, kept as the references their results must equal.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
+from simplicial_games.complexes import EMPTY_FACE
 from simplicial_games.errors import DimensionMismatch
 from simplicial_games.exactnum import LinearSolution, SolveStatus
+from simplicial_games.games import Game, random_rational
 
 
 def closure_masks(n: int, facet_masks: list[int]) -> set[int]:
@@ -37,6 +41,17 @@ def link_masks(n: int, faces: set[int], s: int) -> set[int]:
         for t in range(1 << n)
         if t & s == 0 and (t | s) in faces
     }
+
+
+def skeleton_masks(faces: set[int], k: int) -> set[int]:
+    return {f for f in faces if f.bit_count() <= k}
+
+
+def is_downward_closed(faces: set[int]) -> bool:
+    """Every face minus any one of its vertices is again a face."""
+    return all(
+        f & ~(1 << j) in faces for f in faces for j in range(f.bit_length())
+    )
 
 
 def star_masks(n: int, faces: set[int], s: int) -> set[int]:
@@ -223,3 +238,33 @@ def solve_exact_ref(a, b) -> LinearSolution:
         particular=tuple(particular),
         nullspace_basis=tuple(basis),
     )
+
+
+def generalized_shapley_ref(v, i: int) -> Fraction:
+    """The generalized Shapley value term by term, one weight per link face."""
+    single = v.complex.require_vertex(i)
+    link = v.complex.link(single)
+    fv = link.f_vector()
+    r_i = link.rank
+    total = Fraction(0)
+    for t in link.faces:
+        total += Fraction(1, fv[t.cardinality]) * (
+            v.value(t.union(single)) - v.value(t)
+        )
+    return total / (r_i + 1)
+
+
+def random_monotone_game_ref(delta, rng):
+    """A nonnegative combination of carrier games, each face summing all weights."""
+    weights = {
+        f: random_rational(rng, lo=0) for f in delta.faces if f != EMPTY_FACE
+    }
+    values = {}
+    for s in delta.faces:
+        if s == EMPTY_FACE:
+            continue
+        total = sum(
+            (w for t, w in weights.items() if t.issubset(s)), Fraction(0)
+        )
+        values[s] = total
+    return Game(delta, values)

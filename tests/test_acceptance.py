@@ -129,20 +129,20 @@ def test_criterion_4_efficiency_identity():
             failures.append((name, "fixture unexpectedly not pure-links"))
             continue
         tables = canonical_shapley_tables(delta)
+        coeffs = efficiency_coefficients(delta, tables)
         rng = Random(4000)
         for g in range(50):
             v = random_game(delta, rng)
-            check = check_efficiency_identity(delta, tables, v)
+            check = check_efficiency_identity(coeffs, tables, v)
             if not check.equal or check.residual != 0:
                 failures.append((name, g, check.residual))
         if classify_shapley(delta).is_shapley:
-            built = efficiency_coefficients(delta, tables)
             closed = shapley_efficiency_closed_form(delta)
-            if built != closed:
+            if coeffs != closed:
                 diff = {
-                    t: (built[t], closed[t])
-                    for t in built
-                    if built[t] != closed[t]
+                    t: (coeffs[t], closed[t])
+                    for t in coeffs
+                    if coeffs[t] != closed[t]
                 }
                 failures.append((name, "closed form mismatch", diff))
     report(4, "efficiency identity and closed forms", failures)

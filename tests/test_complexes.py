@@ -11,13 +11,15 @@ from simplicial_games.errors import (
     TooManyVertices,
     VertexOutOfRange,
 )
-from conftest import figure_a, figure_b
+from conftest import figure_a, figure_b, random_nonpure_complexes
 from oracles import (
     closure_masks,
     ext_ids,
     f_vector_of,
     facet_masks_of,
+    is_downward_closed,
     link_masks,
+    skeleton_masks,
     star_masks,
 )
 
@@ -261,10 +263,40 @@ def random_complexes(draw):
 def test_random_complex_invariants(delta):
     faces = masks(delta)
     assert faces == closure_masks(delta.n, [f.mask for f in delta.facets])
+    assert {f.mask for f in delta.facets} == facet_masks_of(faces)
     for s in delta.faces:
         assert masks(delta.link(s)) == link_masks(delta.n, faces, s.mask)
     fv = delta.f_vector()
     assert sum(fv) == len(delta.faces)
+
+
+NONPURE = random_nonpure_complexes(200, seed=505)
+
+
+def test_nonpure_facets_links_and_skeleta_match_oracles():
+    for delta in NONPURE:
+        faces = masks(delta)
+        assert faces == closure_masks(delta.n, [f.mask for f in delta.facets])
+        assert {f.mask for f in delta.facets} == facet_masks_of(faces)
+        assert list(delta.facets) == sorted(delta.facets, key=Face.sort_key)
+        for s in delta.faces:
+            lk = delta.link(s)
+            assert masks(lk) == link_masks(delta.n, faces, s.mask)
+            assert {f.mask for f in lk.facets} == facet_masks_of(masks(lk))
+        for k in range(delta.rank + 2):
+            sk = delta.skeleton(k)
+            assert masks(sk) == skeleton_masks(faces, k)
+            assert {f.mask for f in sk.facets} == facet_masks_of(masks(sk))
+
+
+def test_constructions_return_closed_families():
+    # the facet pass of the constructor relies on a downward-closed family
+    for delta in [*NONPURE, figure_a(), full_simplex(6)]:
+        assert is_downward_closed(masks(delta))
+        for s in delta.faces:
+            assert is_downward_closed(masks(delta.link(s)))
+        for k in range(delta.rank + 1):
+            assert is_downward_closed(masks(delta.skeleton(k)))
 
 
 # -- JSON ------------------------------------------------------------------

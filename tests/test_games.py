@@ -27,7 +27,8 @@ from simplicial_games.errors import (
     ParseError,
     PermutationNotSymmetry,
 )
-from conftest import figure_a, figure_b
+from conftest import figure_a, figure_b, golden_fixtures, random_nonpure_complexes
+from oracles import random_monotone_game_ref
 
 F = Fraction
 
@@ -154,6 +155,15 @@ def test_monotone_matches_definition_scan():
         assert v.is_monotone() == brute
     for _ in range(5):
         assert random_monotone_game(delta, rng).is_monotone()
+
+
+def test_monotone_game_matches_all_pairs_reference():
+    corpus = [*golden_fixtures().values(), *random_nonpure_complexes(40, seed=707)]
+    for k, delta in enumerate(corpus):
+        for seed in (k, k + 1000):
+            assert random_monotone_game(delta, Random(seed)) == random_monotone_game_ref(
+                delta, Random(seed)
+            )
 
 
 def test_dummy_carrier():

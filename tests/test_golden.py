@@ -1,29 +1,55 @@
-"""Golden stdout of the ``symmetry`` and ``decompose`` commands, byte for byte.
+"""Golden stdout of the CLI commands, byte for byte.
 
 The files under ``tests/golden/`` hold the output of each command in both
 formats on every acceptance fixture and on a few extra complexes (n > 10,
-a failing containment, a non-pure complex).  A ``decompose`` file holds the
-outputs for every vertex of the complex, concatenated in vertex order.  To
-re-record them with the package on the import path::
+a failing containment, a non-pure complex).  A command that fails leaves
+its ``error[...]`` line and an ``[exit N]`` line in the file.  A
+``decompose`` file holds the outputs for every vertex of the complex,
+concatenated in vertex order.  The structure and value commands
+(``info``, ``psystem``, ``efficiency`` with and without a game,
+``shapley``, ``verify``) also run on the 3-skeleta on 9 and 10 vertices and
+on a seeded non-pure complex; their game is seeded too.  To re-record them
+with the package on the import path::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from simplicial_games import SimplicialComplex
+from simplicial_games import SimplicialComplex, full_simplex
 from simplicial_games.cli import main
 from simplicial_games.complexes import complex_to_dict
+from simplicial_games.games import game_to_dict, random_game
 from conftest import golden_fixtures
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("table", "json")
-COMMANDS = ("symmetry", "decompose")
+# The commands each name runs: the key is the file-name prefix.
+COMMANDS = {
+    "symmetry": ["symmetry"],
+    "decompose": ["decompose"],
+    "info": ["info"],
+    "psystem": ["psystem"],
+    "efficiency": ["efficiency"],
+    "efficiency_game": ["efficiency", "--game", "{game}"],
+    "shapley": ["shapley", "--game", "{game}"],
+    "verify": ["verify", "--seed", "3"],
+}
+STRUCTURE_COMMANDS = [c for c in COMMANDS if c not in ("symmetry", "decompose")]
+GAME_SEED = 11
+
+
+def seeded_nonpure() -> SimplicialComplex:
+    """Facets of random sizes 1..4 on 8 vertices, from a fixed seed."""
+    rng = Random(2024)
+    facets = [rng.sample(range(1, 9), rng.randint(1, 4)) for _ in range(7)]
+    return SimplicialComplex.from_facets(8, facets)
 
 
 def command_stdout(
@@ -31,14 +57,18 @@ def command_stdout(
 ) -> str:
     path = tmp_dir / "complex.json"
     path.write_text(json.dumps(complex_to_dict(delta)))
+    game = tmp_dir / "game.json"
+    game.write_text(json.dumps(game_to_dict(random_game(delta, Random(GAME_SEED)))))
+    argv = [a.format(game=game) for a in COMMANDS[command]]
     runs = (
         [["--player", str(i)] for i in delta.vertices] if command == "decompose" else [[]]
     )
     out = io.StringIO()
-    with redirect_stdout(out):
+    with redirect_stdout(out), redirect_stderr(out):
         for extra in runs:
-            code = main([command, "--complex", str(path), "--format", fmt, *extra])
-            assert code == 0
+            code = main([*argv, "--complex", str(path), "--format", fmt, *extra])
+            if code != 0:
+                print(f"[exit {code}]")
     return out.getvalue()
 
 
@@ -47,6 +77,16 @@ def golden_path(command: str, name: str, fmt: str) -> Path:
 
 
 FIXTURES = golden_fixtures()
+STRUCTURE_FIXTURES = {
+    **FIXTURES,
+    "skeleton_9_3": full_simplex(9).skeleton(3),
+    "skeleton_10_3": full_simplex(10).skeleton(3),
+    "nonpure_8": seeded_nonpure(),
+}
+
+
+def test_seeded_nonpure_is_not_pure():
+    assert len({f.cardinality for f in STRUCTURE_FIXTURES["nonpure_8"].facets}) > 1
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -63,13 +103,22 @@ def test_decompose_stdout_matches_golden(name, fmt, tmp_path):
     assert got == golden_path("decompose", name, fmt).read_text()
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(STRUCTURE_FIXTURES))
+@pytest.mark.parametrize("command", STRUCTURE_COMMANDS)
+def test_structure_stdout_matches_golden(command, name, fmt, tmp_path):
+    got = command_stdout(command, STRUCTURE_FIXTURES[name], fmt, tmp_path)
+    assert got == golden_path(command, name, fmt).read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
-            for name, delta in FIXTURES.items():
+            fixtures = FIXTURES if command in ("symmetry", "decompose") else STRUCTURE_FIXTURES
+            for name, delta in fixtures.items():
                 for fmt in FORMATS:
                     path = golden_path(command, name, fmt)
                     path.write_text(command_stdout(command, delta, fmt, Path(tmp)))

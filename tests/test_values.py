@@ -41,8 +41,16 @@ from simplicial_games.errors import (
     TooManyPlayers,
     VertexNotInComplex,
 )
-from conftest import all_fixtures, boundary_simplex, cycle, figure_a, figure_b
-from oracles import solve_exact_ref, system_inconsistent
+from conftest import (
+    all_fixtures,
+    boundary_simplex,
+    cycle,
+    figure_a,
+    figure_b,
+    golden_fixtures,
+    random_nonpure_complexes,
+)
+from oracles import generalized_shapley_ref, solve_exact_ref, system_inconsistent
 
 F = Fraction
 
@@ -150,6 +158,15 @@ def test_isolated_vertex():
     q = F(9, 7)
     v = Game(delta, {face(1): q})
     assert generalized_shapley(v, 1) == q
+
+
+def test_generalized_matches_term_by_term_reference():
+    rng = Random(31)
+    corpus = [*golden_fixtures().values(), *random_nonpure_complexes(60, seed=606)]
+    for delta in corpus:
+        for v in (random_game(delta, rng), random_monotone_game(delta, rng)):
+            for i in delta.vertices:
+                assert generalized_shapley(v, i) == generalized_shapley_ref(v, i)
 
 
 def test_generalized_requires_vertex():
@@ -295,9 +312,10 @@ def test_efficiency_identity_everywhere(fixtures):
     rng = Random(17)
     for delta in fixtures.values():
         tables = canonical_shapley_tables(delta)
+        coeffs = efficiency_coefficients(delta, tables)
         for _ in range(5):
             v = random_game(delta, rng)
-            check = check_efficiency_identity(delta, tables, v)
+            check = check_efficiency_identity(coeffs, tables, v)
             assert check.equal and check.residual == 0
 
 
@@ -306,9 +324,10 @@ def test_efficiency_identity_figure_b_with_constructed_coefficients():
     # constructed coefficients still satisfy the identity
     delta = figure_b()
     tables = canonical_shapley_tables(delta)
+    coeffs = efficiency_coefficients(delta, tables)
     rng = Random(23)
     for _ in range(5):
-        check = check_efficiency_identity(delta, tables, random_game(delta, rng))
+        check = check_efficiency_identity(coeffs, tables, random_game(delta, rng))
         assert check.equal
 
 
