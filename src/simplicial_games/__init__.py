@@ -28,7 +28,6 @@ from .symmetry import (
     check_pi_delta_contained,
     check_symmetry_reduction,
     classify_shapley,
-    link_transposition_bijection,
     moved_facet,
     permutation_preserves,
     pi_delta_generators,

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from random import Random
 
-from .complexes import Face, load_complex
+from .complexes import load_complex
 from .errors import SimplicialGamesError
 from .exactnum import format_rational
 from .games import face_key, load_game, random_game
@@ -70,9 +70,7 @@ def _game_value_block(values: dict) -> dict:
 def cmd_info(args) -> int:
     delta = load_complex(args.complex)
     fv = delta.f_vector()
-    link_fvs = {
-        i: delta.link(Face.from_vertices([i])).f_vector() for i in delta.vertices
-    }
+    link_fvs = delta.link_f_vectors()
     pure = delta.has_pure_links()
     cls = classify_shapley(delta)
     if args.format == "json":

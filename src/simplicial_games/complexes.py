@@ -72,14 +72,8 @@ class Face:
     def issubset(self, other: "Face") -> bool:
         return self.mask & other.mask == self.mask
 
-    def isdisjoint(self, other: "Face") -> bool:
-        return self.mask & other.mask == 0
-
     def union(self, other: "Face") -> "Face":
         return Face(self.mask | other.mask)
-
-    def intersection(self, other: "Face") -> "Face":
-        return Face(self.mask & other.mask)
 
     def difference(self, other: "Face") -> "Face":
         return Face(self.mask & ~other.mask)
@@ -94,13 +88,19 @@ class Face:
         return (self.cardinality, self.vertices)
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(v) for v in self.vertices) + "}"
+        return format_ids(self.vertices)
 
     def __repr__(self) -> str:
-        return f"Face({{{','.join(str(v) for v in self.vertices)}}})"
+        return f"Face({self})"
 
 
 EMPTY_FACE = Face(0)
+
+
+def format_ids(ids: Iterable[int]) -> str:
+    """Vertex ids as a face is printed: ``{1,3}``."""
+    return "{" + ",".join(map(str, ids)) + "}"
+
 
 FaceLike = Union[Face, Iterable[int]]
 
@@ -202,10 +202,10 @@ class SimplicialComplex:
 
     def require_vertex(self, i: int) -> Face:
         """The face {i}, or VertexNotInComplex when i is not a vertex."""
-        single = Face.from_vertices([i])
-        if single.mask not in self._face_masks:
-            raise VertexNotInComplex(f"vertex {i} is not in the complex")
-        return single
+        # i is compared with n before the mask, which is i bits wide
+        if i <= self.n and (single := Face.from_vertices([i])).mask in self._face_masks:
+            return single
+        raise VertexNotInComplex(f"vertex {i} is not in the complex")
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -235,13 +235,9 @@ class SimplicialComplex:
         return result
 
     def star(self, s: FaceLike) -> frozenset[Face]:
-        """All faces contained in some face that contains s."""
-        s = self.require_face(s)
-        out: set[Face] = set()
-        for t in self.faces:
-            if s.issubset(t):
-                out.update(_subfaces(t))
-        return frozenset(out)
+        """All faces contained in some face that contains s: the t with t + s a face."""
+        sm = self.require_face(s).mask
+        return frozenset(t for t in self.faces if t.mask | sm in self._face_masks)
 
     def f_vector(self) -> FVector:
         """(f_{-1}, f_0, ..., f_{rank-1}): face counts by cardinality."""
@@ -258,16 +254,31 @@ class SimplicialComplex:
             raise VertexOutOfRange(f"skeleton bound must be >= 0, got {k}")
         return SimplicialComplex(self.n, [f for f in self.faces if f.cardinality <= k])
 
+    def link_f_vectors(self) -> dict[int, FVector]:
+        """f(Link(v)) for every vertex v, ascending, counted without building a link.
+
+        Link(v) has a face of cardinality c per face through v of cardinality c+1.
+        """
+        counts: list[list[int]] = [[] for _ in range(self.n)]
+        for f in self._face_masks:
+            card = f.bit_count()
+            while f:
+                low = f & -f
+                row = counts[low.bit_length() - 1]
+                if len(row) < card:
+                    row.extend([0] * (card - len(row)))
+                row[card - 1] += 1
+                f ^= low
+        return {v + 1: tuple(row) for v, row in enumerate(counts) if row}
+
     def has_pure_links(self) -> bool:
-        """True iff every vertex link has all facets of cardinality rank-1."""
+        """True iff every vertex link has all facets of cardinality rank-1.
+
+        Link(v) has the facets F - v for the facets F through v: this is purity.
+        """
         if self.is_empty() or not self.vertices:
             raise EmptyComplex("pure-links test needs at least one vertex")
-        want = self.rank - 1
-        for v in self.vertices:
-            lk = self.link(Face.from_vertices([v]))
-            if any(f.cardinality != want for f in lk.facets):
-                return False
-        return True
+        return all(f.cardinality == self.rank for f in self.facets)
 
     def extension_set(self, t: FaceLike) -> frozenset[int]:
         """Vertices j outside t with t+j again a face."""
@@ -319,10 +330,15 @@ def complex_from_dict(data: object) -> SimplicialComplex:
         raise ParseError("'n' must be an integer")
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise ParseError("'facets' must be a list of vertex-id lists")
+    _check_vertex_ids(n, ())  # n first: the id bound below stays under 64 bits
     faces = []
     for f in facets:
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in f):
             raise ParseError(f"facet {f!r} contains a non-integer vertex id")
+        if any(v > n for v in f):  # before the mask, which is v bits wide
+            raise VertexOutOfRange(
+                f"face {format_ids(sorted(f))} has vertices outside 1..{n}"
+            )
         faces.append(Face.from_vertices(f))
     return SimplicialComplex.from_facets(n, faces)
 

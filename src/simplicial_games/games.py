@@ -3,7 +3,8 @@
 Games are stored sparsely (missing faces are worth 0, explicit zeros are
 dropped on construction) and the empty coalition is pinned to 0.  Carrier
 games v_T (containment) and their strict variants (proper containment) are
-the probing basis for every axiom check downstream.
+the probing basis of Weber's axioms; the axiom suite reads their values off
+the weight tables instead of building them.
 """
 
 from __future__ import annotations
@@ -231,9 +232,9 @@ def game_from_dict(data: object, delta: SimplicialComplex) -> Game:
             ids = [int(part) for part in key.split(",")]
         except ValueError:
             raise ParseError(f"bad coalition key {key!r}") from None
-        face = Face.from_vertices(ids)
-        if not delta.has_face(face):
-            raise GameFaceNotInComplex(f"{face} is not a face of the complex")
+        # ids are compared with n before the mask, which is max(ids) bits wide
+        if max(ids) > delta.n or not delta.has_face(face := Face.from_vertices(ids)):
+            raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")
         if not isinstance(text, str):
             raise ParseError(f"worth of {key!r} must be a rational string")
         values[face] = parse_rational(text)

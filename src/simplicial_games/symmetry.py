@@ -94,19 +94,6 @@ class Permutation:
     def apply_face(self, face: Face) -> Face:
         return Face(_image_mask(face.mask, self.bits))
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(v) = self(other(v))."""
-        return Permutation(tuple(self.images[w - 1] for w in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for v, w in enumerate(self.images, start=1):
-            inv[w - 1] = v
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(w == v for v, w in enumerate(self.images, start=1))
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its minimum."""
         seen: set[int] = set()
@@ -154,25 +141,6 @@ def permutation_preserves(delta: SimplicialComplex, perm: Permutation) -> bool:
     return moved_facet(delta, perm) is None
 
 
-def _link_f_vectors(delta: SimplicialComplex) -> list[FVector | None]:
-    """f(Link(v+1)) for each v in 0..n-1, or None where v+1 is not a vertex.
-
-    The faces of Link(v+1) of cardinality c are the faces through v+1 of
-    cardinality c+1, so one pass over the faces counts every link.
-    """
-    counts: list[list[int]] = [[] for _ in range(delta.n)]
-    for f in delta.face_masks:
-        card = f.bit_count()
-        while f:
-            low = f & -f
-            row = counts[low.bit_length() - 1]
-            if len(row) < card:
-                row.extend([0] * (card - len(row)))
-            row[card - 1] += 1
-            f ^= low
-    return [tuple(row) if row else None for row in counts]
-
-
 class SymmetryGroup:
     """Symm(delta), searched by backtracking over vertex images.
 
@@ -195,9 +163,10 @@ class SymmetryGroup:
             [k for k, m in enumerate(self._facets) if m >> v & 1] for v in range(self.n)
         ]
         # _allowed[v]: the 0-based images vertex v+1 may take
-        profile = _link_f_vectors(delta)
+        profile = delta.link_f_vectors()
         self._allowed = [
-            [w for w in range(self.n) if profile[w] == profile[v]] for v in range(self.n)
+            [w for w in range(self.n) if profile.get(w + 1) == profile.get(v + 1)]
+            for v in range(self.n)
         ]
 
     @cached_property
@@ -356,13 +325,11 @@ class ShapleyClassification:
 
 def classify_shapley(delta: SimplicialComplex) -> ShapleyClassification:
     """Compare per-vertex link f-vectors; unequal ranks also disqualify."""
-    verts = delta.vertices
-    if delta.is_empty() or not verts:
+    fvs = delta.link_f_vectors()
+    if not fvs:
         raise EmptyComplex("classification needs at least one vertex")
-    first = verts[0]
-    s = delta.link(Face.from_vertices([first])).f_vector()
-    for v in verts[1:]:
-        fv = delta.link(Face.from_vertices([v])).f_vector()
+    (first, s), *rest = fvs.items()
+    for v, fv in rest:
         if fv != s:
             return ShapleyClassification(False, witness=(first, v))
     return ShapleyClassification(True, s_vector=s)
@@ -376,14 +343,10 @@ def p_system_rows(delta: SimplicialComplex) -> tuple[tuple[FVector, ...], list[i
     """
     if not delta.has_pure_links():
         raise NotPureLinks("the common-probability system requires pure links")
-    rows: list[FVector] = []
-    reps: list[int] = []
-    for v in delta.vertices:
-        fv = delta.link(Face.from_vertices([v])).f_vector()
-        if fv not in rows:
-            rows.append(fv)
-            reps.append(v)
-    return tuple(rows), reps
+    reps: dict[FVector, int] = {}
+    for v, fv in delta.link_f_vectors().items():
+        reps.setdefault(fv, v)
+    return tuple(reps), list(reps.values())
 
 
 def solve_p_system(delta: SimplicialComplex) -> LinearSolution:
@@ -438,21 +401,3 @@ def check_symmetry_reduction(
                     False, violation=(i, t, common[card], p)
                 )
     return SymmetryReductionReport(True, common_p=common)
-
-
-def link_transposition_bijection(
-    delta: SimplicialComplex, i: int, j: int
-) -> dict[Face, Face]:
-    """The face map T -> T (j not in T) / (T+i)-j (j in T) from Link(i) to Link(j).
-
-    Whenever the transposition (i, j) preserves the complex this is a
-    cardinality-preserving bijection, hence the two links share one f-vector.
-    """
-    lk = delta.link(Face.from_vertices([i]))
-    out: dict[Face, Face] = {}
-    for t in lk.faces:
-        if j in t:
-            out[t] = t.with_vertex(i).without_vertex(j)
-        else:
-            out[t] = t
-    return out

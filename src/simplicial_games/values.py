@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from random import Random
 from typing import Iterable, Mapping
 
@@ -49,7 +49,6 @@ from .errors import (
 from .exactnum import RationalMatrix, SolveStatus, solve_exact
 from .games import (
     Game,
-    carrier_game,
     random_dummy_game,
     random_game,
     random_monotone_game,
@@ -73,12 +72,6 @@ class ProbabilityTable:
 
     def total(self) -> Fraction:
         return sum(self.weights.values(), Fraction(0))
-
-    def is_normalized(self) -> bool:
-        return self.total() == 1
-
-    def is_probability(self) -> bool:
-        return self.is_normalized() and all(w >= 0 for w in self.weights.values())
 
 
 GroupValue = dict[int, Fraction]
@@ -391,6 +384,11 @@ def axiom_suite(
                    (guaranteed only for normalized tables)
     monotone       phi_i(v) >= 0 on monotone games, including every strict
                    carrier probe (guaranteed only for nonnegative tables)
+
+    Carrier probes are read off the weights (Weber 1988): on Link(i) the
+    carrier of {i} has every marginal 1, so phi_i is the table total, and the
+    strict carrier of T has the one nonzero marginal 1 at T, so phi_i = p_T.
+    Each check draws all its random games first, whichever probe fails.
     """
     for i in delta.vertices:
         if i not in tables:
@@ -434,21 +432,24 @@ def axiom_suite(
         checks.append(AxiomCheck("star_locality", i, ok, detail))
 
         ok, detail = True, ""
-        probes = [carrier_game(delta, single)]
-        probes += [random_dummy_game(delta, i, rng) for _ in range(rounds)]
-        for v in probes:
-            got = probabilistic_value(v, i, table)
-            want = v.value(single)
+        games = [random_dummy_game(delta, i, rng) for _ in range(rounds)]
+        paid = chain(
+            [(table.total(), Fraction(1))],  # the carrier game of {i}
+            ((probabilistic_value(v, i, table), v.value(single)) for v in games),
+        )
+        for got, want in paid:
             if got != want:
                 ok, detail = False, f"dummy payoff {got} != v(i) = {want}"
                 break
         checks.append(AxiomCheck("dummy", i, ok, detail))
 
         ok, detail = True, ""
-        monotone_probes = [carrier_game(delta, t, strict=True) for t in link.faces]
-        monotone_probes += [random_monotone_game(delta, rng) for _ in range(rounds)]
-        for v in monotone_probes:
-            got = probabilistic_value(v, i, table)
+        games = [random_monotone_game(delta, rng) for _ in range(rounds)]
+        paid = chain(
+            (table.weight(t) for t in link.faces),  # the strict carrier games
+            (probabilistic_value(v, i, table) for v in games),
+        )
+        for got in paid:
             if got < 0:
                 ok, detail = False, f"negative value {got} on a monotone game"
                 break

@@ -4,18 +4,30 @@ Everything here works on raw bitmasks and scans all 2^n subsets (n <= 12),
 testing membership straight from the definitions.  Expected values frozen
 into the tests were computed with these oracles.  ``solve_exact_ref`` is the
 dense Gauss-Jordan solver that ``exactnum.solve_exact`` replaced, and
-``generalized_shapley_ref`` and ``random_monotone_game_ref`` are the
-term-by-term value and the all-pairs monotone game that the package's
-faster versions replaced, kept as the references their results must equal.
+``generalized_shapley_ref``, ``random_monotone_game_ref``,
+``has_pure_links_ref`` and ``axiom_suite_ref`` are the term-by-term value,
+the all-pairs monotone game, the link walk and the probe-by-game axiom
+suite that the package's closed forms replaced, kept as the references
+their results must equal.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from random import Random
 
-from simplicial_games.complexes import EMPTY_FACE
-from simplicial_games.errors import DimensionMismatch
+from simplicial_games.complexes import EMPTY_FACE, Face
+from simplicial_games.errors import DimensionMismatch, EmptyComplex, MissingPlayerTable
 from simplicial_games.exactnum import LinearSolution, SolveStatus
-from simplicial_games.games import Game, random_rational
+from simplicial_games.games import (
+    Game,
+    carrier_game,
+    random_dummy_game,
+    random_game,
+    random_monotone_game,
+    random_rational,
+    scale_add,
+)
+from simplicial_games.values import AxiomCheck, AxiomSuiteReport, probabilistic_value
 
 
 def closure_masks(n: int, facet_masks: list[int]) -> set[int]:
@@ -54,12 +66,10 @@ def is_downward_closed(faces: set[int]) -> bool:
     )
 
 
-def star_masks(n: int, faces: set[int], s: int) -> set[int]:
-    return {
-        a
-        for a in range(1 << n)
-        if any(s & t == s and a & t == a for t in faces)
-    }
+def star_masks(faces: set[int], s: int) -> set[int]:
+    """The faces inside some face that contains s."""
+    holders = [t for t in faces if s & t == s]
+    return {a for a in faces if any(a & t == a for t in holders)}
 
 
 def f_vector_of(faces: set[int]) -> tuple[int, ...]:
@@ -268,3 +278,109 @@ def random_monotone_game_ref(delta, rng):
         )
         values[s] = total
     return Game(delta, values)
+
+
+def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of a after b: v -> a(b(v))."""
+    return tuple(a[w - 1] for w in b)
+
+
+def inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for v, w in enumerate(a, start=1):
+        inv[w - 1] = v
+    return tuple(inv)
+
+
+def link_transposition_bijection(delta, i: int, j: int) -> dict:
+    """The face map T -> T (j not in T) / (T+i)-j (j in T) from Link(i) to Link(j).
+
+    Whenever the transposition (i, j) preserves the complex this is a
+    cardinality-preserving bijection, hence the two links share one f-vector.
+    """
+    lk = delta.link(Face.from_vertices([i]))
+    out = {}
+    for t in lk.faces:
+        if j in t:
+            out[t] = t.with_vertex(i).without_vertex(j)
+        else:
+            out[t] = t
+    return out
+
+
+def has_pure_links_ref(delta) -> bool:
+    """Every vertex link, built, has all facets of cardinality rank-1."""
+    if delta.is_empty() or not delta.vertices:
+        raise EmptyComplex("pure-links test needs at least one vertex")
+    want = delta.rank - 1
+    for v in delta.vertices:
+        lk = delta.link(Face.from_vertices([v]))
+        if any(f.cardinality != want for f in lk.facets):
+            return False
+    return True
+
+
+def axiom_suite_ref(delta, tables, seed: int = 0, rounds: int = 5):
+    """The axiom suite with every carrier probe built and evaluated as a game."""
+    for i in delta.vertices:
+        if i not in tables:
+            raise MissingPlayerTable(f"no table for player {i}")
+    rng = Random(seed)
+    checks = []
+    star_cache = {
+        i: delta.star(Face.from_vertices([i])) for i in delta.vertices
+    }
+    for i in delta.vertices:
+        table = tables[i]
+        single = Face.from_vertices([i])
+        link = delta.link(single)
+
+        ok, detail = True, ""
+        for _ in range(rounds):
+            v, w = random_game(delta, rng), random_game(delta, rng)
+            a, b = random_rational(rng), random_rational(rng)
+            left = probabilistic_value(scale_add(v, w, a, b), i, table)
+            right = a * probabilistic_value(v, i, table) + b * probabilistic_value(
+                w, i, table
+            )
+            if left != right:
+                ok, detail = False, f"{left} != {right}"
+                break
+        checks.append(AxiomCheck("linearity", i, ok, detail))
+
+        ok, detail = True, ""
+        off_star = [
+            f for f in delta.faces if f != EMPTY_FACE and f not in star_cache[i]
+        ]
+        for _ in range(rounds):
+            v = random_game(delta, rng)
+            modified = dict(v.values)
+            for f in off_star:
+                modified[f] = v.value(f) + random_rational(rng)
+            w = Game(delta, modified)
+            if probabilistic_value(v, i, table) != probabilistic_value(w, i, table):
+                ok, detail = False, "value moved with off-star modification"
+                break
+        checks.append(AxiomCheck("star_locality", i, ok, detail))
+
+        ok, detail = True, ""
+        probes = [carrier_game(delta, single)]
+        probes += [random_dummy_game(delta, i, rng) for _ in range(rounds)]
+        for v in probes:
+            got = probabilistic_value(v, i, table)
+            want = v.value(single)
+            if got != want:
+                ok, detail = False, f"dummy payoff {got} != v(i) = {want}"
+                break
+        checks.append(AxiomCheck("dummy", i, ok, detail))
+
+        ok, detail = True, ""
+        monotone_probes = [carrier_game(delta, t, strict=True) for t in link.faces]
+        monotone_probes += [random_monotone_game(delta, rng) for _ in range(rounds)]
+        for v in monotone_probes:
+            got = probabilistic_value(v, i, table)
+            if got < 0:
+                ok, detail = False, f"negative value {got} on a monotone game"
+                break
+        checks.append(AxiomCheck("monotone", i, ok, detail))
+    return AxiomSuiteReport(tuple(checks))

@@ -23,7 +23,6 @@ from simplicial_games import (
     efficiency_coefficients,
     full_simplex,
     generalized_shapley,
-    link_transposition_bijection,
     permutation_preserves,
     probabilistic_value,
     random_dummy_game,
@@ -41,6 +40,7 @@ from oracles import (
     ext_ids,
     f_vector_of,
     link_masks,
+    link_transposition_bijection,
     star_masks,
     system_inconsistent,
 )
@@ -191,9 +191,7 @@ def test_criterion_6_structural_oracles():
                 delta.n, faces, s.mask
             ):
                 failures.append((name, "link", s))
-            if {f.mask for f in delta.star(s)} != star_masks(
-                delta.n, faces, s.mask
-            ):
+            if {f.mask for f in delta.star(s)} != star_masks(faces, s.mask):
                 failures.append((name, "star", s))
             if set(delta.extension_set(s)) != ext_ids(delta.n, faces, s.mask):
                 failures.append((name, "ext", s))

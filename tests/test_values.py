@@ -50,7 +50,12 @@ from conftest import (
     golden_fixtures,
     random_nonpure_complexes,
 )
-from oracles import generalized_shapley_ref, solve_exact_ref, system_inconsistent
+from oracles import (
+    axiom_suite_ref,
+    generalized_shapley_ref,
+    solve_exact_ref,
+    system_inconsistent,
+)
 
 F = Fraction
 
@@ -248,8 +253,7 @@ def test_canonical_tables_are_probability_distributions(fixtures):
     for delta in fixtures.values():
         for i, table in canonical_shapley_tables(delta).items():
             assert table.total() == 1
-            assert table.is_normalized()
-            assert table.is_probability()
+            assert all(w >= 0 for w in table.weights.values())
 
 
 def test_group_value_matches_direct_formula():
@@ -497,6 +501,40 @@ def test_axiom_suite_flags_unnormalized_table():
     report = axiom_suite(delta, tables, seed=1, rounds=2)
     failed = {(c.axiom, c.player) for c in report.failures()}
     assert ("dummy", 2) in failed
+
+
+def table_kinds(delta, rng):
+    """The canonical tables, and tables mixing three kinds over the players.
+
+    Player i gets, by i mod 3, a signed random table, the canonical table
+    doubled (not normalized), or the canonical table with the weight of its
+    last link face negated and moved onto the empty face (normalized).
+    """
+    canonical = canonical_shapley_tables(delta)
+    mixed = {}
+    for i, table in canonical.items():
+        weights = dict(table.weights)
+        if i % 3 == 0:
+            weights = {t: random_rational(rng) for t in weights}
+        elif i % 3 == 1:
+            weights = {t: 2 * w for t, w in weights.items()}
+        else:
+            top = list(weights)[-1]
+            weights[EMPTY_FACE] += 2 * weights[top]
+            weights[top] = -weights[top]
+        mixed[i] = ProbabilityTable(i, weights)
+    return [canonical, mixed]
+
+
+def test_axiom_suite_matches_probe_by_game_reference():
+    rng = Random(707)
+    details = set()
+    for delta in [*golden_fixtures().values(), *random_nonpure_complexes(10, seed=707)]:
+        for tables in table_kinds(delta, rng):
+            report = axiom_suite(delta, tables, seed=5, rounds=1)
+            assert report == axiom_suite_ref(delta, tables, seed=5, rounds=1)
+            details |= {c.detail.split()[0] for c in report.failures()}
+    assert {"negative", "dummy"} <= details  # both probe kinds did fail
 
 
 # -- monotone nonnegativity --------------------------------------------------------
