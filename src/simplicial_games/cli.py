@@ -117,9 +117,8 @@ def cmd_shapley(args) -> int:
     closed_rhs = None
     try:
         coeffs = shapley_efficiency_closed_form(delta)
-        closed_rhs = sum(
-            (a * game.value(t) for t, a in coeffs.items()), Fraction(0)
-        )
+        worth = game.mask_table()
+        closed_rhs = sum((a * worth[t.mask] for t, a in coeffs.items()), Fraction(0))
     except SimplicialGamesError:
         pass
     if args.format == "json":

@@ -27,6 +27,7 @@ from .errors import (
 )
 
 MAX_VERTICES = 64
+LOW64 = (1 << 64) - 1
 
 FVector = tuple[int, ...]
 
@@ -84,8 +85,14 @@ class Face:
     def without_vertex(self, vertex: int) -> "Face":
         return Face(self.mask & ~(1 << (vertex - 1)))
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.cardinality, self.vertices)
+    def sort_key(self) -> int:
+        """Cardinality, then the lowest differing vertex: the vertex tuples' order.
+
+        The low 64 bits are the complemented bit-reversed mask, so of two faces
+        of one size the one holding the lowest vertex they differ in is smaller.
+        """
+        m = self.mask
+        return m.bit_count() << 64 | LOW64 ^ int(f"{m:064b}"[::-1], 2)
 
     def __str__(self) -> str:
         return format_ids(self.vertices)
@@ -142,7 +149,7 @@ class SimplicialComplex:
     facet pass relies on that.
     """
 
-    __slots__ = ("n", "faces", "facets", "rank", "_face_masks", "_link_cache")
+    __slots__ = ("n", "faces", "facets", "rank", "_face_masks")
 
     def __init__(self, n: int, faces: Iterable[Face]):
         """Store a downward-closed family of faces on the ground set [n].
@@ -168,7 +175,6 @@ class SimplicialComplex:
             f for f in self.faces if f.mask not in covered
         )
         self.rank = max((f.cardinality for f in face_set), default=-1)
-        self._link_cache: dict[int, "SimplicialComplex"] = {}
 
     @classmethod
     def from_facets(cls, n: int, facet_list: Iterable[FaceLike]) -> "SimplicialComplex":
@@ -221,18 +227,12 @@ class SimplicialComplex:
 
         These are the g - s for the faces g that contain s.  For a vertex
         this is exactly the set of coalitions the player can join.  The
-        result lives on the same ground set [n].
+        result lives on the same ground set [n].  Each call builds a new complex.
         """
-        s = self.require_face(s)
-        cached = self._link_cache.get(s.mask)
-        if cached is not None:
-            return cached
-        sm = s.mask
-        result = SimplicialComplex(
+        sm = self.require_face(s).mask
+        return SimplicialComplex(
             self.n, [Face(f.mask ^ sm) for f in self.faces if f.mask & sm == sm]
         )
-        self._link_cache[sm] = result
-        return result
 
     def star(self, s: FaceLike) -> frozenset[Face]:
         """All faces contained in some face that contains s: the t with t + s a face."""
@@ -282,11 +282,11 @@ class SimplicialComplex:
 
     def extension_set(self, t: FaceLike) -> frozenset[int]:
         """Vertices j outside t with t+j again a face."""
-        t = self.require_face(t)
+        m = self.require_face(t).mask
         return frozenset(
-            j
-            for j in range(1, self.n + 1)
-            if j not in t and self.has_face(t.with_vertex(j))
+            j + 1
+            for j in range(self.n)
+            if not m >> j & 1 and m | 1 << j in self._face_masks
         )
 
     def facets_containing(self, s: FaceLike) -> tuple[Face, ...]:

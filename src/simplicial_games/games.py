@@ -1,16 +1,19 @@
 """Characteristic functions on a complex and the carrier-game families.
 
-Games are stored sparsely (missing faces are worth 0, explicit zeros are
-dropped on construction) and the empty coalition is pinned to 0.  Carrier
-games v_T (containment) and their strict variants (proper containment) are
-the probing basis of Weber's axioms; the axiom suite reads their values off
-the weight tables instead of building them.
+A game is one dense table: every face mask of its complex, in canonical face
+order, maps to the face's worth, zeros included, and the empty coalition is
+pinned to 0.  The value kernels index that table, reading the faces through
+a player as the masks that hold its bit.  Carrier games v_T (containment)
+and their strict variants (proper containment) are the probing basis of
+Weber's axioms; the axiom suite reads their values off the weight tables
+instead of building them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
+from types import MappingProxyType
 from typing import Mapping
 
 from .complexes import EMPTY_FACE, Face, FaceLike, SimplicialComplex, as_face, read_json
@@ -28,63 +31,62 @@ from .symmetry import Permutation, moved_facet
 
 
 class Game:
-    """An exact-rational characteristic function v on a complex, v({}) = 0."""
+    """An exact-rational characteristic function v on a complex, v({}) = 0.
 
-    __slots__ = ("complex", "values")
+    ``values`` maps faces to worths; faces it leaves out are worth 0.
+    """
+
+    __slots__ = ("complex", "_worth")
 
     def __init__(
         self, complex: SimplicialComplex, values: Mapping[Face, Fraction | int] = ()
     ):
         self.complex = complex
-        cleaned: dict[Face, Fraction] = {}
-        for face, worth in dict(values).items():
+        worth = dict.fromkeys([f.mask for f in complex.faces], Fraction(0))
+        for face, w in dict(values).items():
             face = as_face(face)
-            worth = Fraction(worth)
-            if not complex.has_face(face):
+            w = Fraction(w)
+            if face.mask not in worth:
                 raise GameFaceNotInComplex(f"{face} is not a face of the complex")
-            if face == EMPTY_FACE:
-                if worth != 0:
-                    raise EmptyCoalitionWorth("the empty coalition is always worth 0")
-                continue
-            if worth != 0:
-                cleaned[face] = worth
-        self.values = {
-            f: cleaned[f] for f in sorted(cleaned, key=Face.sort_key)
-        }
+            if face == EMPTY_FACE and w != 0:
+                raise EmptyCoalitionWorth("the empty coalition is always worth 0")
+            worth[face.mask] = w
+        self._worth = worth
 
     def value(self, face: FaceLike) -> Fraction:
         face = as_face(face)
-        if not self.complex.has_face(face):
+        w = self._worth.get(face.mask)
+        if w is None:
             raise GameFaceNotInComplex(f"{face} is not a face of the complex")
-        return self.values.get(face, Fraction(0))
+        return w
 
-    def mask_table(self) -> dict[int, Fraction]:
-        """All faces as mask -> worth, zeros included (fast lookups)."""
-        table = dict.fromkeys((f.mask for f in self.complex.faces), Fraction(0))
-        for f, w in self.values.items():
-            table[f.mask] = w
-        return table
+    def mask_table(self) -> Mapping[int, Fraction]:
+        """The stored table, read only: every face mask -> worth, in canonical order."""
+        return MappingProxyType(self._worth)
+
+    @property
+    def values(self) -> dict[Face, Fraction]:
+        """The nonzero worths by face, in canonical face order (a new dict)."""
+        return {Face(m): w for m, w in self._worth.items() if w}
 
     def is_monotone(self) -> bool:
-        """v(S) <= v(T) over all comparable pairs; covering pairs suffice."""
-        for s in self.complex.faces:
-            ws = self.values.get(s, Fraction(0))
-            for j in range(1, self.complex.n + 1):
-                if j in s:
-                    continue
-                t = s.with_vertex(j)
-                if self.complex.has_face(t) and ws > self.values.get(t, Fraction(0)):
+        """v(S) <= v(T) over all comparable pairs; covering pairs T - j, T suffice."""
+        worth = self._worth
+        for m, w in worth.items():
+            rest = m
+            while rest:
+                low = rest & -rest
+                if worth[m ^ low] > w:
                     return False
+                rest ^= low
         return True
 
     def is_dummy(self, i: int) -> bool:
         """Does player i add exactly v({i}) to every coalition it can join?"""
-        single = self.complex.require_vertex(i)
-        vi = self.value(single)
-        for t in self.complex.link(single).faces:
-            if self.value(t.union(single)) != self.value(t) + vi:
-                return False
-        return True
+        bit = self.complex.require_vertex(i).mask
+        worth = self._worth
+        vi = worth[bit]
+        return all(w == worth[m ^ bit] + vi for m, w in worth.items() if m & bit)
 
     def permuted(self, perm: Permutation) -> "Game":
         """The game T -> v(pi T); pi must preserve the complex."""
@@ -93,19 +95,16 @@ class Game:
             raise PermutationNotSymmetry(
                 f"{perm} maps face {bad} outside the complex"
             )
+        worth = self._worth
         return Game(
             self.complex,
-            {
-                f: self.value(perm.apply_face(f))
-                for f in self.complex.faces
-                if f != EMPTY_FACE
-            },
+            {f: worth[perm.apply_face(f).mask] for f in self.complex.faces},
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Game):
             return NotImplemented
-        return self.complex == other.complex and self.values == other.values
+        return self.complex == other.complex and self._worth == other._worth
 
     def __repr__(self) -> str:
         return f"Game({{{', '.join(f'{f}: {w}' for f, w in self.values.items())}}})"
@@ -147,10 +146,8 @@ def scale_add(v: Game, w: Game, a: Fraction | int, b: Fraction | int) -> Game:
     if v.complex != w.complex:
         raise ComplexMismatch("games live on different complexes")
     a, b = Fraction(a), Fraction(b)
-    combined: dict[Face, Fraction] = {}
-    for f in set(v.values) | set(w.values):
-        combined[f] = a * v.values.get(f, Fraction(0)) + b * w.values.get(f, Fraction(0))
-    return Game(v.complex, combined)
+    vw, ww = v._worth, w._worth
+    return Game(v.complex, {f: a * vw[f.mask] + b * ww[f.mask] for f in v.complex.faces})
 
 
 # -- seeded generators (used by verification commands and tests) ---------
@@ -183,7 +180,7 @@ def random_monotone_game(delta: SimplicialComplex, rng: Random) -> Game:
         for m in worth:
             if m & bit:
                 worth[m] += worth[m ^ bit]
-    return Game(delta, {Face(m): w for m, w in worth.items() if m})
+    return Game(delta, dict(zip(delta.faces, worth.values())))
 
 
 def random_dummy_game(delta: SimplicialComplex, i: int, rng: Random) -> Game:
@@ -192,18 +189,16 @@ def random_dummy_game(delta: SimplicialComplex, i: int, rng: Random) -> Game:
     Faces without i get independent random worth; every face containing i
     is pinned to v(T) + v({i}) for T the face minus i.
     """
-    single = delta.require_vertex(i)
-    values: dict[Face, Fraction] = {}
-    for f in delta.faces:
-        if f == EMPTY_FACE or i in f:
-            continue
-        values[f] = random_rational(rng)
+    bit = delta.require_vertex(i).mask
+    worth = {0: Fraction(0)}  # faces[0] is the empty face
+    for f in delta.faces[1:]:
+        if not f.mask & bit:
+            worth[f.mask] = random_rational(rng)
     vi = random_rational(rng)
-    values[single] = vi
-    for f in delta.faces:
-        if i in f and f != single:
-            values[f] = values.get(f.without_vertex(i), Fraction(0)) + vi
-    return Game(delta, values)
+    return Game(
+        delta,
+        {f: worth[f.mask ^ bit] + vi if f.mask & bit else worth[f.mask] for f in delta.faces},
+    )
 
 
 # -- JSON interchange -----------------------------------------------------

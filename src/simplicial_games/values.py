@@ -14,13 +14,13 @@ the tests compare against.
 
 Efficiency aggregates come from the coefficient construction
 
-    a_T = sum_{i in T} p^i_{T-i} - sum_{j: T in Link(j)} p^j_T   (non-facets)
-    a_F = sum_{i in F} p^i_{F-i}                                 (facets)
+    a_T = sum_{i in T} p^i_{T-i} - sum_{j: T in Link(j)} p^j_T
 
-which makes sum_i phi_i(v) = sum_T a_T v(T) an identity.  The facet
-decomposition solves, per coalition T in the link, for weights c_F over
-the facets containing T+i so the weighted classical Shapley values on
-facet restrictions reproduce the generalized value.  Both sides are linear
+(a facet is in no link, so its second sum is empty), which makes
+sum_i phi_i(v) = sum_T a_T v(T) an identity.  The facet decomposition
+solves, per coalition T in the link, for weights c_F over the facets
+containing T+i so the weighted classical Shapley values on facet
+restrictions reproduce the generalized value.  Both sides are linear
 in the marginals v(T+i) - v(T), which are independent over the link, so the
 system's rows are exactly that identity: an exact solution proves the
 decomposition for every game, and no game needs to be sampled.
@@ -80,33 +80,38 @@ EfficiencyCoefficients = dict[Face, Fraction]
 
 
 def probabilistic_value(v: Game, i: int, table: ProbabilityTable) -> Fraction:
-    """sum_T p_T (v(T+i) - v(T)) over the link of i."""
+    """sum_T p_T (v(T+i) - v(T)) over the link of i: the T without i with T+i a face."""
     if table.player != i:
         raise PlayerMismatch(f"table belongs to player {table.player}, not {i}")
-    single = v.complex.require_vertex(i)
-    link = v.complex.link(single)
+    bit = v.complex.require_vertex(i).mask
+    worth = v.mask_table()
     total = Fraction(0)
     for t, p in table.weights.items():
-        if not link.has_face(t):
+        m = t.mask
+        if m & bit or m | bit not in worth:
             raise KeyOutsideLink(f"{t} is not in the link of vertex {i}")
-        total += p * (v.value(t.union(single)) - v.value(t))
+        total += p * (worth[m | bit] - worth[m])
     return total
 
 
 def generalized_shapley(v: Game, i: int) -> Fraction:
-    """The size-uniform value of player i, exactly."""
-    single = v.complex.require_vertex(i)
-    link = v.complex.link(single)
-    fv = link.f_vector()
+    """The size-uniform value of player i, exactly.
+
+    The faces F through i are the T + i for T in the link, so the marginals
+    v(F) - v(F - i) are summed per size |F|, each sum divided once by its
+    count f_{|F|-2}(Link(i)), and the total by the number of sizes, r_i + 1.
+    """
+    bit = v.complex.require_vertex(i).mask
+    sums: dict[int, Fraction] = {}
+    counts: dict[int, int] = {}
     worth = v.mask_table()
-    bit = single.mask
-    # the marginals summed per coalition size, each sum divided once by f_k
-    sums = [Fraction(0)] * len(fv)
-    for t in link.faces:
-        m = t.mask
-        sums[m.bit_count()] += worth[m | bit] - worth[m]
-    total = sum((s / count for s, count in zip(sums, fv)), Fraction(0))
-    return total / (link.rank + 1)
+    for m, w in worth.items():
+        if m & bit:
+            size = m.bit_count()
+            sums[size] = sums.get(size, 0) + (w - worth[m ^ bit])
+            counts[size] = counts.get(size, 0) + 1
+    total = sum((s / counts[size] for size, s in sums.items()), Fraction(0))
+    return total / len(sums)
 
 
 def _player_set(v: Game, players: Iterable[int] | None) -> tuple[int, ...]:
@@ -195,7 +200,6 @@ def efficiency_coefficients(
     for i in delta.vertices:
         if i not in tables:
             raise MissingPlayerTable(f"no table for player {i}")
-    facets = set(delta.facets)
     out: EfficiencyCoefficients = {}
     for t in delta.faces:
         if t == EMPTY_FACE:
@@ -203,13 +207,8 @@ def efficiency_coefficients(
         gain = sum(
             (tables[i].weight(t.without_vertex(i)) for i in t.vertices), Fraction(0)
         )
-        if t in facets:
-            out[t] = gain
-        else:
-            loss = sum(
-                (tables[j].weight(t) for j in delta.extension_set(t)), Fraction(0)
-            )
-            out[t] = gain - loss
+        loss = sum((tables[j].weight(t) for j in delta.extension_set(t)), Fraction(0))
+        out[t] = gain - loss
     return out
 
 
@@ -268,7 +267,8 @@ def check_efficiency_identity(
     a property of the inputs.
     """
     lhs = sum(group_value(v, tables).values(), Fraction(0))
-    rhs = sum((a * v.value(t) for t, a in coeffs.items()), Fraction(0))
+    worth = v.mask_table()
+    rhs = sum((a * worth[t.mask] for t, a in coeffs.items()), Fraction(0))
     return EfficiencyCheck(lhs == rhs, lhs, rhs, lhs - rhs)
 
 
@@ -395,9 +395,6 @@ def axiom_suite(
             raise MissingPlayerTable(f"no table for player {i}")
     rng = Random(seed)
     checks: list[AxiomCheck] = []
-    star_cache = {
-        i: delta.star(Face.from_vertices([i])) for i in delta.vertices
-    }
     for i in delta.vertices:
         table = tables[i]
         single = Face.from_vertices([i])
@@ -417,15 +414,17 @@ def axiom_suite(
         checks.append(AxiomCheck("linearity", i, ok, detail))
 
         ok, detail = True, ""
-        off_star = [
-            f for f in delta.faces if f != EMPTY_FACE and f not in star_cache[i]
-        ]
+        star = delta.star(single)
         for _ in range(rounds):
             v = random_game(delta, rng)
-            modified = dict(v.values)
-            for f in off_star:
-                modified[f] = v.value(f) + random_rational(rng)
-            w = Game(delta, modified)
+            worth = v.mask_table()
+            w = Game(
+                delta,
+                {
+                    f: worth[f.mask] + (0 if f in star else random_rational(rng))
+                    for f in delta.faces
+                },
+            )
             if probabilistic_value(v, i, table) != probabilistic_value(w, i, table):
                 ok, detail = False, "value moved with off-star modification"
                 break

@@ -7,8 +7,10 @@ dense Gauss-Jordan solver that ``exactnum.solve_exact`` replaced, and
 ``generalized_shapley_ref``, ``random_monotone_game_ref``,
 ``has_pure_links_ref`` and ``axiom_suite_ref`` are the term-by-term value,
 the all-pairs monotone game, the link walk and the probe-by-game axiom
-suite that the package's closed forms replaced, kept as the references
-their results must equal.
+suite that the package's closed forms replaced, and
+``probabilistic_value_ref``, ``is_dummy_ref`` and ``is_monotone_ref`` the
+link and covering-pair walks that the mask-table kernels replaced, kept as
+the references their results must equal.
 """
 
 from fractions import Fraction
@@ -16,7 +18,13 @@ from itertools import permutations
 from random import Random
 
 from simplicial_games.complexes import EMPTY_FACE, Face
-from simplicial_games.errors import DimensionMismatch, EmptyComplex, MissingPlayerTable
+from simplicial_games.errors import (
+    DimensionMismatch,
+    EmptyComplex,
+    KeyOutsideLink,
+    MissingPlayerTable,
+    PlayerMismatch,
+)
 from simplicial_games.exactnum import LinearSolution, SolveStatus
 from simplicial_games.games import (
     Game,
@@ -262,6 +270,43 @@ def generalized_shapley_ref(v, i: int) -> Fraction:
             v.value(t.union(single)) - v.value(t)
         )
     return total / (r_i + 1)
+
+
+def probabilistic_value_ref(v, i: int, table) -> Fraction:
+    """sum_T p_T (v(T+i) - v(T)) over the link of i, the link built."""
+    if table.player != i:
+        raise PlayerMismatch(f"table belongs to player {table.player}, not {i}")
+    single = v.complex.require_vertex(i)
+    link = v.complex.link(single)
+    total = Fraction(0)
+    for t, p in table.weights.items():
+        if not link.has_face(t):
+            raise KeyOutsideLink(f"{t} is not in the link of vertex {i}")
+        total += p * (v.value(t.union(single)) - v.value(t))
+    return total
+
+
+def is_dummy_ref(v, i: int) -> bool:
+    """Does player i add exactly v({i}) to every face of its built link?"""
+    single = v.complex.require_vertex(i)
+    vi = v.value(single)
+    for t in v.complex.link(single).faces:
+        if v.value(t.union(single)) != v.value(t) + vi:
+            return False
+    return True
+
+
+def is_monotone_ref(v) -> bool:
+    """v(S) <= v(S + j) over the covering pairs, S + j found by membership."""
+    for s in v.complex.faces:
+        ws = v.value(s)
+        for j in range(1, v.complex.n + 1):
+            if j in s:
+                continue
+            t = s.with_vertex(j)
+            if v.complex.has_face(t) and ws > v.value(t):
+                return False
+    return True
 
 
 def random_monotone_game_ref(delta, rng):

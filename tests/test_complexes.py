@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +41,14 @@ def test_face_ordering_key():
     fs = [face(2, 3), face(1, 4), face(3), face(), face(1, 2)]
     ordered = sorted(fs, key=Face.sort_key)
     assert [f.vertices for f in ordered] == [(), (3,), (1, 2), (1, 4), (2, 3)]
+
+
+def test_face_ordering_key_is_the_tuple_order():
+    rng = Random(61)
+    masks = [*range(1 << 12), *(rng.getrandbits(rng.randint(1, 64)) for _ in range(20000))]
+    faces = [Face(m) for m in masks]
+    by_tuple = sorted(faces, key=lambda f: (f.cardinality, f.vertices))
+    assert sorted(faces, key=Face.sort_key) == by_tuple
 
 
 def test_face_rejects_bad_vertices():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -16,7 +17,7 @@ from simplicial_games import (
     random_monotone_game,
     scale_add,
 )
-from simplicial_games.games import game_from_dict, game_to_dict
+from simplicial_games.games import game_from_dict, game_to_dict, random_rational
 from simplicial_games.errors import (
     ComplexMismatch,
     DimensionMismatch,
@@ -27,10 +28,12 @@ from simplicial_games.errors import (
     ParseError,
     PermutationNotSymmetry,
 )
+from simplicial_games.symmetry import moved_facet
 from conftest import figure_a, figure_b, golden_fixtures, random_nonpure_complexes
-from oracles import inverse, random_monotone_game_ref
+from oracles import inverse, is_dummy_ref, is_monotone_ref, random_monotone_game_ref
 
 F = Fraction
+CORPUS = [*golden_fixtures().values(), *random_nonpure_complexes(40, seed=808)]
 
 
 def face(*vs):
@@ -43,6 +46,9 @@ def test_empty_coalition_pinned_to_zero():
     assert v.value(EMPTY_FACE) == 0
     with pytest.raises(EmptyCoalitionWorth):
         Game(delta, {EMPTY_FACE: F(1)})
+    with pytest.raises(EmptyCoalitionWorth):
+        Game(delta, {EMPTY_FACE: -2})
+    assert Game(delta, {EMPTY_FACE: 0}) == Game(delta)
 
 
 def test_explicit_zeros_normalized_away():
@@ -55,6 +61,69 @@ def test_explicit_zeros_normalized_away():
 def test_game_rejects_foreign_faces():
     with pytest.raises(GameFaceNotInComplex):
         Game(figure_a(), {face(1, 4): F(1)})
+    with pytest.raises(GameFaceNotInComplex):
+        Game(figure_a()).value(face(1, 4))
+    with pytest.raises(GameFaceNotInComplex):
+        Game(figure_a()).value(face(6))
+
+
+def symmetry_of(delta):
+    """The first vertex transposition preserving delta, or the identity."""
+    swaps = (
+        Permutation.transposition(delta.n, i, j)
+        for i, j in combinations(delta.vertices, 2)
+    )
+    return next(
+        (p for p in swaps if moved_facet(delta, p) is None),
+        Permutation.identity(delta.n),
+    )
+
+
+def test_game_is_one_table_in_face_order():
+    rng = Random(41)
+    for delta in CORPUS:
+        v = random_game(delta, rng)
+        table = v.mask_table()
+        assert list(table) == [f.mask for f in delta.faces]
+        assert all(table[f.mask] == v.value(f) for f in delta.faces)
+        assert table[0] == 0
+        with pytest.raises(TypeError):
+            table[0] = F(1)
+        zeroed = Game(delta, {f: F(0) for f in delta.faces})
+        assert list(zeroed.mask_table()) == list(table) and zeroed == Game(delta)
+
+
+def test_values_are_the_nonzero_worths_in_face_order():
+    rng = Random(43)
+    for delta in CORPUS:
+        # every third face, the empty one first, is given worth 0 explicitly
+        v = Game(
+            delta,
+            {f: F(0) if k % 3 == 0 else random_rational(rng) for k, f in enumerate(delta.faces)},
+        )
+        values = v.values
+        assert all(w != 0 for w in values.values())
+        assert list(values) == [f for f in delta.faces if v.value(f) != 0]
+        values.clear()
+        assert v.values == {f: v.value(f) for f in delta.faces if v.value(f)}
+        with pytest.raises(AttributeError):
+            v.values = {}
+
+
+def test_game_rebuilt_from_its_values_is_equal():
+    rng = Random(47)
+    for delta in CORPUS:
+        i = delta.vertices[-1]
+        pi = symmetry_of(delta)
+        games = [
+            Game(delta),
+            random_game(delta, rng),
+            random_monotone_game(delta, rng),
+            random_dummy_game(delta, i, rng),
+        ]
+        games.append(games[1].permuted(pi))
+        for v in games:
+            assert Game(delta, v.values) == v
 
 
 def test_carrier_game_plain():
@@ -143,18 +212,22 @@ def test_monotonicity():
 
 def test_monotone_matches_definition_scan():
     rng = Random(11)
-    delta = figure_a()
-    for _ in range(20):
-        v = random_game(delta, rng)
-        brute = all(
-            v.value(s) <= v.value(t)
-            for s in delta.faces
-            for t in delta.faces
-            if s.issubset(t)
-        )
-        assert v.is_monotone() == brute
-    for _ in range(5):
-        assert random_monotone_game(delta, rng).is_monotone()
+    verdicts = set()
+    for delta in CORPUS:
+        monotone = random_monotone_game(delta, rng)
+        bumped = rng.choice(delta.faces[1:])
+        games = [
+            random_game(delta, rng),
+            monotone,
+            Game(delta, {**monotone.values, bumped: monotone.value(bumped) + 5}),
+        ]
+        for v in games:
+            worth = [(f.mask, v.value(f)) for f in delta.faces]
+            brute = all(ws <= wt for s, ws in worth for t, wt in worth if s & t == s)
+            assert v.is_monotone() == brute == is_monotone_ref(v)
+            verdicts.add(brute)
+        assert monotone.is_monotone()
+    assert verdicts == {True, False}
 
 
 def test_monotone_game_matches_all_pairs_reference():
@@ -196,18 +269,21 @@ def test_dummy_fails_on_strict_empty_carrier():
 
 def test_dummy_matches_bruteforce():
     rng = Random(5)
-    delta = figure_b()
-    for _ in range(20):
-        v = random_game(delta, rng)
+    verdicts = set()
+    for delta in CORPUS:
         for i in delta.vertices:
-            single = face(i)
-            brute = all(
-                v.value(t.union(single)) == v.value(t) + v.value(single)
-                for t in delta.link(single).faces
-            )
-            assert v.is_dummy(i) == brute
-    for i in delta.vertices:
-        assert random_dummy_game(delta, i, rng).is_dummy(i)
+            dummy = random_dummy_game(delta, i, rng)
+            games = [random_game(delta, rng), dummy]
+            joined = [f for f in delta.faces if i in f and len(f) > 1]
+            if joined:
+                bumped = rng.choice(joined)
+                games.append(Game(delta, {**dummy.values, bumped: dummy.value(bumped) + 1}))
+            for v in games:
+                brute = is_dummy_ref(v, i)  # the definition, over the built link
+                assert v.is_dummy(i) == brute
+                verdicts.add(brute)
+            assert dummy.is_dummy(i)
+    assert verdicts == {True, False}
 
 
 def test_permuted_game_identity_and_swap():
@@ -263,6 +339,17 @@ def test_scale_add():
     assert doubled.value(face(1, 2)) == 4
     with pytest.raises(ComplexMismatch):
         scale_add(v, Game(full_simplex(3)), 1, 1)
+
+
+def test_scale_add_is_pointwise():
+    rng = Random(53)
+    for delta in CORPUS:
+        v, w = random_game(delta, rng), random_monotone_game(delta, rng)
+        a, b = random_rational(rng), random_rational(rng)
+        combined = scale_add(v, w, a, b)
+        assert all(
+            combined.value(f) == a * v.value(f) + b * w.value(f) for f in delta.faces
+        )
 
 
 def test_game_json_roundtrip():

@@ -111,9 +111,10 @@ def test_structure_stdout_matches_golden(command, name, fmt, tmp_path):
     assert got == golden_path(command, name, fmt).read_text()
 
 
-@pytest.mark.parametrize("command", ["info", "psystem"])
+@pytest.mark.parametrize("command", ["info", "psystem", "shapley"])
 def test_structure_reports_build_no_link(command, tmp_path, monkeypatch):
-    # link f-vectors and purity are read off the faces and the facets
+    # link f-vectors and purity are read off the faces and the facets, and the
+    # value kernel reads the faces through the player off the game's table
     def no_link(self, s):
         raise AssertionError(f"link of {s} built")
 

@@ -53,6 +53,7 @@ from conftest import (
 from oracles import (
     axiom_suite_ref,
     generalized_shapley_ref,
+    probabilistic_value_ref,
     solve_exact_ref,
     system_inconsistent,
 )
@@ -99,6 +100,25 @@ def test_probabilistic_value_errors():
         probabilistic_value(v, 1, tables[2])
     with pytest.raises(KeyOutsideLink):
         probabilistic_value(v, 1, ProbabilityTable(1, {face(4): F(1)}))
+    with pytest.raises(KeyOutsideLink):  # a key holding the player
+        probabilistic_value(v, 1, ProbabilityTable(1, {face(1, 2): F(1)}))
+
+
+def test_probabilistic_value_matches_link_walk_reference():
+    rng = Random(37)
+    corpus = [*golden_fixtures().values(), *random_nonpure_complexes(40, seed=808)]
+    for delta in corpus:
+        canonical = canonical_shapley_tables(delta)
+        games = [random_game(delta, rng), random_monotone_game(delta, rng)]
+        for i in delta.vertices:
+            link = delta.link(face(i)).faces
+            signed = ProbabilityTable(i, {t: random_rational(rng) for t in link})
+            sparse = ProbabilityTable(i, {t: F(1) for t in rng.sample(link, len(link) // 2)})
+            for table in (canonical[i], signed, sparse):
+                for v in games:
+                    assert probabilistic_value(v, i, table) == probabilistic_value_ref(
+                        v, i, table
+                    )
 
 
 def test_linearity_of_probabilistic_value():
