@@ -6,8 +6,10 @@ construction: every downstream formula sums over faces or links, and the
 canonical ordering (cardinality, then lexicographic on the vertex tuple)
 is fixed wherever output order matters.
 
-Links are returned as complexes over the *same* ground set [n], not
-relabeled, so per-face weight tables index directly into them.
+A link is read as ``link_faces(s)``, the faces through s minus s, on the
+*same* ground set [n], so per-face weight tables index directly into them.
+Removing the vertices those faces share keeps their order, so the link
+comes out in canonical order with no closure and no sort.
 """
 
 from __future__ import annotations
@@ -78,12 +80,6 @@ class Face:
 
     def difference(self, other: "Face") -> "Face":
         return Face(self.mask & ~other.mask)
-
-    def with_vertex(self, vertex: int) -> "Face":
-        return Face(self.mask | 1 << (vertex - 1))
-
-    def without_vertex(self, vertex: int) -> "Face":
-        return Face(self.mask & ~(1 << (vertex - 1)))
 
     def sort_key(self) -> int:
         """Cardinality, then the lowest differing vertex: the vertex tuples' order.
@@ -222,17 +218,18 @@ class SimplicialComplex:
 
     # -- queries -------------------------------------------------------
 
-    def link(self, s: FaceLike) -> "SimplicialComplex":
-        """Faces disjoint from s whose union with s is again a face.
+    def link_faces(self, s: FaceLike) -> tuple[Face, ...]:
+        """Faces disjoint from s whose union with s is again a face, in canonical order.
 
         These are the g - s for the faces g that contain s.  For a vertex
-        this is exactly the set of coalitions the player can join.  The
-        result lives on the same ground set [n].  Each call builds a new complex.
+        this is exactly the set of coalitions the player can join.
         """
         sm = self.require_face(s).mask
-        return SimplicialComplex(
-            self.n, [Face(f.mask ^ sm) for f in self.faces if f.mask & sm == sm]
-        )
+        return tuple(Face(f.mask ^ sm) for f in self.faces if f.mask & sm == sm)
+
+    def link(self, s: FaceLike) -> "SimplicialComplex":
+        """The link of s as a new complex on the same ground set [n]."""
+        return SimplicialComplex(self.n, self.link_faces(s))
 
     def star(self, s: FaceLike) -> frozenset[Face]:
         """All faces contained in some face that contains s: the t with t + s a face."""

@@ -274,9 +274,8 @@ def pi_delta_generators(delta: SimplicialComplex) -> tuple[Permutation, ...]:
     verts = delta.vertices
     for i in verts:
         by_card: dict[int, list[int]] = {}
-        for t in delta.link(Face.from_vertices([i])).faces:
-            if t.mask:
-                by_card.setdefault(t.cardinality, []).append(t.mask)
+        for t in delta.link_faces(Face.from_vertices([i]))[1:]:  # nonempty T
+            by_card.setdefault(t.cardinality, []).append(t.mask)
         for card in sorted(by_card):
             for left, right in combinations(by_card[card], 2):
                 lo, ro = left & ~right, right & ~left
@@ -388,10 +387,7 @@ def check_symmetry_reduction(
     common: dict[int, Fraction] = {}
     for i in delta.vertices:
         table = tables[i]
-        lk = delta.link(Face.from_vertices([i]))
-        for t in lk.faces:
-            if t.cardinality == 0:
-                continue
+        for t in delta.link_faces(Face.from_vertices([i]))[1:]:  # nonempty T
             p = table.weight(t)
             card = t.cardinality
             if card not in common:

@@ -17,7 +17,9 @@ Efficiency aggregates come from the coefficient construction
     a_T = sum_{i in T} p^i_{T-i} - sum_{j: T in Link(j)} p^j_T
 
 (a facet is in no link, so its second sum is empty), which makes
-sum_i phi_i(v) = sum_T a_T v(T) an identity.  The facet decomposition
+sum_i phi_i(v) = sum_T a_T v(T) an identity.  It is computed as one
+scatter over the tables: each weight p^i_T adds p to a_{T+i} and, unless
+T is empty, subtracts p from a_T.  The facet decomposition
 solves, per coalition T in the link, for weights c_F over the facets
 containing T+i so the weighted classical Shapley values on facet
 restrictions reproduce the generalized value.  Both sides are linear
@@ -29,14 +31,15 @@ decomposition for every game, and no game needs to be sampled.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, permutations
 from random import Random
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
-from .complexes import EMPTY_FACE, Face, FaceLike, SimplicialComplex, as_face
+from .complexes import Face, FaceLike, SimplicialComplex, as_face
 from .errors import (
     HypothesisNotMet,
     KeyOutsideLink,
@@ -79,18 +82,27 @@ GroupValue = dict[int, Fraction]
 EfficiencyCoefficients = dict[Face, Fraction]
 
 
+def _link_weights(
+    table: ProbabilityTable, i: int, face_masks: Container[int]
+) -> Iterator[tuple[int, int, Fraction]]:
+    """(T, T + i, p_T) as masks per weight; KeyOutsideLink unless T is in Link(i)."""
+    bit = 1 << (i - 1)
+    for t, p in table.weights.items():
+        m = t.mask
+        if m & bit or m | bit not in face_masks:
+            raise KeyOutsideLink(f"{t} is not in the link of vertex {i}")
+        yield m, m | bit, p
+
+
 def probabilistic_value(v: Game, i: int, table: ProbabilityTable) -> Fraction:
     """sum_T p_T (v(T+i) - v(T)) over the link of i: the T without i with T+i a face."""
     if table.player != i:
         raise PlayerMismatch(f"table belongs to player {table.player}, not {i}")
-    bit = v.complex.require_vertex(i).mask
+    v.complex.require_vertex(i)
     worth = v.mask_table()
     total = Fraction(0)
-    for t, p in table.weights.items():
-        m = t.mask
-        if m & bit or m | bit not in worth:
-            raise KeyOutsideLink(f"{t} is not in the link of vertex {i}")
-        total += p * (worth[m | bit] - worth[m])
+    for m, up, p in _link_weights(table, i, worth):
+        total += p * (worth[up] - worth[m])
     return total
 
 
@@ -168,15 +180,14 @@ def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, ProbabilityT
     """The weight tables realizing the generalized Shapley value.
 
     p_T = 1 / ((r_i + 1) * f_{|T|-1}(Link(i))); each table is a probability
-    distribution (the per-size weights telescope to 1).
+    distribution (the per-size weights telescope to 1); r_i + 1 = len(fv).
     """
     tables = {}
-    for i in delta.vertices:
-        link = delta.link(Face.from_vertices([i]))
-        fv = link.f_vector()
-        r_i = link.rank
+    for i, fv in delta.link_f_vectors().items():
+        by_card = [Fraction(1, len(fv) * count) for count in fv]
         weights = {
-            t: Fraction(1, (r_i + 1) * fv[t.cardinality]) for t in link.faces
+            t: by_card[t.cardinality]
+            for t in delta.link_faces(Face.from_vertices([i]))
         }
         tables[i] = ProbabilityTable(i, weights)
     return tables
@@ -196,20 +207,19 @@ def group_value(
 def efficiency_coefficients(
     delta: SimplicialComplex, tables: Mapping[int, ProbabilityTable]
 ) -> EfficiencyCoefficients:
-    """The unique a_T with sum_i phi_i(v) = sum_T a_T v(T) for every game."""
+    """The unique a_T with sum_i phi_i(v) = sum_T a_T v(T) for every game.
+
+    Scattered from the weights; the nonempty faces, zeros kept, in canonical order.
+    """
     for i in delta.vertices:
         if i not in tables:
             raise MissingPlayerTable(f"no table for player {i}")
-    out: EfficiencyCoefficients = {}
-    for t in delta.faces:
-        if t == EMPTY_FACE:
-            continue
-        gain = sum(
-            (tables[i].weight(t.without_vertex(i)) for i in t.vertices), Fraction(0)
-        )
-        loss = sum((tables[j].weight(t) for j in delta.extension_set(t)), Fraction(0))
-        out[t] = gain - loss
-    return out
+    a = {f.mask: Fraction(0) for f in delta.faces}
+    for i in delta.vertices:
+        for m, up, p in _link_weights(tables[i], i, delta.face_masks):
+            a[up] += p
+            a[m] -= p  # the empty face's entry is dropped
+    return {t: a[t.mask] for t in delta.faces[1:]}
 
 
 def shapley_efficiency_closed_form(
@@ -217,8 +227,9 @@ def shapley_efficiency_closed_form(
 ) -> EfficiencyCoefficients:
     """Closed-form a_T for an s-Shapley complex with pure links.
 
-    Facets get 1/s_{r-1}; a smaller face T gets
-    (1/r) (|T|/s_{|T|-1} - ext(T)/s_{|T|}).
+    A face T gets (1/r) (|T|/s_{|T|-1} - ext(T)/s_{|T|}), ext(T) counting
+    the faces T + j.  A facet has no extension and, the links being pure,
+    r vertices, so it gets 1/s_{r-1}.
     """
     if not delta.has_pure_links():
         raise NotPureLinks("closed-form coefficients require pure links")
@@ -230,19 +241,15 @@ def shapley_efficiency_closed_form(
         )
     s = cls.s_vector
     r = delta.rank
-    facets = set(delta.facets)
+    # a face g extends g - j for each of its vertices j
+    ext = Counter(g ^ 1 << j for g in delta.face_masks for j in range(delta.n) if g >> j & 1)
     out: EfficiencyCoefficients = {}
-    for t in delta.faces:
-        if t == EMPTY_FACE:
-            continue
-        if t in facets:
-            out[t] = Fraction(1, s[r - 1])
-        else:
-            card = t.cardinality
-            ext = len(delta.extension_set(t))
-            out[t] = (
-                Fraction(card, s[card - 1]) - Fraction(ext, s[card])
-            ) / r
+    for t in delta.faces[1:]:
+        card = t.cardinality
+        e = ext[t.mask]
+        out[t] = (
+            Fraction(card, s[card - 1]) - (Fraction(e, s[card]) if e else 0)
+        ) / r
     return out
 
 
@@ -312,21 +319,19 @@ def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
     it, so a solution reproduces the generalized value on every game.
     """
     single = delta.require_vertex(i)
-    link = delta.link(single)
-    fv = link.f_vector()
-    r_i = link.rank
+    fv = delta.link_f_vectors()[i]
     facet_order = delta.facets_containing(single)
     col = {f: k for k, f in enumerate(facet_order)}
     rows = []
     rhs = []
     row_faces = []
-    for t in link.faces:
+    for t in delta.link_faces(single):
         coeffs = [Fraction(0)] * len(facet_order)
         for f in delta.facets_containing(t.union(single)):
             size = f.cardinality
             coeffs[col[f]] += Fraction(1, size * math.comb(size - 1, t.cardinality))
         rows.append(coeffs)
-        rhs.append(Fraction(1, (r_i + 1) * fv[t.cardinality]))
+        rhs.append(Fraction(1, len(fv) * fv[t.cardinality]))
         row_faces.append(t)
     solution = solve_exact(RationalMatrix.from_rows(rows), rhs)
 
@@ -398,7 +403,6 @@ def axiom_suite(
     for i in delta.vertices:
         table = tables[i]
         single = Face.from_vertices([i])
-        link = delta.link(single)
 
         ok, detail = True, ""
         for _ in range(rounds):
@@ -445,7 +449,7 @@ def axiom_suite(
         ok, detail = True, ""
         games = [random_monotone_game(delta, rng) for _ in range(rounds)]
         paid = chain(
-            (table.weight(t) for t in link.faces),  # the strict carrier games
+            (table.weight(t) for t in delta.link_faces(single)),  # strict carriers
             (probabilistic_value(v, i, table) for v in games),
         )
         for got in paid:

@@ -9,8 +9,10 @@ dense Gauss-Jordan solver that ``exactnum.solve_exact`` replaced, and
 the all-pairs monotone game, the link walk and the probe-by-game axiom
 suite that the package's closed forms replaced, and
 ``probabilistic_value_ref``, ``is_dummy_ref`` and ``is_monotone_ref`` the
-link and covering-pair walks that the mask-table kernels replaced, kept as
-the references their results must equal.
+link and covering-pair walks that the mask-table kernels replaced, and
+``efficiency_coefficients_ref`` the per-face gain/loss sum that the
+scatter over the tables replaced, kept as the references their results
+must equal.
 """
 
 from fractions import Fraction
@@ -286,6 +288,24 @@ def probabilistic_value_ref(v, i: int, table) -> Fraction:
     return total
 
 
+def efficiency_coefficients_ref(delta, tables) -> dict:
+    """a_T = sum_{i in T} p^i_{T-i} - sum_{j: T in Link(j)} p^j_T, face by face."""
+    for i in delta.vertices:
+        if i not in tables:
+            raise MissingPlayerTable(f"no table for player {i}")
+    out = {}
+    for t in delta.faces:
+        if t == EMPTY_FACE:
+            continue
+        gain = sum(
+            (tables[i].weight(Face(t.mask & ~(1 << (i - 1)))) for i in t.vertices),
+            Fraction(0),
+        )
+        loss = sum((tables[j].weight(t) for j in delta.extension_set(t)), Fraction(0))
+        out[t] = gain - loss
+    return out
+
+
 def is_dummy_ref(v, i: int) -> bool:
     """Does player i add exactly v({i}) to every face of its built link?"""
     single = v.complex.require_vertex(i)
@@ -303,7 +323,7 @@ def is_monotone_ref(v) -> bool:
         for j in range(1, v.complex.n + 1):
             if j in s:
                 continue
-            t = s.with_vertex(j)
+            t = Face(s.mask | 1 << (j - 1))
             if v.complex.has_face(t) and ws > v.value(t):
                 return False
     return True
@@ -347,7 +367,7 @@ def link_transposition_bijection(delta, i: int, j: int) -> dict:
     out = {}
     for t in lk.faces:
         if j in t:
-            out[t] = t.with_vertex(i).without_vertex(j)
+            out[t] = Face((t.mask | 1 << (i - 1)) & ~(1 << (j - 1)))
         else:
             out[t] = t
     return out

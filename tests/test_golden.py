@@ -41,7 +41,8 @@ COMMANDS = {
     "shapley": ["shapley", "--game", "{game}"],
     "verify": ["verify", "--seed", "3"],
 }
-STRUCTURE_COMMANDS = [c for c in COMMANDS if c not in ("symmetry", "decompose")]
+FIXTURE_COMMANDS = ("symmetry", "decompose")
+STRUCTURE_COMMANDS = [c for c in COMMANDS if c not in FIXTURE_COMMANDS]
 GAME_SEED = 11
 
 
@@ -85,6 +86,11 @@ STRUCTURE_FIXTURES = {
 }
 
 
+def fixtures_for(command: str) -> dict[str, SimplicialComplex]:
+    """The complexes a command's goldens cover."""
+    return FIXTURES if command in FIXTURE_COMMANDS else STRUCTURE_FIXTURES
+
+
 def test_seeded_nonpure_is_not_pure():
     assert len({f.cardinality for f in STRUCTURE_FIXTURES["nonpure_8"].facets}) > 1
 
@@ -111,15 +117,19 @@ def test_structure_stdout_matches_golden(command, name, fmt, tmp_path):
     assert got == golden_path(command, name, fmt).read_text()
 
 
-@pytest.mark.parametrize("command", ["info", "psystem", "shapley"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_structure_reports_build_no_link(command, tmp_path, monkeypatch):
-    # link f-vectors and purity are read off the faces and the facets, and the
-    # value kernel reads the faces through the player off the game's table
+    # every command reads a link as the faces through the player, and counts
+    # extensions off the covers, without building a link complex or a set
     def no_link(self, s):
         raise AssertionError(f"link of {s} built")
 
+    def no_extension_set(self, t):
+        raise AssertionError(f"extension set of {t} built")
+
     monkeypatch.setattr(SimplicialComplex, "link", no_link)
-    for name, delta in STRUCTURE_FIXTURES.items():
+    monkeypatch.setattr(SimplicialComplex, "extension_set", no_extension_set)
+    for name, delta in fixtures_for(command).items():
         for fmt in FORMATS:
             got = command_stdout(command, delta, fmt, tmp_path)
             assert got == golden_path(command, name, fmt).read_text()
@@ -131,8 +141,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for command in COMMANDS:
-            fixtures = FIXTURES if command in ("symmetry", "decompose") else STRUCTURE_FIXTURES
-            for name, delta in fixtures.items():
+            for name, delta in fixtures_for(command).items():
                 for fmt in FORMATS:
                     path = golden_path(command, name, fmt)
                     path.write_text(command_stdout(command, delta, fmt, Path(tmp)))

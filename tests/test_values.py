@@ -52,6 +52,7 @@ from conftest import (
 )
 from oracles import (
     axiom_suite_ref,
+    efficiency_coefficients_ref,
     generalized_shapley_ref,
     probabilistic_value_ref,
     solve_exact_ref,
@@ -323,13 +324,44 @@ def test_efficiency_coefficients_zero_tables():
     assert all(a == 0 for a in coeffs.values())
 
 
-def test_closed_form_matches_construction_on_shapley_fixtures(fixtures):
-    for name, delta in fixtures.items():
+def test_efficiency_coefficients_reject_keys_outside_the_link():
+    delta = figure_a()
+    for bad in (face(1, 2), face(4)):  # holds the player; {1,4} is no face
+        tables = dict(canonical_shapley_tables(delta))
+        tables[1] = ProbabilityTable(1, {**tables[1].weights, bad: F(1)})
+        with pytest.raises(KeyOutsideLink):
+            efficiency_coefficients(delta, tables)
+
+
+def test_efficiency_scatter_matches_gain_loss_reference():
+    rng = Random(808)
+    corpus = [*golden_fixtures().values(), *random_nonpure_complexes(40, seed=808)]
+    for delta in corpus:
+        empty = {i: ProbabilityTable(i, {}) for i in delta.vertices}
+        for tables in [*table_kinds(delta, rng), empty]:
+            got = efficiency_coefficients(delta, tables)
+            assert list(got.items()) == list(
+                efficiency_coefficients_ref(delta, tables).items()
+            )
+
+
+def test_closed_form_matches_construction_on_shapley_fixtures():
+    # every Shapley complex with pure links, the 3-skeleta on 9 and 10 vertices too
+    corpus = [
+        *golden_fixtures().values(),
+        *random_nonpure_complexes(40, seed=808),
+        full_simplex(9).skeleton(3),
+        full_simplex(10).skeleton(3),
+    ]
+    checked = 0
+    for delta in corpus:
         if not delta.has_pure_links() or not classify_shapley(delta).is_shapley:
             continue
         built = efficiency_coefficients(delta, canonical_shapley_tables(delta))
         closed = shapley_efficiency_closed_form(delta)
-        assert built == closed, name
+        assert list(closed.items()) == list(built.items()), delta
+        checked += 1
+    assert checked >= 14
 
 
 def test_efficiency_identity_everywhere(fixtures):
