@@ -6,10 +6,10 @@ construction: every downstream formula sums over faces or links, and the
 canonical ordering (cardinality, then lexicographic on the vertex tuple)
 is fixed wherever output order matters.
 
-A link is read as ``link_faces(s)``, the faces through s minus s, on the
-*same* ground set [n], so per-face weight tables index directly into them.
+A link is read as ``link(s)``, the faces through s minus s, on the *same*
+ground set [n], so per-face weight tables index directly into them.
 Removing the vertices those faces share keeps their order, so the link
-comes out in canonical order with no closure and no sort.
+comes out in canonical order with no closure, no sort and no complex built.
 """
 
 from __future__ import annotations
@@ -218,18 +218,15 @@ class SimplicialComplex:
 
     # -- queries -------------------------------------------------------
 
-    def link_faces(self, s: FaceLike) -> tuple[Face, ...]:
-        """Faces disjoint from s whose union with s is again a face, in canonical order.
+    def link(self, s: FaceLike) -> tuple[Face, ...]:
+        """The faces of Link(s): faces disjoint from s whose union with s is a face.
 
-        These are the g - s for the faces g that contain s.  For a vertex
-        this is exactly the set of coalitions the player can join.
+        These are the g - s for the faces g that contain s, in canonical
+        order.  For a vertex this is exactly the set of coalitions the
+        player can join.
         """
         sm = self.require_face(s).mask
         return tuple(Face(f.mask ^ sm) for f in self.faces if f.mask & sm == sm)
-
-    def link(self, s: FaceLike) -> "SimplicialComplex":
-        """The link of s as a new complex on the same ground set [n]."""
-        return SimplicialComplex(self.n, self.link_faces(s))
 
     def star(self, s: FaceLike) -> frozenset[Face]:
         """All faces contained in some face that contains s: the t with t + s a face."""

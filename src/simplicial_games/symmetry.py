@@ -274,7 +274,7 @@ def pi_delta_generators(delta: SimplicialComplex) -> tuple[Permutation, ...]:
     verts = delta.vertices
     for i in verts:
         by_card: dict[int, list[int]] = {}
-        for t in delta.link_faces(Face.from_vertices([i]))[1:]:  # nonempty T
+        for t in delta.link(Face.from_vertices([i]))[1:]:  # nonempty T
             by_card.setdefault(t.cardinality, []).append(t.mask)
         for card in sorted(by_card):
             for left, right in combinations(by_card[card], 2):
@@ -387,7 +387,7 @@ def check_symmetry_reduction(
     common: dict[int, Fraction] = {}
     for i in delta.vertices:
         table = tables[i]
-        for t in delta.link_faces(Face.from_vertices([i]))[1:]:  # nonempty T
+        for t in delta.link(Face.from_vertices([i]))[1:]:  # nonempty T
             p = table.weight(t)
             card = t.cardinality
             if card not in common:

@@ -187,7 +187,7 @@ def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, ProbabilityT
         by_card = [Fraction(1, len(fv) * count) for count in fv]
         weights = {
             t: by_card[t.cardinality]
-            for t in delta.link_faces(Face.from_vertices([i]))
+            for t in delta.link(Face.from_vertices([i]))
         }
         tables[i] = ProbabilityTable(i, weights)
     return tables
@@ -325,7 +325,7 @@ def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
     rows = []
     rhs = []
     row_faces = []
-    for t in delta.link_faces(single):
+    for t in delta.link(single):
         coeffs = [Fraction(0)] * len(facet_order)
         for f in delta.facets_containing(t.union(single)):
             size = f.cardinality
@@ -449,7 +449,7 @@ def axiom_suite(
         ok, detail = True, ""
         games = [random_monotone_game(delta, rng) for _ in range(rounds)]
         paid = chain(
-            (table.weight(t) for t in delta.link_faces(single)),  # strict carriers
+            (table.weight(t) for t in delta.link(single)),  # strict carriers
             (probabilistic_value(v, i, table) for v in games),
         )
         for got in paid:

@@ -12,14 +12,15 @@ suite that the package's closed forms replaced, and
 link and covering-pair walks that the mask-table kernels replaced, and
 ``efficiency_coefficients_ref`` the per-face gain/loss sum that the
 scatter over the tables replaced, kept as the references their results
-must equal.
+must equal.  ``built_link`` builds a link as a complex, which no command
+does: ``SimplicialComplex.link`` returns only its faces.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from random import Random
 
-from simplicial_games.complexes import EMPTY_FACE, Face
+from simplicial_games.complexes import EMPTY_FACE, Face, SimplicialComplex
 from simplicial_games.errors import (
     DimensionMismatch,
     EmptyComplex,
@@ -63,6 +64,11 @@ def link_masks(n: int, faces: set[int], s: int) -> set[int]:
         for t in range(1 << n)
         if t & s == 0 and (t | s) in faces
     }
+
+
+def built_link(delta, s) -> SimplicialComplex:
+    """Link(s) built as a complex on [n]: closed, facet pass and sorted."""
+    return SimplicialComplex(delta.n, delta.link(s))
 
 
 def skeleton_masks(faces: set[int], k: int) -> set[int]:
@@ -263,7 +269,7 @@ def solve_exact_ref(a, b) -> LinearSolution:
 def generalized_shapley_ref(v, i: int) -> Fraction:
     """The generalized Shapley value term by term, one weight per link face."""
     single = v.complex.require_vertex(i)
-    link = v.complex.link(single)
+    link = built_link(v.complex, single)
     fv = link.f_vector()
     r_i = link.rank
     total = Fraction(0)
@@ -279,7 +285,7 @@ def probabilistic_value_ref(v, i: int, table) -> Fraction:
     if table.player != i:
         raise PlayerMismatch(f"table belongs to player {table.player}, not {i}")
     single = v.complex.require_vertex(i)
-    link = v.complex.link(single)
+    link = built_link(v.complex, single)
     total = Fraction(0)
     for t, p in table.weights.items():
         if not link.has_face(t):
@@ -310,7 +316,7 @@ def is_dummy_ref(v, i: int) -> bool:
     """Does player i add exactly v({i}) to every face of its built link?"""
     single = v.complex.require_vertex(i)
     vi = v.value(single)
-    for t in v.complex.link(single).faces:
+    for t in built_link(v.complex, single).faces:
         if v.value(t.union(single)) != v.value(t) + vi:
             return False
     return True
@@ -363,9 +369,8 @@ def link_transposition_bijection(delta, i: int, j: int) -> dict:
     Whenever the transposition (i, j) preserves the complex this is a
     cardinality-preserving bijection, hence the two links share one f-vector.
     """
-    lk = delta.link(Face.from_vertices([i]))
     out = {}
-    for t in lk.faces:
+    for t in delta.link(Face.from_vertices([i])):
         if j in t:
             out[t] = Face((t.mask | 1 << (i - 1)) & ~(1 << (j - 1)))
         else:
@@ -379,7 +384,7 @@ def has_pure_links_ref(delta) -> bool:
         raise EmptyComplex("pure-links test needs at least one vertex")
     want = delta.rank - 1
     for v in delta.vertices:
-        lk = delta.link(Face.from_vertices([v]))
+        lk = built_link(delta, Face.from_vertices([v]))
         if any(f.cardinality != want for f in lk.facets):
             return False
     return True
@@ -440,7 +445,7 @@ def axiom_suite_ref(delta, tables, seed: int = 0, rounds: int = 5):
         checks.append(AxiomCheck("dummy", i, ok, detail))
 
         ok, detail = True, ""
-        monotone_probes = [carrier_game(delta, t, strict=True) for t in link.faces]
+        monotone_probes = [carrier_game(delta, t, strict=True) for t in link]
         monotone_probes += [random_monotone_game(delta, rng) for _ in range(rounds)]
         for v in monotone_probes:
             got = probabilistic_value(v, i, table)

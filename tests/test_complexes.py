@@ -15,6 +15,7 @@ from simplicial_games.errors import (
 )
 from conftest import figure_a, figure_b, golden_fixtures, random_nonpure_complexes
 from oracles import (
+    built_link,
     closure_masks,
     ext_ids,
     f_vector_of,
@@ -107,7 +108,7 @@ def test_deterministic_face_order():
 
 def test_link_figure_a_vertex_3():
     delta = figure_a()
-    lk = delta.link(face(3))
+    lk = built_link(delta, face(3))
     expected = {(), (1,), (2,), (4,), (5,), (1, 2), (2, 5), (4, 5)}
     assert {f.vertices for f in lk.faces} == expected
     assert lk.f_vector() == (1, 4, 3)
@@ -115,12 +116,12 @@ def test_link_figure_a_vertex_3():
 
 def test_link_of_vertex_in_simplex():
     delta = full_simplex(4)
-    lk = delta.link(face(2))
+    lk = built_link(delta, face(2))
     assert lk == SimplicialComplex.from_facets(4, [[1, 3, 4]])
 
 
 def test_link_figure_b_vertex_3():
-    lk = figure_b().link(face(3))
+    lk = built_link(figure_b(), face(3))
     assert lk.f_vector() == (1, 4, 2)
 
 
@@ -131,7 +132,7 @@ def test_link_requires_membership():
 
 def test_link_of_empty_face_is_whole_complex():
     delta = figure_a()
-    assert delta.link(EMPTY_FACE) == delta
+    assert delta.link(EMPTY_FACE) == delta.faces
 
 
 # -- star ------------------------------------------------------------------
@@ -160,8 +161,8 @@ def test_star_link_bijection_for_vertices(fixtures):
             lk = delta.link(face(i))
             st_ = delta.star(face(i))
             with_i = {f for f in st_ if i in f}
-            assert {Face(t.mask | 1 << (i - 1)) for t in lk.faces} == with_i
-            assert len(st_) == 2 * len(lk.faces)
+            assert {Face(t.mask | 1 << (i - 1)) for t in lk} == with_i
+            assert len(st_) == 2 * len(lk)
 
 
 # -- f-vector / skeleton ---------------------------------------------------
@@ -217,7 +218,7 @@ def test_extension_set_figure_a():
 def test_ext_equals_link_f0(fixtures):
     for delta in fixtures.values():
         for t in delta.faces:
-            lk = delta.link(t)
+            lk = built_link(delta, t)
             f0 = lk.f_vector()[1] if lk.rank >= 1 else 0
             assert len(delta.extension_set(t)) == f0
 
@@ -240,16 +241,16 @@ def test_queries_match_bruteforce(fixtures):
         assert {f.mask for f in delta.facets} == facet_masks_of(faces)
         assert delta.f_vector() == f_vector_of(faces)
         for s in delta.faces:
-            assert masks(delta.link(s)) == link_masks(delta.n, faces, s.mask)
+            assert {t.mask for t in delta.link(s)} == link_masks(delta.n, faces, s.mask)
             assert {f.mask for f in delta.star(s)} == star_masks(faces, s.mask)
             assert set(delta.extension_set(s)) == ext_ids(delta.n, faces, s.mask)
 
 
-def test_link_faces_are_the_built_link_in_canonical_order():
+def test_link_is_the_built_link_in_canonical_order():
     corpus = [*golden_fixtures().values(), *random_nonpure_complexes(40, seed=808)]
     for delta in corpus:
         for s in delta.faces:
-            assert delta.link_faces(s) == delta.link(s).faces
+            assert delta.link(s) == built_link(delta, s).faces
 
 
 def test_downward_closure(fixtures):
@@ -283,7 +284,7 @@ def test_random_complex_invariants(delta):
     assert faces == closure_masks(delta.n, [f.mask for f in delta.facets])
     assert {f.mask for f in delta.facets} == facet_masks_of(faces)
     for s in delta.faces:
-        assert masks(delta.link(s)) == link_masks(delta.n, faces, s.mask)
+        assert {t.mask for t in delta.link(s)} == link_masks(delta.n, faces, s.mask)
     fv = delta.f_vector()
     assert sum(fv) == len(delta.faces)
 
@@ -298,7 +299,7 @@ def test_nonpure_facets_links_and_skeleta_match_oracles():
         assert {f.mask for f in delta.facets} == facet_masks_of(faces)
         assert list(delta.facets) == sorted(delta.facets, key=Face.sort_key)
         for s in delta.faces:
-            lk = delta.link(s)
+            lk = built_link(delta, s)
             assert masks(lk) == link_masks(delta.n, faces, s.mask)
             assert {f.mask for f in lk.facets} == facet_masks_of(masks(lk))
         for k in range(delta.rank + 2):
@@ -313,7 +314,7 @@ def test_closed_forms_match_link_walks():
         faces = masks(delta)
         assert delta.has_pure_links() == has_pure_links_ref(delta)
         assert delta.link_f_vectors() == {
-            v: delta.link(face(v)).f_vector() for v in delta.vertices
+            v: built_link(delta, face(v)).f_vector() for v in delta.vertices
         }
         for s in delta.faces:
             assert {f.mask for f in delta.star(s)} == star_masks(faces, s.mask)
@@ -324,7 +325,7 @@ def test_constructions_return_closed_families():
     for delta in [*NONPURE, figure_a(), full_simplex(6)]:
         assert is_downward_closed(masks(delta))
         for s in delta.faces:
-            assert is_downward_closed(masks(delta.link(s)))
+            assert is_downward_closed({t.mask for t in delta.link(s)})
         for k in range(delta.rank + 1):
             assert is_downward_closed(masks(delta.skeleton(k)))
 

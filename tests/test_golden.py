@@ -16,6 +16,7 @@ with the package on the import path::
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from random import Random
@@ -120,14 +121,19 @@ def test_structure_stdout_matches_golden(command, name, fmt, tmp_path):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_structure_reports_build_no_link(command, tmp_path, monkeypatch):
     # every command reads a link as the faces through the player, and counts
-    # extensions off the covers, without building a link complex or a set
-    def no_link(self, s):
-        raise AssertionError(f"link of {s} built")
+    # extensions off the covers: the only complexes it builds are the ones
+    # it loads from facets, and it builds no extension set
+    init = SimplicialComplex.__init__
+
+    def loaded_only(self, n, faces):
+        caller = sys._getframe(1).f_code.co_name
+        assert caller == "from_facets", f"complex built in {caller}"
+        init(self, n, faces)
 
     def no_extension_set(self, t):
         raise AssertionError(f"extension set of {t} built")
 
-    monkeypatch.setattr(SimplicialComplex, "link", no_link)
+    monkeypatch.setattr(SimplicialComplex, "__init__", loaded_only)
     monkeypatch.setattr(SimplicialComplex, "extension_set", no_extension_set)
     for name, delta in fixtures_for(command).items():
         for fmt in FORMATS:

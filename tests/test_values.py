@@ -52,6 +52,7 @@ from conftest import (
 )
 from oracles import (
     axiom_suite_ref,
+    built_link,
     efficiency_coefficients_ref,
     generalized_shapley_ref,
     probabilistic_value_ref,
@@ -112,7 +113,7 @@ def test_probabilistic_value_matches_link_walk_reference():
         canonical = canonical_shapley_tables(delta)
         games = [random_game(delta, rng), random_monotone_game(delta, rng)]
         for i in delta.vertices:
-            link = delta.link(face(i)).faces
+            link = delta.link(face(i))
             signed = ProbabilityTable(i, {t: random_rational(rng) for t in link})
             sparse = ProbabilityTable(i, {t: F(1) for t in rng.sample(link, len(link) // 2)})
             for table in (canonical[i], signed, sparse):
@@ -141,7 +142,7 @@ def test_strict_carrier_probe_reads_off_the_weight():
     delta = cycle(4)
     tables = canonical_shapley_tables(delta)
     for i in delta.vertices:
-        for t in delta.link(face(i)).faces:
+        for t in delta.link(face(i)):
             probe = carrier_game(delta, t, strict=True)
             assert probabilistic_value(probe, i, tables[i]) == tables[i].weight(t)
 
@@ -151,7 +152,7 @@ def test_own_carrier_reads_table_total():
     delta = cycle(4)
     rng = Random(19)
     for i in delta.vertices:
-        weights = {t: random_rational(rng) for t in delta.link(face(i)).faces}
+        weights = {t: random_rational(rng) for t in delta.link(face(i))}
         table = ProbabilityTable(i, weights)
         v = carrier_game(delta, face(i))
         assert probabilistic_value(v, i, table) == table.total()
@@ -472,7 +473,7 @@ def test_decompose_solves_the_coefficient_identity(name):
             continue
         weights = dec.facet_weights
         single = face(i)
-        link = delta.link(single)
+        link = built_link(delta, single)
         fv = link.f_vector()
         for t in link.faces:
             k = t.cardinality
