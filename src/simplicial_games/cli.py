@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Commands: info, shapley, symmetry, psystem, decompose, verify, efficiency.
-All verdicts are computed on exact rationals; the decimal column in table
-output is a 6-significant-digit approximation, display only.  Identical
-inputs and seed produce byte-identical output.
+Each command computes one result, a dict under its JSON keys, and ``show``
+prints it in the format asked for.  The JSON output is that result, with
+every rational as the string "p/q"; the table is formatted from the same
+values.  All verdicts are computed on exact rationals; the decimal column
+of a table is a 6-significant-digit approximation, display only.
+Identical inputs and seed produce byte-identical output.
 
 Exit codes: 0 success, 2 parse/config error, 3 mathematical precondition
 violated, 4 verification failure.
@@ -14,10 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from random import Random
+from typing import Callable
 
-from .complexes import load_complex
+from .complexes import format_ids, load_complex
 from .errors import SimplicialGamesError
 from .exactnum import format_rational
 from .games import face_key, load_game, random_game
@@ -43,7 +48,6 @@ from .values import (
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
 
 
@@ -51,8 +55,16 @@ def approx(q: Fraction) -> str:
     return f"{q.numerator / q.denominator:.6g}"
 
 
-def fvec_str(fv) -> str:
-    return "(" + ", ".join(str(x) for x in fv) + ")"
+def tuple_str(xs) -> str:
+    """(x, y, ...) for ints or rationals; str of a rational is its "p/q" form."""
+    return "(" + ", ".join(map(str, xs)) + ")"
+
+
+def rational(o: object) -> str:
+    """The JSON form of a rational, "p/q"; no other type has one."""
+    if isinstance(o, Fraction):
+        return format_rational(o)
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def emit(lines: list[str]) -> None:
@@ -60,11 +72,21 @@ def emit(lines: list[str]) -> None:
 
 
 def emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=2, default=rational) + "\n")
 
 
-def _game_value_block(values: dict) -> dict:
-    return {face_key(f): format_rational(w) for f, w in values.items()}
+def show(args, result: dict, table: Callable[[], list[str]], code: int = EXIT_OK) -> int:
+    """Print the result as JSON, or the lines of its table; return the exit code."""
+    if args.format == "json":
+        emit_json(result)
+    else:
+        emit(table())
+    return code
+
+
+def by_face_key(by_face: dict) -> dict:
+    """The same items keyed "i,j,...", since a JSON object's keys are strings."""
+    return {face_key(f): w for f, w in by_face.items()}
 
 
 def cmd_info(args) -> int:
@@ -73,40 +95,39 @@ def cmd_info(args) -> int:
     link_fvs = delta.link_f_vectors()
     pure = delta.has_pure_links()
     cls = classify_shapley(delta)
-    if args.format == "json":
-        emit_json(
-            {
-                "n": delta.n,
-                "rank": delta.rank,
-                "facets": [list(f.vertices) for f in delta.facets],
-                "f_vector": list(fv),
-                "link_f_vectors": {str(i): list(v) for i, v in link_fvs.items()},
-                "pure_links": pure,
-                "shapley": {
-                    "is_shapley": cls.is_shapley,
-                    "s_vector": list(cls.s_vector) if cls.is_shapley else None,
-                    "witness": list(cls.witness) if cls.witness else None,
-                },
-            }
-        )
-        return EXIT_OK
-    lines = [
-        f"n: {delta.n}",
-        f"rank: {delta.rank}",
-        "facets: " + " ".join(map(str, delta.facets)),
-        f"f-vector: {fvec_str(fv)}",
-        "link f-vectors:",
-    ]
-    lines += [f"  vertex {i}: {fvec_str(v)}" for i, v in link_fvs.items()]
-    lines.append(f"pure links: {'yes' if pure else 'no'}")
-    if cls.is_shapley:
-        lines.append(f"shapley complex: yes, s = {fvec_str(cls.s_vector)}")
-    else:
-        lines.append(
-            f"shapley complex: no (witness: vertices {cls.witness[0]} and {cls.witness[1]})"
-        )
-    emit(lines)
-    return EXIT_OK
+    facets = [f.vertices for f in delta.facets]
+    result = {
+        "n": delta.n,
+        "rank": delta.rank,
+        "facets": facets,
+        "f_vector": fv,
+        "link_f_vectors": link_fvs,
+        "pure_links": pure,
+        "shapley": {
+            "is_shapley": cls.is_shapley,
+            "s_vector": cls.s_vector if cls.is_shapley else None,
+            "witness": cls.witness or None,
+        },
+    }
+
+    def table():
+        lines = [
+            f"n: {delta.n}",
+            f"rank: {delta.rank}",
+            "facets: " + " ".join(map(format_ids, facets)),
+            f"f-vector: {tuple_str(fv)}",
+            "link f-vectors:",
+        ]
+        lines += [f"  vertex {i}: {tuple_str(v)}" for i, v in link_fvs.items()]
+        lines.append(f"pure links: {'yes' if pure else 'no'}")
+        if cls.is_shapley:
+            lines.append(f"shapley complex: yes, s = {tuple_str(cls.s_vector)}")
+        else:
+            i, j = cls.witness
+            lines.append(f"shapley complex: no (witness: vertices {i} and {j})")
+        return lines
+
+    return show(args, result, table)
 
 
 def cmd_shapley(args) -> int:
@@ -121,82 +142,64 @@ def cmd_shapley(args) -> int:
         closed_rhs = sum((a * worth[t.mask] for t, a in coeffs.items()), Fraction(0))
     except SimplicialGamesError:
         pass
-    if args.format == "json":
-        emit_json(
-            {
-                "values": {str(i): format_rational(v) for i, v in values.items()},
-                "aggregate": format_rational(aggregate),
-                "efficiency_rhs": (
-                    format_rational(closed_rhs) if closed_rhs is not None else None
-                ),
-                "efficiency_match": (
-                    closed_rhs == aggregate if closed_rhs is not None else None
-                ),
-            }
-        )
-        return EXIT_OK
-    lines = ["player  value  approx"]
-    for i, v in values.items():
-        lines.append(f"{i}  {format_rational(v)}  {approx(v)}")
-    lines.append(f"sum  {format_rational(aggregate)}  {approx(aggregate)}")
-    if closed_rhs is not None:
-        verdict = "match" if closed_rhs == aggregate else "MISMATCH"
-        lines.append(
-            f"efficiency rhs  {format_rational(closed_rhs)}  ({verdict})"
-        )
-    emit(lines)
-    return EXIT_OK
+    match = closed_rhs == aggregate if closed_rhs is not None else None
+    result = {
+        "values": values,
+        "aggregate": aggregate,
+        "efficiency_rhs": closed_rhs,
+        "efficiency_match": match,
+    }
+
+    def table():
+        lines = ["player  value  approx"]
+        lines += [f"{i}  {format_rational(v)}  {approx(v)}" for i, v in values.items()]
+        lines.append(f"sum  {format_rational(aggregate)}  {approx(aggregate)}")
+        if closed_rhs is not None:
+            verdict = "match" if match else "MISMATCH"
+            lines.append(f"efficiency rhs  {format_rational(closed_rhs)}  ({verdict})")
+        return lines
+
+    return show(args, result, table)
 
 
 def cmd_symmetry(args) -> int:
     delta = load_complex(args.complex)
     gens = pi_delta_generators(delta)
-    verdicts = [(g, moved_facet(delta, g)) for g in gens]
-    witness = next(((g, bad) for g, bad in verdicts if bad is not None), None)
+    bads = [moved_facet(delta, g) for g in gens]
+    verdicts = [(g, bad.vertices if bad else None) for g, bad in zip(gens, bads)]
+    witness = next(((g, moved) for g, moved in verdicts if moved is not None), None)
     group = symm_group(delta) if delta.n <= SYMM_GROUP_MAX_N else None
-    if args.format == "json":
-        emit_json(
-            {
-                "symm_order": group.order if group else None,
-                "generators": [
-                    {
-                        "perm": list(g.images),
-                        "preserves": bad is None,
-                        "moved_face": list(bad.vertices) if bad else None,
-                    }
-                    for g, bad in verdicts
-                ],
-                "pi_delta_contained": witness is None,
-                "witness": (
-                    {"perm": list(witness[0].images), "face": list(witness[1].vertices)}
-                    if witness
-                    else None
-                ),
-                "pairing": "canonical sorted order for overlapping swaps",
-            }
-        )
-        return EXIT_OK
-    lines = []
-    if group:
-        lines.append(f"symmetry group order: {group.order}")
-    else:
-        lines.append(
-            f"symmetry group order: skipped (n > {SYMM_GROUP_MAX_N}; generator checks only)"
-        )
-    lines.append(f"generated-subgroup generators: {len(gens)}")
-    for g, bad in verdicts:
-        verdict = "preserves" if bad is None else f"moves {bad} outside"
-        lines.append(f"  {g}: {verdict}")
-    if witness is None:
-        lines.append("pi(Delta) contained in Symm(Delta): yes")
-    else:
-        lines.append(
-            "pi(Delta) contained in Symm(Delta): no "
-            f"(witness {witness[0]} on {witness[1]})"
-        )
-    lines.append("pairing: canonical sorted order for overlapping swaps")
-    emit(lines)
-    return EXIT_OK
+    pairing = "canonical sorted order for overlapping swaps"
+    result = {
+        "symm_order": group.order if group else None,
+        "generators": [
+            {"perm": g.images, "preserves": moved is None, "moved_face": moved}
+            for g, moved in verdicts
+        ],
+        "pi_delta_contained": witness is None,
+        "witness": {"perm": witness[0].images, "face": witness[1]} if witness else None,
+        "pairing": pairing,
+    }
+
+    def table():
+        skipped = f"skipped (n > {SYMM_GROUP_MAX_N}; generator checks only)"
+        lines = [
+            f"symmetry group order: {group.order if group else skipped}",
+            f"generated-subgroup generators: {len(gens)}",
+        ]
+        for g, moved in verdicts:
+            verdict = "preserves" if moved is None else f"moves {format_ids(moved)} outside"
+            lines.append(f"  {g}: {verdict}")
+        contained = "pi(Delta) contained in Symm(Delta): "
+        if witness is None:
+            lines.append(contained + "yes")
+        else:
+            g, moved = witness
+            lines.append(contained + f"no (witness {g} on {format_ids(moved)})")
+        lines.append(f"pairing: {pairing}")
+        return lines
+
+    return show(args, result, table)
 
 
 def cmd_psystem(args) -> int:
@@ -214,89 +217,62 @@ def cmd_psystem(args) -> int:
             sum((Fraction(row[k]) * canonical[k] for k in range(r)), Fraction(0)) == 1
             for row in rows
         )
-    if args.format == "json":
-        emit_json(
-            {
-                "rows": [list(row) for row in rows],
-                "status": solution.status.value,
-                "particular": (
-                    [format_rational(x) for x in solution.particular]
-                    if solution.particular
-                    else None
-                ),
-                "nullspace": [
-                    [format_rational(x) for x in z] for z in solution.nullspace_basis
-                ],
-                "canonical": (
-                    [format_rational(x) for x in canonical] if canonical else None
-                ),
-                "canonical_satisfies": canonical_ok,
-            }
-        )
-        return EXIT_OK
-    lines = ["distinct link f-vector rows:"]
-    for row, rep in zip(rows, reps):
-        lines.append(f"  {fvec_str(row)}  (vertex {rep})")
-    lines.append(f"status: {solution.status.value}")
-    if solution.particular is not None:
-        lines.append(
-            "particular (free variables zeroed): ("
-            + ", ".join(format_rational(x) for x in solution.particular)
-            + ")"
-        )
-    for z in solution.nullspace_basis:
-        lines.append(
-            "nullspace: (" + ", ".join(format_rational(x) for x in z) + ")"
-        )
-    if canonical is not None:
-        lines.append(
-            "canonical p_k = 1/(r*s_k): ("
-            + ", ".join(format_rational(x) for x in canonical)
-            + ")  satisfies system: "
-            + ("yes" if canonical_ok else "NO")
-        )
-    emit(lines)
-    return EXIT_OK
+    result = {
+        "rows": rows,
+        "status": solution.status.value,
+        "particular": solution.particular or None,
+        "nullspace": solution.nullspace_basis,
+        "canonical": canonical or None,
+        "canonical_satisfies": canonical_ok,
+    }
+
+    def table():
+        lines = ["distinct link f-vector rows:"]
+        lines += [f"  {tuple_str(row)}  (vertex {rep})" for row, rep in zip(rows, reps)]
+        lines.append(f"status: {solution.status.value}")
+        if solution.particular is not None:
+            particular = tuple_str(solution.particular)
+            lines.append(f"particular (free variables zeroed): {particular}")
+        lines += [f"nullspace: {tuple_str(z)}" for z in solution.nullspace_basis]
+        if canonical is not None:
+            lines.append(
+                f"canonical p_k = 1/(r*s_k): {tuple_str(canonical)}  satisfies system: "
+                + ("yes" if canonical_ok else "NO")
+            )
+        return lines
+
+    return show(args, result, table)
 
 
 def cmd_decompose(args) -> int:
     delta = load_complex(args.complex)
     dec = decompose_shapley(delta, args.player)
-    if args.format == "json":
-        emit_json(
-            {
-                "player": dec.player,
-                "status": dec.status.value,
-                "facets": [list(f.vertices) for f in dec.facet_order],
-                "weights": (
-                    {face_key(f): format_rational(w) for f, w in dec.facet_weights.items()}
-                    if dec.facet_weights is not None
-                    else None
-                ),
-                "certificate": (
-                    [format_rational(x) for x in dec.certificate]
-                    if dec.certificate is not None
-                    else None
-                ),
-            }
-        )
-        return EXIT_OK
-    lines = [f"player: {dec.player}", f"status: {dec.status.value}"]
-    if dec.status is DecompositionStatus.EXACT:
-        for f in dec.facet_order:
-            w = dec.facet_weights[f]
-            lines.append(f"  c_{f} = {format_rational(w)}  {approx(w)}")
-    else:
-        lines.append(
-            "inconsistency certificate (combination of rows vanishing on the "
-            "left, 1 on the right):"
-        )
-        lam = dec.certificate
-        for t, coeff in zip(dec.row_faces, lam):
-            if coeff != 0:
-                lines.append(f"  {format_rational(coeff)} * row[{t}]")
-    emit(lines)
-    return EXIT_OK
+    # facet_weights, when present, is keyed in facet order
+    weights = None if dec.facet_weights is None else by_face_key(dec.facet_weights)
+    result = {
+        "player": dec.player,
+        "status": dec.status.value,
+        "facets": [f.vertices for f in dec.facet_order],
+        "weights": weights,
+        "certificate": dec.certificate,
+    }
+
+    def table():
+        lines = [f"player: {dec.player}", f"status: {dec.status.value}"]
+        if dec.status is DecompositionStatus.EXACT:
+            for key, w in weights.items():
+                lines.append(f"  c_{{{key}}} = {format_rational(w)}  {approx(w)}")
+        else:
+            lines.append(
+                "inconsistency certificate (combination of rows vanishing on the "
+                "left, 1 on the right):"
+            )
+            for t, coeff in zip(dec.row_faces, dec.certificate):
+                if coeff != 0:
+                    lines.append(f"  {format_rational(coeff)} * row[{t}]")
+        return lines
+
+    return show(args, result, table)
 
 
 def cmd_efficiency(args) -> int:
@@ -312,90 +288,67 @@ def cmd_efficiency(args) -> int:
     if args.game:
         game = load_game(args.game, delta)
         check = check_efficiency_identity(coeffs, tables, game)
-    if args.format == "json":
-        emit_json(
-            {
-                "coefficients": _game_value_block(coeffs),
-                "closed_form": _game_value_block(closed) if closed else None,
-                "closed_form_matches": closed == coeffs if closed else None,
-                "identity": (
-                    {
-                        "lhs": format_rational(check.lhs),
-                        "rhs": format_rational(check.rhs),
-                        "residual": format_rational(check.residual),
-                        "equal": check.equal,
-                    }
-                    if check
-                    else None
-                ),
-            }
-        )
-        return EXIT_OK if (check is None or check.equal) else EXIT_VERIFICATION
-    lines = ["a_T coefficients (canonical tables):"]
-    for t, a in coeffs.items():
-        lines.append(f"  {t}: {format_rational(a)}  {approx(a)}")
-    if closed is not None:
-        lines.append(
-            "closed form matches construction: "
-            + ("yes" if closed == coeffs else "NO")
-        )
-    if check is not None:
-        lines.append(
-            f"identity: sum phi = {format_rational(check.lhs)}, "
-            f"sum a_T v(T) = {format_rational(check.rhs)}, "
-            f"residual = {format_rational(check.residual)}"
-        )
-        if not check.equal:
-            emit(lines)
-            return EXIT_VERIFICATION
-    emit(lines)
-    return EXIT_OK
+    coefficients = by_face_key(coeffs)
+    matches = closed == coeffs if closed is not None else None
+    result = {
+        "coefficients": coefficients,
+        "closed_form": by_face_key(closed) if closed is not None else None,
+        "closed_form_matches": matches,
+        "identity": None if check is None else {
+            "lhs": check.lhs, "rhs": check.rhs, "residual": check.residual,
+            "equal": check.equal,
+        },
+    }
+
+    def table():
+        lines = ["a_T coefficients (canonical tables):"]
+        for key, a in coefficients.items():
+            lines.append(f"  {{{key}}}: {format_rational(a)}  {approx(a)}")
+        if matches is not None:
+            lines.append("closed form matches construction: " + ("yes" if matches else "NO"))
+        if check is not None:
+            lines.append(
+                f"identity: sum phi = {format_rational(check.lhs)}, "
+                f"sum a_T v(T) = {format_rational(check.rhs)}, "
+                f"residual = {format_rational(check.residual)}"
+            )
+        return lines
+
+    ok = check is None or check.equal
+    return show(args, result, table, EXIT_OK if ok else EXIT_VERIFICATION)
 
 
 def cmd_verify(args) -> int:
     delta = load_complex(args.complex)
     tables = canonical_shapley_tables(delta)
     report = axiom_suite(delta, tables, seed=args.seed)
-    lines = []
-    ok = report.ok
-    for c in report.checks:
-        status = "ok" if c.ok else f"FAIL ({c.detail})"
-        lines.append(f"{c.axiom} player {c.player}: {status}")
     rng = Random(args.seed)
     games = [random_game(delta, rng) for _ in range(10)]
     if args.game:
         games.append(load_game(args.game, delta))
     coeffs = efficiency_coefficients(delta, tables)
-    identity_results = []
-    for k, game in enumerate(games):
-        check = check_efficiency_identity(coeffs, tables, game)
-        identity_results.append(check)
-        status = "ok" if check.equal else f"FAIL (residual {check.residual})"
-        lines.append(f"efficiency identity game {k}: {status}")
-        ok = ok and check.equal
-    lines.append("verdict: " + ("all checks passed" if ok else "VIOLATIONS FOUND"))
-    if args.format == "json":
-        emit_json(
-            {
-                "checks": [
-                    {
-                        "axiom": c.axiom,
-                        "player": c.player,
-                        "ok": c.ok,
-                        "detail": c.detail,
-                    }
-                    for c in report.checks
-                ],
-                "efficiency_identity": [
-                    {"equal": c.equal, "residual": format_rational(c.residual)}
-                    for c in identity_results
-                ],
-                "ok": ok,
-            }
-        )
-    else:
-        emit(lines)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    identity = [check_efficiency_identity(coeffs, tables, game) for game in games]
+    ok = report.ok and all(c.equal for c in identity)
+    result = {
+        "checks": [asdict(c) for c in report.checks],
+        "efficiency_identity": [{"equal": c.equal, "residual": c.residual} for c in identity],
+        "ok": ok,
+    }
+
+    def table():
+        lines = [
+            f"{c.axiom} player {c.player}: " + ("ok" if c.ok else f"FAIL ({c.detail})")
+            for c in report.checks
+        ]
+        lines += [
+            f"efficiency identity game {k}: "
+            + ("ok" if c.equal else f"FAIL (residual {c.residual})")
+            for k, c in enumerate(identity)
+        ]
+        lines.append("verdict: " + ("all checks passed" if ok else "VIOLATIONS FOUND"))
+        return lines
+
+    return show(args, result, table, EXIT_OK if ok else EXIT_VERIFICATION)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,36 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, game=False, game_required=False, player=False):
         p.add_argument("--complex", required=True, help="complex JSON file")
         if game:
-            p.add_argument(
-                "--game", required=game_required, help="game JSON file"
-            )
+            p.add_argument("--game", required=game_required, help="game JSON file")
         if player:
             p.add_argument("--player", type=int, required=True, help="vertex id")
-        p.add_argument(
-            "--format", choices=("table", "json"), default="table"
-        )
+        p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("info", help="structure report"))
-    common(
-        sub.add_parser("shapley", help="generalized Shapley values"),
-        game=True,
-        game_required=True,
-    )
+    shapley = sub.add_parser("shapley", help="generalized Shapley values")
+    common(shapley, game=True, game_required=True)
     common(sub.add_parser("symmetry", help="symmetry groups and containment"))
     common(sub.add_parser("psystem", help="common-probability linear system"))
-    common(
-        sub.add_parser("decompose", help="facet decomposition of the value"),
-        player=True,
-    )
-    common(
-        sub.add_parser("efficiency", help="efficiency coefficients and identity"),
-        game=True,
-    )
-    common(
-        sub.add_parser("verify", help="axiom suite on seeded random games"),
-        game=True,
-    )
+    common(sub.add_parser("decompose", help="facet decomposition of the value"), player=True)
+    efficiency = sub.add_parser("efficiency", help="efficiency coefficients and identity")
+    common(efficiency, game=True)
+    common(sub.add_parser("verify", help="axiom suite on seeded random games"), game=True)
     return parser
 
 

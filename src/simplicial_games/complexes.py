@@ -352,6 +352,8 @@ def read_json(path: str) -> object:
         raise ParseError(str(e)) from None
     except ValueError as e:  # undecodable bytes, or an integer over the digit limit
         raise ParseError(f"{path}: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def load_complex(path: str) -> SimplicialComplex:

@@ -213,6 +213,17 @@ def game_to_dict(v: Game) -> dict:
     }
 
 
+def _coalition_ids(key: str) -> list[int]:
+    """The vertex ids of a key "i,j,...": each one a run of ASCII digits."""
+    parts = key.split(",")
+    try:
+        if all(part.isascii() and part.isdigit() for part in parts):
+            return [int(part) for part in parts]
+    except ValueError:  # over the interpreter's integer digit limit
+        pass
+    raise ParseError(f"bad coalition key {key!r}")
+
+
 def game_from_dict(data: object, delta: SimplicialComplex) -> Game:
     if not isinstance(data, dict) or "values" not in data:
         raise ParseError("game document must be an object with a 'values' key")
@@ -223,10 +234,7 @@ def game_from_dict(data: object, delta: SimplicialComplex) -> Game:
     for key, text in raw.items():
         if key == "":
             raise ParseError("the empty coalition may not appear in a game file")
-        try:
-            ids = [int(part) for part in key.split(",")]
-        except ValueError:
-            raise ParseError(f"bad coalition key {key!r}") from None
+        ids = _coalition_ids(key)
         # ids are compared with n before the mask, which is max(ids) bits wide
         if max(ids) > delta.n or not delta.has_face(face := Face.from_vertices(ids)):
             raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")

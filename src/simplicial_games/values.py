@@ -193,15 +193,20 @@ def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, ProbabilityT
     return tables
 
 
+def _player_tables(
+    delta: SimplicialComplex, tables: Mapping[int, ProbabilityTable]
+) -> Iterator[tuple[int, ProbabilityTable]]:
+    """(i, tables[i]) for each vertex in order; a missing table raises."""
+    for i in delta.vertices:
+        if i not in tables:
+            raise MissingPlayerTable(f"no table for player {i}")
+        yield i, tables[i]
+
+
 def group_value(
     v: Game, tables: Mapping[int, ProbabilityTable]
 ) -> GroupValue:
-    out: GroupValue = {}
-    for i in v.complex.vertices:
-        if i not in tables:
-            raise MissingPlayerTable(f"no table for player {i}")
-        out[i] = probabilistic_value(v, i, tables[i])
-    return out
+    return {i: probabilistic_value(v, i, t) for i, t in _player_tables(v.complex, tables)}
 
 
 def efficiency_coefficients(
@@ -211,12 +216,10 @@ def efficiency_coefficients(
 
     Scattered from the weights; the nonempty faces, zeros kept, in canonical order.
     """
-    for i in delta.vertices:
-        if i not in tables:
-            raise MissingPlayerTable(f"no table for player {i}")
+    player_tables = list(_player_tables(delta, tables))
     a = {f.mask: Fraction(0) for f in delta.faces}
-    for i in delta.vertices:
-        for m, up, p in _link_weights(tables[i], i, delta.face_masks):
+    for i, table in player_tables:
+        for m, up, p in _link_weights(table, i, delta.face_masks):
             a[up] += p
             a[m] -= p  # the empty face's entry is dropped
     return {t: a[t.mask] for t in delta.faces[1:]}
@@ -395,13 +398,10 @@ def axiom_suite(
     strict carrier of T has the one nonzero marginal 1 at T, so phi_i = p_T.
     Each check draws all its random games first, whichever probe fails.
     """
-    for i in delta.vertices:
-        if i not in tables:
-            raise MissingPlayerTable(f"no table for player {i}")
+    player_tables = list(_player_tables(delta, tables))
     rng = Random(seed)
     checks: list[AxiomCheck] = []
-    for i in delta.vertices:
-        table = tables[i]
+    for i, table in player_tables:
         single = Face.from_vertices([i])
 
         ok, detail = True, ""

@@ -160,6 +160,56 @@ def test_output_is_deterministic(files, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_failing_verdicts_are_reported(fmt, files, monkeypatch, capsys):
+    # every golden identity holds, so the failure branches are forced here
+    from simplicial_games import cli
+    from simplicial_games.values import AxiomCheck, AxiomSuiteReport, EfficiencyCheck
+
+    monkeypatch.setattr(
+        cli, "check_efficiency_identity", lambda *_: EfficiencyCheck(False, F(1), F(3), F(-2))
+    )
+    monkeypatch.setattr(
+        cli, "shapley_efficiency_closed_form", lambda delta: {t: F(7) for t in delta.faces[1:]}
+    )
+    monkeypatch.setattr(
+        cli,
+        "axiom_suite",
+        lambda *_, **__: AxiomSuiteReport((AxiomCheck("null", 2, False, "phi = 1"),)),
+    )
+    cycle, game = files["cycle4.json"], files["edge_game.json"]
+    as_json = fmt == "json"
+
+    code, out, _ = run(capsys, "efficiency", "--complex", cycle, "--game", game, "--format", fmt)
+    assert code == 4
+    if as_json:
+        doc = json.loads(out)
+        assert doc["closed_form_matches"] is False
+        assert doc["identity"] == {"lhs": "1", "rhs": "3", "residual": "-2", "equal": False}
+    else:
+        assert "closed form matches construction: NO" in out
+        assert "identity: sum phi = 1, sum a_T v(T) = 3, residual = -2" in out
+
+    code, out, _ = run(capsys, "shapley", "--complex", cycle, "--game", game, "--format", fmt)
+    assert code == 0
+    if as_json:
+        doc = json.loads(out)
+        assert (doc["efficiency_rhs"], doc["efficiency_match"]) == ("7", False)
+    else:
+        assert "efficiency rhs  7  (MISMATCH)" in out
+
+    code, out, _ = run(capsys, "verify", "--complex", cycle, "--format", fmt)
+    assert code == 4
+    if as_json:
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["checks"] == [{"axiom": "null", "player": 2, "ok": False, "detail": "phi = 1"}]
+    else:
+        assert "null player 2: FAIL (phi = 1)" in out
+        assert "efficiency identity game 0: FAIL (residual -2)" in out
+        assert out.endswith("verdict: VIOLATIONS FOUND\n")
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 5, "facets": [[1,2]')
@@ -243,6 +293,8 @@ HOSTILE = {
     "directory": ("--complex", None),
     "huge_n": ("--complex", b'{"n": ' + b"7" * 5000 + b', "facets": [[1, 2]]}'),
     "huge_value": ("--game", b'{"values": {"1,2": "' + b"7" * 5000 + b'"}}'),
+    "deep_complex": ("--complex", b"[" * 100000 + b"]" * 100000),
+    "deep_game": ("--game", b'{"values": ' * 100000 + b"{}" + b"}" * 100000),
 }
 
 

@@ -9,6 +9,7 @@ from simplicial_games import (
     Face,
     Game,
     Permutation,
+    SimplicialComplex,
     carrier_game,
     full_simplex,
     indicator_game,
@@ -370,3 +371,9 @@ def test_game_json_rejects_bad_keys():
         game_from_dict({"values": {"1,4": "1"}}, delta)
     with pytest.raises(ParseError):
         game_from_dict({"values": {"1": "0.5"}}, delta)
+    # an id is a run of ASCII digits: no sign, space, underscore or other digits
+    for key in ("+2", " 2", "2 ", "-1", "\u0662", "1,,2", "1, 2", "1,"):
+        with pytest.raises(ParseError, match="bad coalition key"):
+            game_from_dict({"values": {key: "1"}}, delta)
+    with pytest.raises(ParseError, match="bad coalition key"):
+        game_from_dict({"values": {"1_0": "1"}}, SimplicialComplex.from_facets(10, [[1, 10]]))
