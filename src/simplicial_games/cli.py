@@ -15,15 +15,17 @@ violated, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from random import Random
 from typing import Callable
 
-from .complexes import format_ids, load_complex
-from .errors import SimplicialGamesError
+from .complexes import SimplicialComplex, format_ids, load_complex
+from .errors import EmptyComplex, SimplicialGamesError
 from .exactnum import format_rational
 from .games import face_key, load_game, random_game
 from .symmetry import (
@@ -42,6 +44,7 @@ from .values import (
     check_efficiency_identity,
     decompose_shapley,
     efficiency_coefficients,
+    efficiency_rhs,
     generalized_shapley,
     shapley_efficiency_closed_form,
 )
@@ -52,12 +55,17 @@ EXIT_VERIFICATION = 4
 
 
 def approx(q: Fraction) -> str:
-    return f"{q.numerator / q.denominator:.6g}"
+    try:
+        return f"{q.numerator / q.denominator:.6g}"
+    except OverflowError:  # past the float range: the same form from 6 decimal digits
+        with localcontext() as ctx:
+            ctx.prec = 6
+            return f"{(Decimal(q.numerator) / q.denominator).normalize():.6g}"
 
 
 def tuple_str(xs) -> str:
-    """(x, y, ...) for ints or rationals; str of a rational is its "p/q" form."""
-    return "(" + ", ".join(map(str, xs)) + ")"
+    """(x, y, ...) for ints or rationals, each in its "p/q" form."""
+    return "(" + ", ".join(map(format_rational, xs)) + ")"
 
 
 def rational(o: object) -> str:
@@ -89,8 +97,16 @@ def by_face_key(by_face: dict) -> dict:
     return {face_key(f): w for f, w in by_face.items()}
 
 
+def load_nonempty_complex(path: str) -> SimplicialComplex:
+    """The complex at ``path``; every command refuses one with no vertex."""
+    delta = load_complex(path)
+    if not delta.vertices:
+        raise EmptyComplex("the complex has no vertex")
+    return delta
+
+
 def cmd_info(args) -> int:
-    delta = load_complex(args.complex)
+    delta = load_nonempty_complex(args.complex)
     fv = delta.f_vector()
     link_fvs = delta.link_f_vectors()
     pure = delta.has_pure_links()
@@ -131,15 +147,13 @@ def cmd_info(args) -> int:
 
 
 def cmd_shapley(args) -> int:
-    delta = load_complex(args.complex)
+    delta = load_nonempty_complex(args.complex)
     game = load_game(args.game, delta)
     values = {i: generalized_shapley(game, i) for i in delta.vertices}
     aggregate = sum(values.values(), Fraction(0))
     closed_rhs = None
     try:
-        coeffs = shapley_efficiency_closed_form(delta)
-        worth = game.mask_table()
-        closed_rhs = sum((a * worth[t.mask] for t, a in coeffs.items()), Fraction(0))
+        closed_rhs = efficiency_rhs(shapley_efficiency_closed_form(delta), game)
     except SimplicialGamesError:
         pass
     match = closed_rhs == aggregate if closed_rhs is not None else None
@@ -163,7 +177,7 @@ def cmd_shapley(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
-    delta = load_complex(args.complex)
+    delta = load_nonempty_complex(args.complex)
     gens = pi_delta_generators(delta)
     bads = [moved_facet(delta, g) for g in gens]
     verdicts = [(g, bad.vertices if bad else None) for g, bad in zip(gens, bads)]
@@ -203,7 +217,7 @@ def cmd_symmetry(args) -> int:
 
 
 def cmd_psystem(args) -> int:
-    delta = load_complex(args.complex)
+    delta = load_nonempty_complex(args.complex)
     rows, reps = p_system_rows(delta)
     solution = solve_p_system(delta)
     cls = classify_shapley(delta)
@@ -245,7 +259,7 @@ def cmd_psystem(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    delta = load_complex(args.complex)
+    delta = load_nonempty_complex(args.complex)
     dec = decompose_shapley(delta, args.player)
     # facet_weights, when present, is keyed in facet order
     weights = None if dec.facet_weights is None else by_face_key(dec.facet_weights)
@@ -276,7 +290,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    delta = load_complex(args.complex)
+    delta = load_nonempty_complex(args.complex)
     tables = canonical_shapley_tables(delta)
     coeffs = efficiency_coefficients(delta, tables)
     closed = None
@@ -319,13 +333,12 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    delta = load_complex(args.complex)
+    delta = load_nonempty_complex(args.complex)
+    given = [load_game(args.game, delta)] if args.game else []
     tables = canonical_shapley_tables(delta)
     report = axiom_suite(delta, tables, seed=args.seed)
     rng = Random(args.seed)
-    games = [random_game(delta, rng) for _ in range(10)]
-    if args.game:
-        games.append(load_game(args.game, delta))
+    games = [random_game(delta, rng) for _ in range(10)] + given
     coeffs = efficiency_coefficients(delta, tables)
     identity = [check_efficiency_identity(coeffs, tables, game) for game in games]
     ok = report.ok and all(c.equal for c in identity)
@@ -342,7 +355,7 @@ def cmd_verify(args) -> int:
         ]
         lines += [
             f"efficiency identity game {k}: "
-            + ("ok" if c.equal else f"FAIL (residual {c.residual})")
+            + ("ok" if c.equal else f"FAIL (residual {format_rational(c.residual)})")
             for k, c in enumerate(identity)
         ]
         lines.append("verdict: " + ("all checks passed" if ok else "VIOLATIONS FOUND"))
@@ -351,6 +364,7 @@ def cmd_verify(args) -> int:
     return show(args, result, table, EXIT_OK if ok else EXIT_VERIFICATION)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplicial-games",

@@ -90,3 +90,11 @@ class MissingPlayerTable(SimplicialGamesError):
 
 class GameFaceNotInComplex(SimplicialGamesError):
     code = "GameFaceNotInComplex"
+
+
+class BudgetExceeded(SimplicialGamesError):
+    code = "BudgetExceeded"
+
+
+class ResultTooLong(SimplicialGamesError):
+    code = "ResultTooLong"

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, ResultTooLong
 
 Rational = Fraction
 
@@ -47,8 +47,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render "p/q", omitting the denominator when it is 1."""
-    return str(q)
+    """Render "p/q", omitting the denominator when it is 1.
+
+    A numerator or denominator longer than the interpreter converts to text
+    raises ResultTooLong.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        raise ResultTooLong("an exact result has too many digits to print") from None
 
 
 class SolveStatus(Enum):

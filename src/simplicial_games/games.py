@@ -1,16 +1,23 @@
 """Characteristic functions on a complex and the carrier-game families.
 
-A game is one dense table: every face mask of its complex, in canonical face
-order, maps to the face's worth, zeros included, and the empty coalition is
-pinned to 0.  The value kernels index that table, reading the faces through
-a player as the masks that hold its bit.  Carrier games v_T (containment)
-and their strict variants (proper containment) are the probing basis of
-Weber's axioms; the axiom suite reads their values off the weight tables
-instead of building them.
+A game is integers over one denominator: every face mask of its complex, in
+canonical face order, maps to an ``int`` numerator, zeros included, and the
+worth of a face is its numerator over the game's ``denominator``, the lcm of
+the worths' reduced denominators, so equal games store equal tables.  The
+empty coalition is pinned to 0.  The value kernels add and subtract the
+numerators, reading the faces through a player as the masks that hold its
+bit, and build a ``Fraction`` only for a result; ``value``, ``values`` and
+``mask_table`` are ``Fraction`` views derived from the table.  A table costs
+|faces| times the bits of the denominator, so a game whose denominator would
+pass ``TABLE_BITS_BUDGET`` is refused before its table is built.  Carrier
+games v_T (containment) and their strict variants (proper containment) are
+the probing basis of Weber's axioms; the axiom suite reads their values off
+the weight tables instead of building them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 from types import MappingProxyType
@@ -18,6 +25,7 @@ from typing import Mapping
 
 from .complexes import EMPTY_FACE, Face, FaceLike, SimplicialComplex, as_face, read_json
 from .errors import (
+    BudgetExceeded,
     ComplexMismatch,
     EmptyCarrierNotAllowed,
     EmptyCoalitionWorth,
@@ -29,54 +37,81 @@ from .errors import (
 from .exactnum import format_rational, parse_rational
 from .symmetry import Permutation, moved_facet
 
+# |faces| * bits of the common denominator above which a game is refused
+TABLE_BITS_BUDGET = 1 << 27
+
 
 class Game:
     """An exact-rational characteristic function v on a complex, v({}) = 0.
 
-    ``values`` maps faces to worths; faces it leaves out are worth 0.
+    ``values`` maps faces to worths; faces it leaves out are worth 0.  The
+    game stores ``numerators`` (every face mask -> int) over ``denominator``.
     """
 
-    __slots__ = ("complex", "_worth")
+    __slots__ = ("complex", "denominator", "_num")
 
     def __init__(
         self, complex: SimplicialComplex, values: Mapping[Face, Fraction | int] = ()
     ):
-        self.complex = complex
-        worth = dict.fromkeys([f.mask for f in complex.faces], Fraction(0))
+        face_masks = complex.face_masks
+        worth: dict[int, Fraction] = {}
         for face, w in dict(values).items():
             face = as_face(face)
             w = Fraction(w)
-            if face.mask not in worth:
+            if face.mask not in face_masks:
                 raise GameFaceNotInComplex(f"{face} is not a face of the complex")
             if face == EMPTY_FACE and w != 0:
                 raise EmptyCoalitionWorth("the empty coalition is always worth 0")
             worth[face.mask] = w
-        self._worth = worth
+        self.complex = complex
+        self._num, self.denominator = _over_lcm(complex, worth)
+
+    @classmethod
+    def _of(cls, complex: SimplicialComplex, num: dict[int, int], denominator: int) -> "Game":
+        """The game worth num[m] / denominator at each face mask m.
+
+        ``num`` lists every face mask in canonical order, the empty one 0.
+        The common factor of the numerators and the denominator is divided out.
+        """
+        g = math.gcd(denominator, *num.values())
+        if g > 1:
+            num = {m: w // g for m, w in num.items()}
+            denominator //= g
+        game = cls.__new__(cls)
+        game.complex, game._num, game.denominator = complex, num, denominator
+        return game
+
+    @property
+    def numerators(self) -> Mapping[int, int]:
+        """The stored table, read only: every face mask -> numerator, in canonical order."""
+        return MappingProxyType(self._num)
 
     def value(self, face: FaceLike) -> Fraction:
         face = as_face(face)
-        w = self._worth.get(face.mask)
+        w = self._num.get(face.mask)
         if w is None:
             raise GameFaceNotInComplex(f"{face} is not a face of the complex")
-        return w
+        return Fraction(w, self.denominator)
 
     def mask_table(self) -> Mapping[int, Fraction]:
-        """The stored table, read only: every face mask -> worth, in canonical order."""
-        return MappingProxyType(self._worth)
+        """Every face mask -> worth, in canonical order: a read-only view, built per call."""
+        d = self.denominator
+        return MappingProxyType({m: Fraction(w, d) for m, w in self._num.items()})
 
     @property
     def values(self) -> dict[Face, Fraction]:
         """The nonzero worths by face, in canonical face order (a new dict)."""
-        return {Face(m): w for m, w in self._worth.items() if w}
+        d = self.denominator
+        return {Face(m): Fraction(w, d) for m, w in self._num.items() if w}
 
     def is_monotone(self) -> bool:
         """v(S) <= v(T) over all comparable pairs; covering pairs T - j, T suffice."""
-        worth = self._worth
-        for m, w in worth.items():
+        num = self._num
+        for m, w in num.items():
             rest = m
             while rest:
                 low = rest & -rest
-                if worth[m ^ low] > w:
+                if num[m ^ low] > w:
                     return False
                 rest ^= low
         return True
@@ -84,9 +119,9 @@ class Game:
     def is_dummy(self, i: int) -> bool:
         """Does player i add exactly v({i}) to every coalition it can join?"""
         bit = self.complex.require_vertex(i).mask
-        worth = self._worth
-        vi = worth[bit]
-        return all(w == worth[m ^ bit] + vi for m, w in worth.items() if m & bit)
+        num = self._num
+        vi = num[bit]
+        return all(w == num[m ^ bit] + vi for m, w in num.items() if m & bit)
 
     def permuted(self, perm: Permutation) -> "Game":
         """The game T -> v(pi T); pi must preserve the complex."""
@@ -95,19 +130,52 @@ class Game:
             raise PermutationNotSymmetry(
                 f"{perm} maps face {bad} outside the complex"
             )
-        worth = self._worth
-        return Game(
+        num = self._num
+        return Game._of(
             self.complex,
-            {f: worth[perm.apply_face(f).mask] for f in self.complex.faces},
+            {f.mask: num[perm.apply_face(f).mask] for f in self.complex.faces},
+            self.denominator,
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Game):
             return NotImplemented
-        return self.complex == other.complex and self._worth == other._worth
+        return (
+            self.complex == other.complex
+            and self.denominator == other.denominator
+            and self._num == other._num
+        )
 
     def __repr__(self) -> str:
         return f"Game({{{', '.join(f'{f}: {w}' for f, w in self.values.items())}}})"
+
+
+def _zeros(delta: SimplicialComplex) -> dict[int, int]:
+    """Every face mask in canonical order, mapped to 0."""
+    return dict.fromkeys([f.mask for f in delta.faces], 0)
+
+
+def _over_lcm(
+    delta: SimplicialComplex, worth: Mapping[int, Fraction]
+) -> tuple[dict[int, int], int]:
+    """The numerators of ``worth`` (faces left out are 0) over the lcm of its denominators.
+
+    The lcm is taken one distinct denominator at a time, and BudgetExceeded is
+    raised as soon as the table would pass TABLE_BITS_BUDGET bits.
+    """
+    faces = len(delta.faces)
+    d = 1
+    for q in {w.denominator for w in worth.values()}:
+        d = math.lcm(d, q)
+        if faces * d.bit_length() > TABLE_BITS_BUDGET:
+            raise BudgetExceeded(
+                f"the worths' common denominator reaches {d.bit_length()} bits, so a "
+                f"table of {faces} faces would pass {TABLE_BITS_BUDGET} bits"
+            )
+    num = _zeros(delta)
+    for m, w in worth.items():
+        num[m] = w.numerator * (d // w.denominator)
+    return num, d
 
 
 def carrier_game(
@@ -124,11 +192,9 @@ def carrier_game(
         raise FaceNotInComplex(f"{t} is not a face of the complex")
     if t == EMPTY_FACE and not strict:
         raise EmptyCarrierNotAllowed("carrier game of the empty face must be strict")
-    values = {}
-    for s in delta.faces:
-        if t.issubset(s) and (not strict or s != t):
-            values[s] = Fraction(1)
-    return Game(delta, values)
+    tm = t.mask
+    num = {m: int(m & tm == tm and not (strict and m == tm)) for m in _zeros(delta)}
+    return Game._of(delta, num, 1)
 
 
 def indicator_game(delta: SimplicialComplex, t: FaceLike) -> Game:
@@ -138,7 +204,9 @@ def indicator_game(delta: SimplicialComplex, t: FaceLike) -> Game:
         raise FaceNotInComplex(f"{t} is not a face of the complex")
     if t == EMPTY_FACE:
         raise EmptyCarrierNotAllowed("the empty face cannot carry an indicator")
-    return Game(delta, {t: Fraction(1)})
+    num = _zeros(delta)
+    num[t.mask] = 1
+    return Game._of(delta, num, 1)
 
 
 def scale_add(v: Game, w: Game, a: Fraction | int, b: Fraction | int) -> Game:
@@ -146,22 +214,37 @@ def scale_add(v: Game, w: Game, a: Fraction | int, b: Fraction | int) -> Game:
     if v.complex != w.complex:
         raise ComplexMismatch("games live on different complexes")
     a, b = Fraction(a), Fraction(b)
-    vw, ww = v._worth, w._worth
-    return Game(v.complex, {f: a * vw[f.mask] + b * ww[f.mask] for f in v.complex.faces})
+    d = math.lcm(v.denominator, w.denominator)
+    ka = a.numerator * b.denominator * (d // v.denominator)
+    kb = b.numerator * a.denominator * (d // w.denominator)
+    wn = w._num
+    return Game._of(
+        v.complex,
+        {m: ka * x + kb * wn[m] for m, x in v._num.items()},
+        d * a.denominator * b.denominator,
+    )
 
 
 # -- seeded generators (used by verification commands and tests) ---------
 
-def random_rational(rng: Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+# every denominator drawn (1 to 9) divides this one
+_DRAWN_DENOMINATOR = math.lcm(*range(1, 10))
+
+
+def _draw(rng: Random, lo: int = -9) -> int:
+    """p/q for p drawn from lo..9, then q from 1..9, as a numerator over _DRAWN_DENOMINATOR."""
+    p = rng.randint(lo, 9)
+    return p * (_DRAWN_DENOMINATOR // rng.randint(1, 9))
+
+
+def random_rational(rng: Random, lo: int = -9) -> Fraction:
+    return Fraction(_draw(rng, lo), _DRAWN_DENOMINATOR)
 
 
 def random_game(delta: SimplicialComplex, rng: Random) -> Game:
     """Independent random rational worth on every nonempty face."""
-    return Game(
-        delta,
-        {f: random_rational(rng) for f in delta.faces if f != EMPTY_FACE},
-    )
+    num = {m: _draw(rng) if m else 0 for m in _zeros(delta)}
+    return Game._of(delta, num, _DRAWN_DENOMINATOR)
 
 
 def random_monotone_game(delta: SimplicialComplex, rng: Random) -> Game:
@@ -171,16 +254,13 @@ def random_monotone_game(delta: SimplicialComplex, rng: Random) -> Game:
     sum of the weights of its subfaces, accumulated one vertex bit at a time
     over the downward-closed face set (a subset-sum pass, O(n |faces|)).
     """
-    worth = {
-        f.mask: random_rational(rng, lo=0) if f != EMPTY_FACE else Fraction(0)
-        for f in delta.faces
-    }
+    num = {m: _draw(rng, lo=0) if m else 0 for m in _zeros(delta)}
     for j in range(delta.n):
         bit = 1 << j
-        for m in worth:
+        for m in num:
             if m & bit:
-                worth[m] += worth[m ^ bit]
-    return Game(delta, dict(zip(delta.faces, worth.values())))
+                num[m] += num[m ^ bit]
+    return Game._of(delta, num, _DRAWN_DENOMINATOR)
 
 
 def random_dummy_game(delta: SimplicialComplex, i: int, rng: Random) -> Game:
@@ -190,14 +270,13 @@ def random_dummy_game(delta: SimplicialComplex, i: int, rng: Random) -> Game:
     is pinned to v(T) + v({i}) for T the face minus i.
     """
     bit = delta.require_vertex(i).mask
-    worth = {0: Fraction(0)}  # faces[0] is the empty face
-    for f in delta.faces[1:]:
-        if not f.mask & bit:
-            worth[f.mask] = random_rational(rng)
-    vi = random_rational(rng)
-    return Game(
+    masks = _zeros(delta)
+    num = {m: _draw(rng) if m else 0 for m in masks if not m & bit}
+    vi = _draw(rng)
+    return Game._of(
         delta,
-        {f: worth[f.mask ^ bit] + vi if f.mask & bit else worth[f.mask] for f in delta.faces},
+        {m: num[m ^ bit] + vi if m & bit else num[m] for m in masks},
+        _DRAWN_DENOMINATOR,
     )
 
 
@@ -230,18 +309,18 @@ def game_from_dict(data: object, delta: SimplicialComplex) -> Game:
     raw = data["values"]
     if not isinstance(raw, dict):
         raise ParseError("'values' must map coalition keys to rationals")
-    values: dict[Face, Fraction] = {}
+    worth: dict[int, Fraction] = {}
     for key, text in raw.items():
         if key == "":
             raise ParseError("the empty coalition may not appear in a game file")
         ids = _coalition_ids(key)
         # ids are compared with n before the mask, which is max(ids) bits wide
-        if max(ids) > delta.n or not delta.has_face(face := Face.from_vertices(ids)):
+        if max(ids) > delta.n or (m := Face.from_vertices(ids).mask) not in delta.face_masks:
             raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")
         if not isinstance(text, str):
             raise ParseError(f"worth of {key!r} must be a rational string")
-        values[face] = parse_rational(text)
-    return Game(delta, values)
+        worth[m] = parse_rational(text)
+    return Game._of(delta, *_over_lcm(delta, worth))
 
 
 def load_game(path: str, delta: SimplicialComplex) -> Game:

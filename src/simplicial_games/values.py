@@ -10,7 +10,9 @@ uniformly within each size, sizes counted by the link f-vector:
 with r_i the rank of the link.  On a full simplex this reduces exactly to
 the classical Shapley value, which is also implemented here independently
 (by permutation enumeration, not by the weight formula) as the reference
-the tests compare against.
+the tests compare against.  The kernels add and subtract a game's integer
+numerators (weights scaled to integers over their lcm) and build one
+``Fraction`` per result.
 
 Efficiency aggregates come from the coefficient construction
 
@@ -95,15 +97,20 @@ def _link_weights(
 
 
 def probabilistic_value(v: Game, i: int, table: ProbabilityTable) -> Fraction:
-    """sum_T p_T (v(T+i) - v(T)) over the link of i: the T without i with T+i a face."""
+    """sum_T p_T (v(T+i) - v(T)) over the link of i: the T without i with T+i a face.
+
+    The weights are scaled to integers over their lcm, so the sum is one of ints.
+    """
     if table.player != i:
         raise PlayerMismatch(f"table belongs to player {table.player}, not {i}")
     v.complex.require_vertex(i)
-    worth = v.mask_table()
-    total = Fraction(0)
-    for m, up, p in _link_weights(table, i, worth):
-        total += p * (worth[up] - worth[m])
-    return total
+    num = v.numerators
+    weights = list(_link_weights(table, i, num))
+    scale = math.lcm(*(p.denominator for _, _, p in weights))
+    total = sum(
+        p.numerator * (scale // p.denominator) * (num[up] - num[m]) for m, up, p in weights
+    )
+    return Fraction(total, scale * v.denominator)
 
 
 def generalized_shapley(v: Game, i: int) -> Fraction:
@@ -114,16 +121,18 @@ def generalized_shapley(v: Game, i: int) -> Fraction:
     count f_{|F|-2}(Link(i)), and the total by the number of sizes, r_i + 1.
     """
     bit = v.complex.require_vertex(i).mask
-    sums: dict[int, Fraction] = {}
-    counts: dict[int, int] = {}
-    worth = v.mask_table()
-    for m, w in worth.items():
+    sums = [0] * (v.complex.n + 1)
+    counts = [0] * (v.complex.n + 1)
+    num = v.numerators
+    for m, w in num.items():
         if m & bit:
             size = m.bit_count()
-            sums[size] = sums.get(size, 0) + (w - worth[m ^ bit])
-            counts[size] = counts.get(size, 0) + 1
-    total = sum((s / counts[size] for size, s in sums.items()), Fraction(0))
-    return total / len(sums)
+            sums[size] += w - num[m ^ bit]
+            counts[size] += 1
+    sizes = [size for size, count in enumerate(counts) if count]
+    scale = math.lcm(*(counts[size] for size in sizes))
+    total = sum(sums[size] * (scale // counts[size]) for size in sizes)
+    return Fraction(total, scale * len(sizes) * v.denominator)
 
 
 def _player_set(v: Game, players: Iterable[int] | None) -> tuple[int, ...]:
@@ -148,18 +157,18 @@ def classical_shapley_all(
         )
     # a prefix of any ordering must be a face, so the players must span one
     v.complex.require_face(Face.from_vertices(ps))
-    worth = v.mask_table()
-    totals = {p: Fraction(0) for p in ps}
+    num = v.numerators
+    totals = dict.fromkeys(ps, 0)
     for order in permutations(ps):
         mask = 0
-        prev = Fraction(0)
+        prev = 0
         for p in order:
             mask |= 1 << (p - 1)
-            cur = worth[mask]
+            cur = num[mask]
             totals[p] += cur - prev
             prev = cur
-    count = math.factorial(len(ps))
-    return {p: t / count for p, t in totals.items()}
+    count = math.factorial(len(ps)) * v.denominator
+    return {p: Fraction(t, count) for p, t in totals.items()}
 
 
 def classical_shapley_oracle(
@@ -246,13 +255,15 @@ def shapley_efficiency_closed_form(
     r = delta.rank
     # a face g extends g - j for each of its vertices j
     ext = Counter(g ^ 1 << j for g in delta.face_masks for j in range(delta.n) if g >> j & 1)
+    by_pair: dict[tuple[int, int], Fraction] = {}  # one a_T per (|T|, ext(T))
     out: EfficiencyCoefficients = {}
     for t in delta.faces[1:]:
-        card = t.cardinality
-        e = ext[t.mask]
-        out[t] = (
-            Fraction(card, s[card - 1]) - (Fraction(e, s[card]) if e else 0)
-        ) / r
+        card, e = t.cardinality, ext[t.mask]
+        if (card, e) not in by_pair:
+            by_pair[card, e] = (
+                Fraction(card, s[card - 1]) - (Fraction(e, s[card]) if e else 0)
+            ) / r
+        out[t] = by_pair[card, e]
     return out
 
 
@@ -277,9 +288,18 @@ def check_efficiency_identity(
     a property of the inputs.
     """
     lhs = sum(group_value(v, tables).values(), Fraction(0))
-    worth = v.mask_table()
-    rhs = sum((a * worth[t.mask] for t, a in coeffs.items()), Fraction(0))
+    rhs = efficiency_rhs(coeffs, v)
     return EfficiencyCheck(lhs == rhs, lhs, rhs, lhs - rhs)
+
+
+def efficiency_rhs(coeffs: EfficiencyCoefficients, v: Game) -> Fraction:
+    """sum_T a_T v(T), exactly: the a_T are scaled to integers over their lcm."""
+    num = v.numerators
+    scale = math.lcm(*(a.denominator for a in coeffs.values()))
+    total = sum(
+        a.numerator * (scale // a.denominator) * num[t.mask] for t, a in coeffs.items()
+    )
+    return Fraction(total, scale * v.denominator)
 
 
 class DecompositionStatus(Enum):
@@ -421,14 +441,10 @@ def axiom_suite(
         star = delta.star(single)
         for _ in range(rounds):
             v = random_game(delta, rng)
-            worth = v.mask_table()
-            w = Game(
-                delta,
-                {
-                    f: worth[f.mask] + (0 if f in star else random_rational(rng))
-                    for f in delta.faces
-                },
+            off_star = Game(
+                delta, {f: random_rational(rng) for f in delta.faces if f not in star}
             )
+            w = scale_add(v, off_star, 1, 1)
             if probabilistic_value(v, i, table) != probabilistic_value(w, i, table):
                 ok, detail = False, "value moved with off-star modification"
                 break

@@ -311,3 +311,66 @@ def test_hostile_input_exits_2(name, files, tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert re.fullmatch(r"error\[\w+\]: [^\n]*\n", err), err
+
+
+EMPTY_COMPLEXES = {"no_facet": '{"n": 2, "facets": []}', "empty_facet": '{"n": 2, "facets": [[]]}'}
+COMMANDS = [
+    ["info"], ["psystem"], ["symmetry"], ["verify"], ["efficiency"],
+    ["shapley", "--game", "{game}"], ["decompose", "--player", "1"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_COMPLEXES))
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_complex_with_no_vertex_is_refused(name, command, tmp_path, capsys):
+    path, game = tmp_path / "empty.json", tmp_path / "game.json"
+    path.write_text(EMPTY_COMPLEXES[name])
+    game.write_text('{"values": {}}')
+    argv = [command[0], "--complex", str(path), *(a.format(game=game) for a in command[1:])]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error[EmptyComplex]: the complex has no vertex\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_result_too_long_to_print_is_a_typed_error(fmt, tmp_path, capsys):
+    # each worth is printable, but their sum has a denominator of over 9000 digits
+    big = 10**3000
+    complex_path, game = tmp_path / "edge.json", tmp_path / "game.json"
+    complex_path.write_text('{"n": 2, "facets": [[1, 2]]}')
+    game.write_text(json.dumps(
+        {"values": {"1": f"1/{big + 1}", "2": f"1/{big + 3}", "1,2": f"1/{big + 7}"}}
+    ))
+    argv = ["shapley", "--complex", str(complex_path), "--game", str(game), "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error\[ResultTooLong\]: [^\n]*\n", err), err
+
+
+def test_value_past_the_float_range_is_approximated(tmp_path, capsys):
+    complex_path, game = tmp_path / "edge.json", tmp_path / "game.json"
+    complex_path.write_text('{"n": 2, "facets": [[1, 2]]}')
+    game.write_text(json.dumps({"values": {"1": str(3 * 10**400), "1,2": "1"}}))
+    code, out, _ = run(capsys, "shapley", "--complex", str(complex_path), "--game", str(game))
+    assert code == 0
+    # phi_1 = (3e400 + 1 - 0) / 2, phi_2 = (1 - 3e400) / 2
+    assert f"1  {3 * 10**400 + 1}/2  1.5e+400\n" in out
+    assert f"2  -{3 * 10**400 - 1}/2  -1.5e+400\n" in out
+
+
+@pytest.mark.parametrize("command", ["shapley", "efficiency", "verify"])
+def test_game_over_a_huge_denominator_is_refused_before_its_table(command, tmp_path, capsys):
+    # 1023 worths over 200-digit denominators M k + 1: any two share at most
+    # a factor of their index difference, so their lcm has about 10^5 digits
+    complex_path, game = tmp_path / "simplex10.json", tmp_path / "game.json"
+    complex_path.write_text(json.dumps({"n": 10, "facets": [list(range(1, 11))]}))
+    m = 10**199
+    game.write_text(json.dumps({"values": {
+        ",".join(str(j + 1) for j in range(10) if mask >> j & 1): f"1/{m * mask + 1}"
+        for mask in range(1, 1 << 10)
+    }}))
+    start = perf_counter()
+    code, out, err = run(capsys, command, "--complex", str(complex_path), "--game", str(game))
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error\[BudgetExceeded\]: [^\n]*\n", err), err

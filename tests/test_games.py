@@ -18,8 +18,14 @@ from simplicial_games import (
     random_monotone_game,
     scale_add,
 )
-from simplicial_games.games import game_from_dict, game_to_dict, random_rational
+from simplicial_games import games
+from simplicial_games.games import (
+    game_from_dict,
+    game_to_dict,
+    random_rational,
+)
 from simplicial_games.errors import (
+    BudgetExceeded,
     ComplexMismatch,
     DimensionMismatch,
     EmptyCarrierNotAllowed,
@@ -28,6 +34,7 @@ from simplicial_games.errors import (
     GameFaceNotInComplex,
     ParseError,
     PermutationNotSymmetry,
+    VertexOutOfRange,
 )
 from simplicial_games.symmetry import moved_facet
 from conftest import figure_a, figure_b, golden_fixtures, random_nonpure_complexes
@@ -377,3 +384,44 @@ def test_game_json_rejects_bad_keys():
             game_from_dict({"values": {key: "1"}}, delta)
     with pytest.raises(ParseError, match="bad coalition key"):
         game_from_dict({"values": {"1_0": "1"}}, SimplicialComplex.from_facets(10, [[1, 10]]))
+    # a well-formed key naming no face, and a worth that is not a string
+    for key, text, error in [
+        ("0", "1", VertexOutOfRange),
+        ("1,1", "1", VertexOutOfRange),
+        ("2,1,2", "1", VertexOutOfRange),
+        ("1", 1, ParseError),
+    ]:
+        with pytest.raises(error) as caught:
+            game_from_dict({"values": {key: text}}, delta)
+        assert type(caught.value) is error
+
+
+def test_table_is_numerators_over_the_lcm_denominator():
+    delta = figure_a()
+    v = Game(delta, {face(1): F(1, 6), face(2, 3): F(-3, 4), face(3): 2})
+    assert v.denominator == 12
+    table = v.numerators
+    assert list(table) == [f.mask for f in delta.faces]
+    assert (table[face(1).mask], table[face(2, 3).mask], table[face(3).mask]) == (2, -9, 24)
+    with pytest.raises(TypeError):
+        table[0] = 1
+    # combining games divides out what the numerators and the denominator share
+    assert scale_add(v, v, 3, -1).denominator == 6
+    assert scale_add(v, v, 1, -1).denominator == 1
+
+
+def test_game_over_too_long_a_denominator_is_refused(monkeypatch):
+    delta = full_simplex(6)
+    # pairwise coprime denominators 2^k - 1, k prime: their lcm is their product
+    primes = [k for k in range(2, 400) if all(k % j for j in range(2, k))]
+    worth = {f: F(1, 2**k - 1) for f, k in zip(delta.faces[1:], primes)}
+    doc = {"values": {",".join(map(str, f.vertices)): str(w) for f, w in worth.items()}}
+    table_bits = len(delta.faces) * Game(delta, worth).denominator.bit_length()
+    assert table_bits == 64 * sum(primes[:63])
+    monkeypatch.setattr(games, "TABLE_BITS_BUDGET", table_bits)
+    assert game_from_dict(doc, delta) == Game(delta, worth)
+    monkeypatch.setattr(games, "TABLE_BITS_BUDGET", table_bits - 1)
+    with pytest.raises(BudgetExceeded):
+        Game(delta, worth)
+    with pytest.raises(BudgetExceeded):
+        game_from_dict(doc, delta)
