@@ -1,10 +1,12 @@
 """Simplicial complexes over the vertex set {1, ..., n} and their queries.
 
 Faces are immutable 64-bit vertex bitmasks (hard cap n <= 64), so subset
-tests are O(1).  A complex materializes its full face set eagerly at
-construction: every downstream formula sums over faces or links, and the
-canonical ordering (cardinality, then lexicographic on the vertex tuple)
-is fixed wherever output order matters.
+tests are O(1).  ``SimplicialComplex(n, faces)`` takes any face family on
+[n] and materializes its downward closure eagerly: every downstream formula
+sums over faces or links, and the canonical ordering (cardinality, then
+lexicographic on the vertex tuple) is fixed wherever output order matters.
+A closure whose walk would pass ``FACE_BUDGET`` subsets is refused before
+it starts.
 
 A link is read as ``link(s)``, the faces through s minus s, on the *same*
 ground set [n], so per-face weight tables index directly into them.
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .errors import (
+    BudgetExceeded,
     EmptyComplex,
     FaceNotInComplex,
     FileNotFound,
@@ -29,7 +32,9 @@ from .errors import (
 )
 
 MAX_VERTICES = 64
-LOW64 = (1 << 64) - 1
+FACE_BUDGET = 1 << 20  # subsets one closure may walk: 2^|facet| summed over facets
+# each byte bit-reversed and complemented: the low 64 bits of Face.sort_key
+_FLIPPED = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 FVector = tuple[int, ...]
 
@@ -88,7 +93,8 @@ class Face:
         of one size the one holding the lowest vertex they differ in is smaller.
         """
         m = self.mask
-        return m.bit_count() << 64 | LOW64 ^ int(f"{m:064b}"[::-1], 2)
+        flipped = m.to_bytes(8, "little").translate(_FLIPPED)
+        return m.bit_count() << 64 | int.from_bytes(flipped, "big")
 
     def __str__(self) -> str:
         return format_ids(self.vertices)
@@ -112,79 +118,67 @@ def as_face(obj: FaceLike) -> Face:
     return obj if isinstance(obj, Face) else Face.from_vertices(obj)
 
 
-def _subfaces(face: Face) -> Iterator[Face]:
-    """All subsets of ``face``, the face itself included (submask walk)."""
-    mask = face.mask
-    sub = mask
-    while True:
-        yield Face(sub)
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def _check_vertex_ids(n: int, faces: Iterable[Face]) -> None:
-    """Raise unless 0 <= n <= MAX_VERTICES and every face lies in 1..n."""
+def _check_vertex_ids(n: int, masks: Iterable[int]) -> None:
+    """Raise unless 0 <= n <= MAX_VERTICES and every face mask lies in 1..n."""
     if n > MAX_VERTICES:
         raise TooManyVertices(f"at most {MAX_VERTICES} vertices supported, got n={n}")
     if n < 0:
         raise VertexOutOfRange(f"vertex count must be >= 0, got {n}")
     limit = (1 << n) - 1
-    for f in faces:
-        if f.mask & ~limit:
-            raise VertexOutOfRange(f"face {f} has vertices outside 1..{n}")
+    for m in masks:
+        if m & ~limit:
+            raise VertexOutOfRange(f"face {Face(m)} has vertices outside 1..{n}")
 
 
 class SimplicialComplex:
-    """A downward-closed family of faces, with its facet list and rank.
+    """The downward closure of a face family, with its facet list and rank.
 
-    Construct via :meth:`from_facets`; ``faces`` is the full closure in
-    canonical order, ``facets`` the inclusion-maximal members, ``rank`` the
-    largest face cardinality (-1 for the empty family).  The constructor
-    takes the face family as given: it must be downward closed, and the
-    facet pass relies on that.
+    ``faces`` is the full closure in canonical order, ``facets`` the
+    inclusion-maximal inputs, ``rank`` the largest face cardinality (-1 for
+    the empty family).
     """
 
     __slots__ = ("n", "faces", "facets", "rank", "_face_masks")
 
-    def __init__(self, n: int, faces: Iterable[Face]):
-        """Store a downward-closed family of faces on the ground set [n].
+    def __init__(self, n: int, faces: Iterable[FaceLike]):
+        """The closure of ``faces``, any family of faces on the ground set [n].
 
-        ``faces`` must be downward closed (every subset of a face is listed);
-        this is not checked.  Then f is a facet iff no f + j is a face, that
-        is, iff f is not g - j for a face g and a vertex j of g: one pass
-        over the vertices of every face marks the faces that are not facets.
+        The distinct inputs are walked largest first.  An input already in
+        the closure lies inside a larger input; every other input is a facet,
+        and its subsets join the closure.  Before each facet is walked its
+        2^|facet| subsets are counted, and BudgetExceeded is raised once the
+        count would pass FACE_BUDGET.
         """
-        face_set = frozenset(faces)
-        _check_vertex_ids(n, face_set)
-        self.n = n
-        self.faces: tuple[Face, ...] = tuple(sorted(face_set, key=Face.sort_key))
-        self._face_masks = frozenset(f.mask for f in face_set)
-        covered = set()
-        for mask in self._face_masks:
-            rest = mask
+        masks = [as_face(f).mask for f in faces]
+        _check_vertex_ids(n, masks)
+        closure: set[int] = set()
+        facets = set()
+        walked = 0
+        for m in sorted(set(masks), key=int.bit_count, reverse=True):
+            if m in closure:
+                continue
+            walked += 1 << m.bit_count()
+            if walked > FACE_BUDGET:
+                raise BudgetExceeded(
+                    f"closure would walk {walked} subsets, over the budget of {FACE_BUDGET}"
+                )
+            facets.add(m)
+            subs, rest = [0], m
             while rest:
                 low = rest & -rest
-                covered.add(mask ^ low)
+                subs += [s | low for s in subs]
                 rest ^= low
-        self.facets: tuple[Face, ...] = tuple(
-            f for f in self.faces if f.mask not in covered
-        )
-        self.rank = max((f.cardinality for f in face_set), default=-1)
+            closure.update(subs)
+        self.n = n
+        self.faces: tuple[Face, ...] = tuple(sorted(map(Face, closure), key=Face.sort_key))
+        self.facets: tuple[Face, ...] = tuple(f for f in self.faces if f.mask in facets)
+        self.rank = self.faces[-1].cardinality if self.faces else -1
+        self._face_masks = frozenset(closure)
 
     @classmethod
     def from_facets(cls, n: int, facet_list: Iterable[FaceLike]) -> "SimplicialComplex":
-        """Build the downward closure of the given faces.
-
-        Redundant (non-maximal) inputs are absorbed; the facet list is
-        recomputed from the closure.
-        """
-        faces = [as_face(raw) for raw in facet_list]
-        _check_vertex_ids(n, faces)  # before the closure, which is 2^|face| each
-        closure: set[Face] = set()
-        for face in faces:
-            closure.update(_subfaces(face))
-        return cls(n, closure)
+        """The downward closure of the given faces; non-maximal inputs are absorbed."""
+        return cls(n, facet_list)
 
     # -- membership ---------------------------------------------------
 

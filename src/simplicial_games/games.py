@@ -317,6 +317,9 @@ def game_from_dict(data: object, delta: SimplicialComplex) -> Game:
         # ids are compared with n before the mask, which is max(ids) bits wide
         if max(ids) > delta.n or (m := Face.from_vertices(ids).mask) not in delta.face_masks:
             raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")
+        if m in worth:  # read already, under another spelling
+            first = next(k for k in raw if Face.from_vertices(_coalition_ids(k)).mask == m)
+            raise ParseError(f"keys {first!r} and {key!r} name one coalition {Face(m)}")
         if not isinstance(text, str):
             raise ParseError(f"worth of {key!r} must be a rational string")
         worth[m] = parse_rational(text)

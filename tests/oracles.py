@@ -67,7 +67,7 @@ def link_masks(n: int, faces: set[int], s: int) -> set[int]:
 
 
 def built_link(delta, s) -> SimplicialComplex:
-    """Link(s) built as a complex on [n]: closed, facet pass and sorted."""
+    """Link(s) built as a complex on [n]: the constructor closes its faces."""
     return SimplicialComplex(delta.n, delta.link(s))
 
 

@@ -237,6 +237,20 @@ def test_out_of_range_facet_rejected_before_closure(tmp_path, capsys):
     assert re.fullmatch(r"error\[VertexOutOfRange\]: [^\n]*\n", err), err
 
 
+@pytest.mark.parametrize("command", [["info"], ["shapley", "--game", "{game}"]], ids=["info", "shapley"])
+def test_exponential_closure_is_refused_before_it_starts(command, files, tmp_path, capsys):
+    # one 30-vertex facet has 2^30 subsets, over the closure budget
+    path = tmp_path / "simplex30.json"
+    path.write_text(json.dumps({"n": 30, "facets": [list(range(1, 31))]}))
+    argv = [command[0], "--complex", str(path), *command[1:]]
+    argv = [a.format(game=files["edge_game.json"]) for a in argv]
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error\[BudgetExceeded\]: [^\n]*\n", err), err
+
+
 HUGE_ID = 10**9
 
 

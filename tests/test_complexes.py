@@ -1,12 +1,13 @@
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from simplicial_games import EMPTY_FACE, Face, SimplicialComplex, full_simplex
+from simplicial_games import EMPTY_FACE, Face, SimplicialComplex, complexes, full_simplex
 from simplicial_games.complexes import complex_from_dict, complex_to_dict
 from simplicial_games.errors import (
+    BudgetExceeded,
     EmptyComplex,
     FaceNotInComplex,
     ParseError,
@@ -96,6 +97,55 @@ def test_vertex_out_of_range():
 def test_too_many_vertices():
     with pytest.raises(TooManyVertices):
         SimplicialComplex.from_facets(65, [[1]])
+
+
+@st.composite
+def face_families(draw):
+    """Any family of faces on [n], with duplicates, nested inputs and the empty face."""
+    n = draw(st.integers(0, 7))
+    family = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    for m in list(family):
+        if draw(st.booleans()):
+            family.append(m)
+        if draw(st.booleans()):
+            family.append(m & draw(st.integers(0, (1 << n) - 1)))
+    return n, draw(st.permutations(family))
+
+
+@given(face_families())
+@example((3, [0b111, 0b1]))  # not closed: {1,2} is a face, {1} is no facet
+@example((4, []))
+@example((4, [0]))
+def test_constructor_builds_the_closure_of_any_family(case):
+    n, family = case
+    delta = SimplicialComplex(n, [Face(m) for m in family])
+    faces = closure_masks(n, family)
+    assert masks(delta) == faces
+    assert {f.mask for f in delta.facets} == facet_masks_of(faces)
+    for part in (delta.faces, delta.facets):
+        assert list(part) == sorted(part, key=Face.sort_key)
+    assert delta.rank == max((m.bit_count() for m in faces), default=-1)
+    assert delta == SimplicialComplex.from_facets(n, [Face(m).vertices for m in family])
+    assert delta == SimplicialComplex.from_facets(n, delta.facets)
+
+
+def test_closure_budget_boundary(monkeypatch):
+    # the walk counts 2^|facet| per facet; {1,2} lies inside {1,...,5} and is skipped
+    family = [[1, 2], [6], [1, 2, 3, 4, 5]]
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 2**5 + 2**1)
+    assert len(SimplicialComplex(6, family).faces) == 2**5 + 1
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 2**5 + 2**1 - 1)
+    with pytest.raises(BudgetExceeded):
+        SimplicialComplex(6, family)
+    # the largest facet comes first, so it is refused before any subset is built
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 2**5 - 1)
+    with pytest.raises(BudgetExceeded, match=f"walk {2**5} subsets"):
+        SimplicialComplex(6, family)
+
+
+def test_the_17_simplex_builds_within_the_budget():
+    assert 1 << 17 <= complexes.FACE_BUDGET
+    assert len(full_simplex(17).faces) == 1 << 17
 
 
 def test_deterministic_face_order():
@@ -321,7 +371,7 @@ def test_closed_forms_match_link_walks():
 
 
 def test_constructions_return_closed_families():
-    # the facet pass of the constructor relies on a downward-closed family
+    # a link is read off the faces, not closed again: its family must be closed
     for delta in [*NONPURE, figure_a(), full_simplex(6)]:
         assert is_downward_closed(masks(delta))
         for s in delta.faces:

@@ -378,6 +378,11 @@ def test_game_json_rejects_bad_keys():
         game_from_dict({"values": {"1,4": "1"}}, delta)
     with pytest.raises(ParseError):
         game_from_dict({"values": {"1": "0.5"}}, delta)
+    # two keys spelling one coalition: neither silently wins
+    for first, second in [("1,2", "2,1"), ("3", "03"), ("2,3", "3,02")]:
+        values = {"1": "1", first: "1", second: "2"}
+        with pytest.raises(ParseError, match=f"keys '{first}' and '{second}' name one"):
+            game_from_dict({"values": values}, delta)
     # an id is a run of ASCII digits: no sign, space, underscore or other digits
     for key in ("+2", " 2", "2 ", "-1", "\u0662", "1,,2", "1, 2", "1,"):
         with pytest.raises(ParseError, match="bad coalition key"):
