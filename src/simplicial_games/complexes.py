@@ -138,7 +138,7 @@ class SimplicialComplex:
     the empty family).
     """
 
-    __slots__ = ("n", "faces", "facets", "rank", "_face_masks")
+    __slots__ = ("n", "faces", "facets", "rank", "_face_masks", "_link_f_vectors")
 
     def __init__(self, n: int, faces: Iterable[FaceLike]):
         """The closure of ``faces``, any family of faces on the ground set [n].
@@ -174,6 +174,7 @@ class SimplicialComplex:
         self.facets: tuple[Face, ...] = tuple(f for f in self.faces if f.mask in facets)
         self.rank = self.faces[-1].cardinality if self.faces else -1
         self._face_masks = frozenset(closure)
+        self._link_f_vectors: dict[int, FVector] | None = None
 
     @classmethod
     def from_facets(cls, n: int, facet_list: Iterable[FaceLike]) -> "SimplicialComplex":
@@ -246,18 +247,21 @@ class SimplicialComplex:
         """f(Link(v)) for every vertex v, ascending, counted without building a link.
 
         Link(v) has a face of cardinality c per face through v of cardinality c+1.
+        The counts are taken once per complex; each call returns a fresh dict.
         """
-        counts: list[list[int]] = [[] for _ in range(self.n)]
-        for f in self._face_masks:
-            card = f.bit_count()
-            while f:
-                low = f & -f
-                row = counts[low.bit_length() - 1]
-                if len(row) < card:
-                    row.extend([0] * (card - len(row)))
-                row[card - 1] += 1
-                f ^= low
-        return {v + 1: tuple(row) for v, row in enumerate(counts) if row}
+        if self._link_f_vectors is None:
+            counts: list[list[int]] = [[] for _ in range(self.n)]
+            for f in self._face_masks:
+                card = f.bit_count()
+                while f:
+                    low = f & -f
+                    row = counts[low.bit_length() - 1]
+                    if len(row) < card:
+                        row.extend([0] * (card - len(row)))
+                    row[card - 1] += 1
+                    f ^= low
+            self._link_f_vectors = {v + 1: tuple(row) for v, row in enumerate(counts) if row}
+        return dict(self._link_f_vectors)
 
     def has_pure_links(self) -> bool:
         """True iff every vertex link has all facets of cardinality rank-1.

@@ -15,11 +15,14 @@ stabilizer chain of 1, 2, ..., n.
 
 The generated subgroup driving the symmetry reduction is built from two
 generator families: for every vertex i, the permutation swapping two
-equal-cardinality members L, T of the vertex link (realized canonically as
-the sorted pairing of L-minus-T with T-minus-L), and every transposition
-(i, j) whose vertex links share at least one face.  Generators preserving
-the complex imply the generated group does, so containment is checked on
-generators only.
+equal-cardinality members L, T of the vertex link (the sorted pairing of
+L-minus-T with T-minus-L), and every transposition (i, j) whose vertex
+links share a face.  Every vertex link holds the empty face, so the
+generated subgroup is Sym(V), V the vertex set, and it preserves the
+complex exactly when the complex is a skeleton of the simplex on V: cycles
+and the Petersen graph are refused, although vertex-transitive.  The
+paper's own generator family cannot be checked against its abstract
+alone, so this reading is kept.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
+from math import comb
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .complexes import Face, FVector, SimplicialComplex
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     EmptyComplex,
     GroundSetTooLarge,
@@ -44,6 +49,7 @@ if TYPE_CHECKING:
     from .values import ProbabilityTable
 
 SYMM_GROUP_MAX_N = 10
+PAIR_BUDGET = 1 << 25  # pairs of equal-size link faces one generator walk may examine
 
 
 def _image_mask(mask: int, bits: list[int]) -> int:
@@ -236,58 +242,64 @@ def symm_group(delta: SimplicialComplex) -> SymmetryGroup:
     return SymmetryGroup(delta)
 
 
+def _swap_images(identity: list[int], left: int, right: int) -> tuple[int, ...]:
+    """The image tuple of the swap pairing the bits of two masks in ascending order."""
+    images = identity.copy()
+    while left:
+        a, b = (left & -left).bit_length() - 1, (right & -right).bit_length() - 1
+        images[a], images[b] = b + 1, a + 1
+        left &= left - 1
+        right &= right - 1
+    return tuple(images)
+
+
 def swap_permutation(n: int, left: Face, right: Face) -> Permutation:
     """The permutation exchanging two equal-cardinality sets.
 
     The symmetric differences are paired in sorted order; the overlap and
     everything else stay fixed.
     """
-    lo = sorted(left.difference(right).vertices)
-    ro = sorted(right.difference(left).vertices)
+    lo, ro = left.difference(right), right.difference(left)
     if len(lo) != len(ro):
         raise ValueError("sets must have equal cardinality")
-    mapping = {}
-    for a, b in zip(lo, ro):
-        mapping[a] = b
-        mapping[b] = a
-    return Permutation.from_mapping(n, mapping)
+    if (lo.mask | ro.mask) >> n:
+        raise ValueError(f"sets must lie in 1..{n}")
+    return Permutation(_swap_images(list(range(1, n + 1)), lo.mask, ro.mask))
+
+
+def _generators(delta: SimplicialComplex) -> Iterator[Permutation]:
+    """The generators of :func:`pi_delta_generators`, lazily, in its order."""
+    pairs = sum(f * (f - 1) // 2 for fv in delta.link_f_vectors().values() for f in fv)
+    if pairs > PAIR_BUDGET:
+        raise BudgetExceeded(
+            f"generator walk would examine {pairs} link-face pairs, over {PAIR_BUDGET}"
+        )
+    n, verts, ident = delta.n, delta.vertices, list(range(1, delta.n + 1))
+    seen: set[tuple[int, ...]] = set()
+    for i in verts:
+        link = delta.link(Face.from_vertices([i]))[1:]  # nonempty T
+        for _, same in groupby(link, key=len):
+            for left, right in combinations([t.mask for t in same], 2):
+                if not left & right and (key := _swap_images(ident, left, right)) not in seen:
+                    seen.add(key)
+                    yield swap_permutation(n, Face(left), Face(right))
+    for i, j in combinations(verts, 2):
+        if (key := _swap_images(ident, 1 << i - 1, 1 << j - 1)) not in seen:
+            seen.add(key)
+            yield Permutation.transposition(n, i, j)
 
 
 def pi_delta_generators(delta: SimplicialComplex) -> tuple[Permutation, ...]:
     """Generators of the subgroup the symmetry reduction quantifies over.
 
-    Deduplicated, in deterministic order: link-pair swaps per vertex first,
-    then the link-intersection transpositions.  None is the identity: a swap
-    of two distinct sets moves their symmetric difference.
+    Link-pair swaps per vertex first, then every transposition, since every
+    vertex link holds the empty face.  Only disjoint pairs are swapped: if
+    L, T are in Link(i), so are L-T and T-L, a smaller pair giving the same
+    swap earlier.  A candidate is dropped before it is built when its image
+    tuple was seen already; none is the identity.  BudgetExceeded is raised
+    before the first pair if the walk would pass PAIR_BUDGET link pairs.
     """
-    out: list[Permutation] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def emit(p: Permutation) -> None:
-        if p.images not in seen:
-            seen.add(p.images)
-            out.append(p)
-
-    # A swap depends only on the unordered pair (L-T, T-L), so candidates
-    # are deduplicated on that pair of masks before a Permutation is built.
-    swapped: set[tuple[int, int]] = set()
-    verts = delta.vertices
-    for i in verts:
-        by_card: dict[int, list[int]] = {}
-        for t in delta.link(Face.from_vertices([i]))[1:]:  # nonempty T
-            by_card.setdefault(t.cardinality, []).append(t.mask)
-        for card in sorted(by_card):
-            for left, right in combinations(by_card[card], 2):
-                lo, ro = left & ~right, right & ~left
-                key = (lo, ro) if lo < ro else (ro, lo)
-                if key not in swapped:
-                    swapped.add(key)
-                    emit(swap_permutation(delta.n, Face(left), Face(right)))
-    # Every vertex link contains the empty face, so any two vertex links
-    # share a face: every transposition of two vertices is a generator.
-    for i, j in combinations(verts, 2):
-        emit(Permutation.transposition(delta.n, i, j))
-    return tuple(out)
+    return tuple(_generators(delta))
 
 
 @dataclass(frozen=True)
@@ -302,15 +314,20 @@ class ContainmentReport:
 def check_pi_delta_contained(delta: SimplicialComplex) -> ContainmentReport:
     """True iff every generator preserves the complex.
 
-    Preservation is closed under composition and inverse, so generators
-    suffice.  On failure, reports the offending generator and a face it
-    maps outside the complex.
+    The generators generate Sym(V), which preserves the complex exactly when
+    its faces are all the subsets of V of size at most rank: when there are
+    sum_c C(|V|, c) of them.  Otherwise the generators are walked in order,
+    and the first that moves a facet is reported with that facet.
     """
-    for gen in pi_delta_generators(delta):
-        moved = moved_facet(delta, gen)
-        if moved is not None:
-            return ContainmentReport(False, gen, moved)
-    return ContainmentReport(True)
+    size = len(delta.vertices)
+    if len(delta.faces) == sum(comb(size, c) for c in range(delta.rank + 1)):
+        return ContainmentReport(True)
+    # some transposition moves a face, so the walk stops at a witness
+    return next(
+        ContainmentReport(False, gen, moved)
+        for gen in _generators(delta)
+        if (moved := moved_facet(delta, gen)) is not None
+    )
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ suite that the package's closed forms replaced, and
 ``probabilistic_value_ref``, ``is_dummy_ref`` and ``is_monotone_ref`` the
 link and covering-pair walks that the mask-table kernels replaced, and
 ``efficiency_coefficients_ref`` the per-face gain/loss sum that the
-scatter over the tables replaced, kept as the references their results
-must equal.  ``built_link`` builds a link as a complex, which no command
-does: ``SimplicialComplex.link`` returns only its faces.
+scatter over the tables replaced, and ``pi_delta_contained_ref`` the
+generator walk that the face-count containment test replaced, kept as the
+references their results must equal.  ``built_link`` builds a link as a
+complex, which no command does: ``SimplicialComplex.link`` returns only its
+faces.
 """
 
 from fractions import Fraction
@@ -127,6 +129,10 @@ def symm_order(n: int, faces: set[int]) -> int:
     return len(symm_elements(n, faces))
 
 
+def vertices_of(n: int, m: int) -> list[int]:
+    return [v for v in range(1, n + 1) if m >> (v - 1) & 1]
+
+
 def pi_delta_generators_ref(n: int, faces: set[int]) -> list[tuple[int, ...]]:
     """Image tuples of the generated subgroup's generators, by definition.
 
@@ -143,21 +149,19 @@ def pi_delta_generators_ref(n: int, faces: set[int]) -> list[tuple[int, ...]]:
         if images != tuple(range(1, n + 1)) and images not in out:
             out.append(images)
 
-    def vertices_of(m):
-        return [v for v in range(1, n + 1) if m >> (v - 1) & 1]
-
     verts = [v for v in range(1, n + 1) if 1 << (v - 1) in faces]
     links = {i: link_masks(n, faces, 1 << (i - 1)) for i in verts}
     for i in verts:
         # canonical face order: cardinality, then the sorted vertex tuple
-        members = sorted(links[i], key=lambda m: (m.bit_count(), vertices_of(m)))
+        members = sorted(links[i], key=lambda m: (m.bit_count(), vertices_of(n, m)))
         for card in range(1, n + 1):
             same = [t for t in members if t.bit_count() == card]
             for a in range(len(same)):
                 for b in range(a + 1, len(same)):
                     left, right = same[a], same[b]
                     images = list(range(1, n + 1))
-                    for x, y in zip(vertices_of(left & ~right), vertices_of(right & ~left)):
+                    lo, ro = vertices_of(n, left & ~right), vertices_of(n, right & ~left)
+                    for x, y in zip(lo, ro):
                         images[x - 1], images[y - 1] = y, x
                     emit(tuple(images))
     for a in range(len(verts)):
@@ -168,6 +172,22 @@ def pi_delta_generators_ref(n: int, faces: set[int]) -> list[tuple[int, ...]]:
                 images[i - 1], images[j - 1] = j, i
                 emit(tuple(images))
     return out
+
+
+def pi_delta_contained_ref(n: int, faces: set[int]) -> tuple[tuple[int, ...], int] | None:
+    """None when every generator maps every face to a face, by definition.
+
+    Otherwise the first generator of ``pi_delta_generators_ref`` that does
+    not, with the first facet in canonical order it maps outside.
+    """
+    facets = sorted(facet_masks_of(faces), key=lambda m: (m.bit_count(), vertices_of(n, m)))
+    for images in pi_delta_generators_ref(n, faces):
+        def image(m):
+            return sum(1 << (images[v - 1] - 1) for v in vertices_of(n, m))
+
+        if any(image(f) not in faces for f in faces):
+            return images, next(f for f in facets if image(f) not in faces)
+    return None
 
 
 def eliminate_rank(rows: list[list[Fraction]]) -> int:

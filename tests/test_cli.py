@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -249,6 +253,21 @@ def test_exponential_closure_is_refused_before_it_starts(command, files, tmp_pat
     assert perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert re.fullmatch(r"error\[BudgetExceeded\]: [^\n]*\n", err), err
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_generator_walk_past_the_budget_is_refused_in_a_fresh_process(n, tmp_path):
+    # the 14-simplex has 72,746,856 pairs of equal-size link faces to walk
+    path = tmp_path / f"simplex{n}.json"
+    path.write_text(json.dumps({"n": n, "facets": [list(range(1, n + 1))]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    argv = [sys.executable, "-m", "simplicial_games.cli", "symmetry", "--complex", str(path)]
+    start = perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert re.fullmatch(r"error\[BudgetExceeded\]: [^\n]*\n", proc.stderr), proc.stderr
 
 
 HUGE_ID = 10**9

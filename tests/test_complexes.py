@@ -370,6 +370,16 @@ def test_closed_forms_match_link_walks():
             assert {f.mask for f in delta.star(s)} == star_masks(faces, s.mask)
 
 
+def test_link_f_vectors_are_counted_once_and_returned_fresh():
+    delta = figure_a()
+    counts = delta.link_f_vectors()
+    counts[3] = (0,)  # a caller's dict is its own
+    delta._face_masks = frozenset()  # a second count would find no vertex
+    assert delta.link_f_vectors() == {
+        v: built_link(figure_a(), face(v)).f_vector() for v in range(1, 6)
+    }
+
+
 def test_constructions_return_closed_families():
     # a link is read off the faces, not closed again: its family must be closed
     for delta in [*NONPURE, figure_a(), full_simplex(6)]:

@@ -27,6 +27,7 @@ from simplicial_games import SimplicialComplex, full_simplex
 from simplicial_games.cli import main
 from simplicial_games.complexes import complex_to_dict
 from simplicial_games.games import game_to_dict, random_game
+from simplicial_games.symmetry import check_pi_delta_contained
 from conftest import golden_fixtures
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,6 +102,18 @@ def test_seeded_nonpure_is_not_pure():
 def test_symmetry_stdout_matches_golden(name, fmt, tmp_path):
     got = command_stdout("symmetry", FIXTURES[name], fmt, tmp_path)
     assert got == golden_path("symmetry", name, fmt).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_symmetry_containment_is_the_library_report(name):
+    # the command walks every generator; the library counts faces first
+    doc = json.loads(golden_path("symmetry", name, "json").read_text())
+    report = check_pi_delta_contained(FIXTURES[name])
+    assert doc["pi_delta_contained"] == report.contained
+    assert doc["witness"] == (None if report.contained else {
+        "perm": list(report.witness_generator.images),
+        "face": list(report.witness_face.vertices),
+    })
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

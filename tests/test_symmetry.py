@@ -1,11 +1,15 @@
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from random import Random
+from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplicial_games import (
+    ContainmentReport,
     Face,
     Permutation,
     SimplicialComplex,
@@ -23,7 +27,9 @@ from simplicial_games import (
     swap_permutation,
     symm_group,
 )
+from simplicial_games import symmetry
 from simplicial_games.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     EmptyComplex,
     GroundSetTooLarge,
@@ -31,12 +37,13 @@ from simplicial_games.errors import (
     NotPureLinks,
 )
 from simplicial_games.values import ProbabilityTable
-from conftest import cycle, figure_a, figure_b
+from conftest import cycle, figure_a, figure_b, petersen
 from oracles import (
     built_link,
     compose,
     inverse,
     link_transposition_bijection,
+    pi_delta_contained_ref,
     pi_delta_generators_ref,
     symm_elements,
     symm_order,
@@ -190,6 +197,12 @@ def test_swap_permutation_overlapping_pair():
     assert pi == Permutation.transposition(4, 1, 3)
 
 
+@pytest.mark.parametrize("left, right", [((1,), (2, 3)), ((1,), (4,))])
+def test_swap_permutation_rejects_unequal_or_outside_sets(left, right):
+    with pytest.raises(ValueError):
+        swap_permutation(3, face(*left), face(*right))
+
+
 def test_generators_full_simplex_include_all_transpositions():
     gens = set(pi_delta_generators(full_simplex(3)))
     for i, j in combinations(range(1, 4), 2):
@@ -275,6 +288,86 @@ def test_containment_spot_check_closure():
                 for c in gens[:3]:
                     product = compose(compose(a, b), c)
                     assert permutation_preserves(delta, Permutation(product))
+
+
+def ref_report(delta: SimplicialComplex) -> ContainmentReport:
+    """The containment report of the reference walk over every generator."""
+    ref = pi_delta_contained_ref(delta.n, {f.mask for f in delta.faces})
+    if ref is None:
+        return ContainmentReport(True)
+    images, facet = ref
+    return ContainmentReport(False, Permutation(images), Face(facet))
+
+
+@st.composite
+def face_families(draw):
+    """Any family on [n], n <= 7, or a skeleton on some vertices with at most one face more."""
+    n = draw(st.integers(0, 7))
+    family = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    if draw(st.booleans()):
+        verts, k = draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, n))
+        family = family[:1] + [
+            m for m in range(1 << n) if m & verts == m and m.bit_count() <= k
+        ]
+    return n, family
+
+
+@settings(max_examples=150, deadline=None)
+@given(face_families())
+@example((5, []))  # the empty family: no vertex, contained
+@example((4, [0]))  # only the empty face
+@example((6, [0b111, 0b1000]))  # an isolated vertex and a triangle
+@example((5, [0b11, 0b1100, 0b10000, 0b11000]))  # non-pure
+@example((4, [0b1111 ^ (1 << v) for v in range(4)]))  # the boundary of a simplex
+def test_containment_matches_the_generator_walk(case):
+    n, family = case
+    delta = SimplicialComplex(n, [Face(m) for m in family])
+    assert check_pi_delta_contained(delta) == ref_report(delta)
+
+
+def test_containment_matches_the_generator_walk_on_seeded_complexes():
+    for delta in random_complexes(31, 300, 7):
+        assert check_pi_delta_contained(delta) == ref_report(delta), delta
+
+
+def test_containment_is_the_face_count_of_a_skeleton():
+    delta = full_simplex(12)
+    start = perf_counter()
+    assert check_pi_delta_contained(delta).contained
+    assert perf_counter() - start < 0.1  # no generator is built
+    for delta in (cycle(5), petersen()):  # vertex-transitive, but not skeleta
+        assert not check_pi_delta_contained(delta).contained
+
+
+def generator_pairs(delta: SimplicialComplex) -> int:
+    """Pairs of equal-size faces of each vertex link, summed over the vertices."""
+    return sum(
+        sum(1 for s, t in combinations(delta.link(face(i)), 2) if len(s) == len(t))
+        for i in delta.vertices
+    )
+
+
+def test_generator_walk_budget_boundary(monkeypatch):
+    delta = figure_a()
+    pairs = generator_pairs(delta)
+    monkeypatch.setattr(symmetry, "PAIR_BUDGET", pairs)
+    gens = [g.images for g in pi_delta_generators(delta)]
+    assert gens == pi_delta_generators_ref(5, {f.mask for f in delta.faces})
+    monkeypatch.setattr(symmetry, "PAIR_BUDGET", pairs - 1)
+    with pytest.raises(BudgetExceeded, match=f"examine {pairs} link-face pairs"):
+        pi_delta_generators(delta)
+    with pytest.raises(BudgetExceeded):  # the witness search walks the same generators
+        check_pi_delta_contained(delta)
+
+
+@pytest.mark.parametrize(
+    "n, pairs", [(8, 13_216), (12, 4_220_304), (13, 17_550_390), (14, 72_746_856)]
+)
+def test_the_generator_budget_admits_simplices_to_13_vertices(n, pairs):
+    # each vertex link of the n-simplex is the simplex on n - 1 vertices
+    assert n * sum(comb(comb(n - 1, c), 2) for c in range(n)) == pairs
+    assert n > 8 or generator_pairs(full_simplex(n)) == pairs
+    assert (pairs <= symmetry.PAIR_BUDGET) == (n <= 13)
 
 
 # -- Shapley classification --------------------------------------------------

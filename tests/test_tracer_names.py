@@ -1,15 +1,22 @@
 """Every name the benchmark's layer tracer wraps still exists in the package.
 
 ``bench/tracer.py`` rebinds functions and methods by name; a rename or a
-deletion in ``src/`` breaks ``bench/run.py --trace 1``.  The tracer is
-loaded by path and left unedited.
+deletion in ``src/`` breaks ``bench/run.py --trace 1``, and so does a
+figure the benchmark divides by reading 0.  The tracer is loaded by path
+and left unedited.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+import simplicial_games
+import simplicial_games.cli
+from simplicial_games.complexes import complex_to_dict
+from conftest import figure_a, figure_b
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -34,3 +41,28 @@ def test_traced_name_resolves(module, path):
     assert callable(getattr(holder, attr))
     if owner:  # a method is patched in its class __dict__, not inherited
         assert attr in holder.__dict__
+
+
+def test_traced_commands_count_what_the_benchmark_divides_by(tmp_path, capsys):
+    # bench/run.py divides by these figures or takes len() of the generators
+    paths = []
+    for name, delta in (("a", figure_a()), ("b", figure_b())):
+        paths.append(tmp_path / f"figure_{name}.json")
+        paths[-1].write_text(json.dumps(complex_to_dict(delta)))
+    runs = [["symmetry", "--complex", str(paths[0])], ["verify", "--complex", str(paths[1])]]
+    tracer = TRACER_MODULE.Tracer(simplicial_games)
+    tracer.install()
+    try:
+        tracer.start_batch()
+        for k, argv in enumerate(runs):
+            tracer.start_command(k)
+            assert simplicial_games.cli.main(argv) == 0
+        tracer.end_batch()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    figures = tracer.batches[-1]
+    built = ("symmetry.swap_permutation.calls", "symmetry.transposition.calls")
+    assert sum(figures.get(name, 0) for name in built) > 0
+    assert figures.get("symmetry.generators", 0) > 0
+    assert figures.get("complexes.link.calls", 0) > 0
