@@ -53,6 +53,7 @@ from .values import (
     group_value,
     probabilistic_value,
     shapley_efficiency_closed_form,
+    shapley_weights,
 )
 
 __version__ = "0.1.0"

@@ -47,6 +47,7 @@ from .values import (
     efficiency_rhs,
     generalized_shapley,
     shapley_efficiency_closed_form,
+    shapley_weights,
 )
 
 EXIT_OK = 0
@@ -224,13 +225,8 @@ def cmd_psystem(args) -> int:
     canonical = None
     canonical_ok = None
     if cls.is_shapley:
-        s = cls.s_vector
-        r = delta.rank
-        canonical = [Fraction(1, r * s[k]) for k in range(r)]
-        canonical_ok = all(
-            sum((Fraction(row[k]) * canonical[k] for k in range(r)), Fraction(0)) == 1
-            for row in rows
-        )
+        canonical = shapley_weights(cls.s_vector)
+        canonical_ok = all(sum(c * w for c, w in zip(row, canonical)) == 1 for row in rows)
     result = {
         "rows": rows,
         "status": solution.status.value,

@@ -101,20 +101,18 @@ class Permutation:
         return Face(_image_mask(face.mask, self.bits))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, each rotated to start at its minimum."""
+        """Nontrivial cycles, walked from the moved vertices up: each starts at its minimum."""
+        images = self.images
         seen: set[int] = set()
         out = []
-        for v in range(1, self.n + 1):
-            if v in seen:
-                continue
-            cyc = [v]
-            seen.add(v)
-            w = self.apply(v)
-            while w != v:
-                cyc.append(w)
-                seen.add(w)
-                w = self.apply(w)
-            if len(cyc) > 1:
+        for v in [v for v, w in enumerate(images, 1) if v != w]:
+            if v not in seen:
+                cyc = [v]
+                w = images[v - 1]
+                while w != v:
+                    cyc.append(w)
+                    w = images[w - 1]
+                seen.update(cyc)
                 out.append(tuple(cyc))
         return tuple(out)
 
@@ -372,9 +370,7 @@ def solve_p_system(delta: SimplicialComplex) -> LinearSolution:
     links), deduplicated before elimination; unknowns are (p_0, ..., p_{r-1}).
     """
     rows, _ = p_system_rows(delta)
-    a = RationalMatrix.from_rows([[Fraction(e) for e in row] for row in rows])
-    b = [Fraction(1)] * len(rows)
-    return solve_exact(a, b)
+    return solve_exact(RationalMatrix.from_rows(rows), [1] * len(rows))
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,14 @@ contributions over the coalitions in the vertex link.  The generalized
 Shapley value picks the weights uniformly over coalition sizes and
 uniformly within each size, sizes counted by the link f-vector:
 
-    (1 / (r_i + 1)) * sum_T (1 / f_{|T|-1}(Link(i))) * (v(T+i) - v(T))
+    p_T = 1 / ((r_i + 1) * f_{|T|-1}(Link(i)))
 
-with r_i the rank of the link.  On a full simplex this reduces exactly to
-the classical Shapley value, which is also implemented here independently
-(by permutation enumeration, not by the weight formula) as the reference
-the tests compare against.  The kernels add and subtract a game's integer
-numerators (weights scaled to integers over their lcm) and build one
-``Fraction`` per result.
+with r_i the rank of the link, defined once, in ``shapley_weights``.  On a
+full simplex this reduces exactly to the classical Shapley value, which is
+also implemented here independently (by permutation enumeration, not by the
+weight formula) as the reference the tests compare against.  The kernels
+sum a game's integer marginals against the weights in ``_dot``, which
+builds one ``Fraction`` per result.
 
 Efficiency aggregates come from the coefficient construction
 
@@ -32,6 +32,7 @@ decomposition for every game, and no game needs to be sampled.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from itertools import chain, permutations
 from random import Random
 from typing import Container, Iterable, Iterator, Mapping
 
-from .complexes import Face, FaceLike, SimplicialComplex, as_face
+from .complexes import Face, FaceLike, FVector, SimplicialComplex, as_face
 from .errors import (
     HypothesisNotMet,
     KeyOutsideLink,
@@ -96,43 +97,54 @@ def _link_weights(
         yield m, m | bit, p
 
 
-def probabilistic_value(v: Game, i: int, table: ProbabilityTable) -> Fraction:
-    """sum_T p_T (v(T+i) - v(T)) over the link of i: the T without i with T+i a face.
+@functools.cache
+def shapley_weights(fv: FVector) -> tuple[Fraction, ...]:
+    """The generalized Shapley weight of a link face of each cardinality c.
 
-    The weights are scaled to integers over their lcm, so the sum is one of ints.
+    p_c = 1 / ((r + 1) * f_c) for a link with f-vector ``fv`` and rank
+    r = len(fv) - 1: uniform over the r + 1 sizes, uniform within each size.
+    Cached: one immutable entry per distinct f-vector, so the kernels build
+    no weight per call.
     """
+    sizes = len(fv)
+    return tuple(Fraction(1, sizes * count) for count in fv)
+
+
+def _dot(pairs: list[tuple[Fraction, int]], denominator: int) -> Fraction:
+    """sum_k w_k c_k / denominator: ints summed per w_k denominator, then over their lcm."""
+    sums: dict[int, int] = {}
+    for w, c in pairs:
+        d = w.denominator
+        sums[d] = sums.get(d, 0) + w.numerator * c
+    scale = math.lcm(*sums)
+    return Fraction(sum(t * (scale // d) for d, t in sums.items()), scale * denominator)
+
+
+def probabilistic_value(v: Game, i: int, table: ProbabilityTable) -> Fraction:
+    """sum_T p_T (v(T+i) - v(T)) over the link of i: the T without i with T+i a face."""
     if table.player != i:
         raise PlayerMismatch(f"table belongs to player {table.player}, not {i}")
     v.complex.require_vertex(i)
     num = v.numerators
-    weights = list(_link_weights(table, i, num))
-    scale = math.lcm(*(p.denominator for _, _, p in weights))
-    total = sum(
-        p.numerator * (scale // p.denominator) * (num[up] - num[m]) for m, up, p in weights
-    )
-    return Fraction(total, scale * v.denominator)
+    marginals = [(p, num[up] - num[m]) for m, up, p in _link_weights(table, i, num)]
+    return _dot(marginals, v.denominator)
 
 
 def generalized_shapley(v: Game, i: int) -> Fraction:
     """The size-uniform value of player i, exactly.
 
     The faces F through i are the T + i for T in the link, so the marginals
-    v(F) - v(F - i) are summed per size |F|, each sum divided once by its
-    count f_{|F|-2}(Link(i)), and the total by the number of sizes, r_i + 1.
+    v(F) - v(F - i) are summed per size |F|, and each sum is weighted once by
+    the Shapley weight of a link face of cardinality |F| - 1.
     """
     bit = v.complex.require_vertex(i).mask
     sums = [0] * (v.complex.n + 1)
-    counts = [0] * (v.complex.n + 1)
     num = v.numerators
     for m, w in num.items():
         if m & bit:
-            size = m.bit_count()
-            sums[size] += w - num[m ^ bit]
-            counts[size] += 1
-    sizes = [size for size, count in enumerate(counts) if count]
-    scale = math.lcm(*(counts[size] for size in sizes))
-    total = sum(sums[size] * (scale // counts[size]) for size in sizes)
-    return Fraction(total, scale * len(sizes) * v.denominator)
+            sums[m.bit_count()] += w - num[m ^ bit]
+    weights = shapley_weights(v.complex.link_f_vectors()[i])
+    return _dot(list(zip(weights, sums[1:])), v.denominator)
 
 
 def _player_set(v: Game, players: Iterable[int] | None) -> tuple[int, ...]:
@@ -188,17 +200,14 @@ def classical_shapley_oracle(
 def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, ProbabilityTable]:
     """The weight tables realizing the generalized Shapley value.
 
-    p_T = 1 / ((r_i + 1) * f_{|T|-1}(Link(i))); each table is a probability
-    distribution (the per-size weights telescope to 1); r_i + 1 = len(fv).
+    Each link face T weighs shapley_weights(f(Link(i)))[|T|]; each table is a
+    probability distribution (the per-size weights telescope to 1).
     """
     tables = {}
     for i, fv in delta.link_f_vectors().items():
-        by_card = [Fraction(1, len(fv) * count) for count in fv]
-        weights = {
-            t: by_card[t.cardinality]
-            for t in delta.link(Face.from_vertices([i]))
-        }
-        tables[i] = ProbabilityTable(i, weights)
+        weights = shapley_weights(fv)
+        link = delta.link(Face.from_vertices([i]))
+        tables[i] = ProbabilityTable(i, {t: weights[t.cardinality] for t in link})
     return tables
 
 
@@ -239,9 +248,9 @@ def shapley_efficiency_closed_form(
 ) -> EfficiencyCoefficients:
     """Closed-form a_T for an s-Shapley complex with pure links.
 
-    A face T gets (1/r) (|T|/s_{|T|-1} - ext(T)/s_{|T|}), ext(T) counting
-    the faces T + j.  A facet has no extension and, the links being pure,
-    r vertices, so it gets 1/s_{r-1}.
+    With w = shapley_weights(s) for the common link f-vector s, a face T
+    gets |T| w_{|T|-1} - ext(T) w_{|T|}, ext(T) counting the faces T + j.
+    A facet has no extension, so it gets |T| w_{|T|-1} alone.
     """
     if not delta.has_pure_links():
         raise NotPureLinks("closed-form coefficients require pure links")
@@ -251,8 +260,7 @@ def shapley_efficiency_closed_form(
             f"closed-form coefficients require a Shapley complex; links of "
             f"vertices {cls.witness} differ"
         )
-    s = cls.s_vector
-    r = delta.rank
+    weights = shapley_weights(cls.s_vector)
     # a face g extends g - j for each of its vertices j
     ext = Counter(g ^ 1 << j for g in delta.face_masks for j in range(delta.n) if g >> j & 1)
     by_pair: dict[tuple[int, int], Fraction] = {}  # one a_T per (|T|, ext(T))
@@ -260,9 +268,7 @@ def shapley_efficiency_closed_form(
     for t in delta.faces[1:]:
         card, e = t.cardinality, ext[t.mask]
         if (card, e) not in by_pair:
-            by_pair[card, e] = (
-                Fraction(card, s[card - 1]) - (Fraction(e, s[card]) if e else 0)
-            ) / r
+            by_pair[card, e] = card * weights[card - 1] - (e * weights[card] if e else 0)
         out[t] = by_pair[card, e]
     return out
 
@@ -293,13 +299,9 @@ def check_efficiency_identity(
 
 
 def efficiency_rhs(coeffs: EfficiencyCoefficients, v: Game) -> Fraction:
-    """sum_T a_T v(T), exactly: the a_T are scaled to integers over their lcm."""
+    """sum_T a_T v(T), exactly."""
     num = v.numerators
-    scale = math.lcm(*(a.denominator for a in coeffs.values()))
-    total = sum(
-        a.numerator * (scale // a.denominator) * num[t.mask] for t, a in coeffs.items()
-    )
-    return Fraction(total, scale * v.denominator)
+    return _dot([(a, num[t.mask]) for t, a in coeffs.items()], v.denominator)
 
 
 class DecompositionStatus(Enum):
@@ -334,36 +336,33 @@ def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
     One equation per coalition T in the link of i:
 
         sum_{F facet >= T+i} c_F (1/|F|) / C(|F|-1, |T|)
-            = (1/(r_i+1)) / f_{|T|-1}(Link(i))
+            = shapley_weights(f(Link(i)))[|T|]
 
     Solved exactly in the unknowns c_F over facets containing i.  The left
     side is the weight the combined classical values put on the marginal
-    v(T+i) - v(T), the right side the weight the generalized value puts on
-    it, so a solution reproduces the generalized value on every game.
+    v(T+i) - v(T), the right side the Shapley weight the generalized value
+    puts on it, so a solution reproduces the generalized value on every game.
     """
     single = delta.require_vertex(i)
-    fv = delta.link_f_vectors()[i]
+    weights = shapley_weights(delta.link_f_vectors()[i])
     facet_order = delta.facets_containing(single)
-    col = {f: k for k, f in enumerate(facet_order)}
-    rows = []
-    rhs = []
-    row_faces = []
-    for t in delta.link(single):
-        coeffs = [Fraction(0)] * len(facet_order)
-        for f in delta.facets_containing(t.union(single)):
-            size = f.cardinality
-            coeffs[col[f]] += Fraction(1, size * math.comb(size - 1, t.cardinality))
-        rows.append(coeffs)
-        rhs.append(Fraction(1, len(fv) * fv[t.cardinality]))
-        row_faces.append(t)
-    solution = solve_exact(RationalMatrix.from_rows(rows), rhs)
+    row_faces = delta.link(single)
+    # i is in every facet of the order, so T + i lies in F exactly when T does
+    zero = Fraction(0)
+    matrix = tuple(
+        tuple(
+            Fraction(1, f.cardinality * math.comb(f.cardinality - 1, t.cardinality))
+            if t.issubset(f)
+            else zero
+            for f in facet_order
+        )
+        for t in row_faces
+    )
+    rhs = tuple(weights[t.cardinality] for t in row_faces)
+    solution = solve_exact(RationalMatrix.from_rows(matrix), rhs)
 
     base = dict(
-        player=i,
-        facet_order=facet_order,
-        row_faces=tuple(row_faces),
-        matrix=tuple(tuple(r) for r in rows),
-        rhs=tuple(rhs),
+        player=i, facet_order=facet_order, row_faces=row_faces, matrix=matrix, rhs=rhs
     )
     if solution.status is SolveStatus.INCONSISTENT:
         return Decomposition(
@@ -373,7 +372,7 @@ def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
         )
     return Decomposition(
         status=DecompositionStatus.EXACT,
-        facet_weights={f: solution.particular[col[f]] for f in facet_order},
+        facet_weights=dict(zip(facet_order, solution.particular)),
         **base,
     )
 

@@ -12,14 +12,18 @@ suite that the package's closed forms replaced, and
 link and covering-pair walks that the mask-table kernels replaced, and
 ``efficiency_coefficients_ref`` the per-face gain/loss sum that the
 scatter over the tables replaced, and ``pi_delta_contained_ref`` the
-generator walk that the face-count containment test replaced, kept as the
-references their results must equal.  ``built_link`` builds a link as a
-complex, which no command does: ``SimplicialComplex.link`` returns only its
-faces.
+generator walk that the face-count containment test replaced, and
+``cycles_ref`` the all-vertex cycle walk that the moved-vertex walk
+replaced, and ``decomposition_system_ref`` the decomposition rows built
+from a scan of every facet per link face, with the weights written out,
+kept as the references their results must equal.  ``built_link`` builds
+a link as a complex, which no command does: ``SimplicialComplex.link``
+returns only its faces.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 from random import Random
 
 from simplicial_games.complexes import EMPTY_FACE, Face, SimplicialComplex
@@ -381,6 +385,46 @@ def inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     for v, w in enumerate(a, start=1):
         inv[w - 1] = v
     return tuple(inv)
+
+
+def cycles_ref(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Nontrivial cycles of a permutation, walked from every vertex in order."""
+    seen: set[int] = set()
+    out = []
+    for v in range(1, len(images) + 1):
+        if v in seen:
+            continue
+        cyc = [v]
+        seen.add(v)
+        w = images[v - 1]
+        while w != v:
+            cyc.append(w)
+            seen.add(w)
+            w = images[w - 1]
+        if len(cyc) > 1:
+            out.append(tuple(cyc))
+    return tuple(out)
+
+
+def decomposition_system_ref(delta, i: int) -> tuple:
+    """(facet_order, row_faces, matrix, rhs) of the decomposition of player i.
+
+    Per link face T, every facet through T + i is found by a scan of all
+    facets and placed in its column; the right side is 1/((r_i+1) f_{|T|-1}).
+    """
+    single = delta.require_vertex(i)
+    fv = delta.link_f_vectors()[i]
+    facet_order = delta.facets_containing(single)
+    col = {f: k for k, f in enumerate(facet_order)}
+    rows, rhs = [], []
+    for t in delta.link(single):
+        coeffs = [Fraction(0)] * len(facet_order)
+        for f in delta.facets_containing(t.union(single)):
+            size = f.cardinality
+            coeffs[col[f]] += Fraction(1, size * comb(size - 1, t.cardinality))
+        rows.append(tuple(coeffs))
+        rhs.append(Fraction(1, len(fv) * fv[t.cardinality]))
+    return facet_order, delta.link(single), tuple(rows), tuple(rhs)
 
 
 def link_transposition_bijection(delta, i: int, j: int) -> dict:

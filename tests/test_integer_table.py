@@ -3,8 +3,10 @@
 A game stores int numerators over one denominator, and the value kernels
 add ints.  Here the games are hostile to that: mixed signs, zeros, and
 large pairwise-coprime denominators (2^p - 1 for distinct primes p share no
-factor), on seeded random non-pure complexes with n <= 7.  Every kernel must
-equal the definitional Fraction computation exactly.
+factor), on seeded random non-pure complexes with n <= 7.  The weight
+tables and efficiency coefficients are as hostile: signed, zero, empty, or
+all over one large denominator.  Every kernel must equal the definitional
+Fraction computation exactly.
 """
 
 import math
@@ -76,14 +78,29 @@ def additive_worths(delta: SimplicialComplex, rng: Random) -> dict[Face, Fractio
     return {f: sum((c[j] for j in f.vertices), F(0)) for f in delta.faces}
 
 
+def signed_table(delta: SimplicialComplex, i: int, rng: Random) -> ProbabilityTable:
+    """Signed weights (zeros included) on Link(i): on every face, on some faces
+    (maybe none), all zero, or all over one large denominator."""
+    link = delta.link(Face.from_vertices([i]))
+    kind = rng.choice(("every face", "some faces", "zeros", "one denominator"))
+    if kind == "some faces":
+        link = rng.sample(link, rng.randint(0, len(link)))
+    if kind == "zeros":
+        return ProbabilityTable(i, {t: F(0) for t in link})
+    if kind == "one denominator":
+        d = rng.choice(DENOMINATORS[3:])
+        return ProbabilityTable(i, {t: F(rng.randint(-(10**20), 10**20), d) for t in link})
+    return ProbabilityTable(i, {t: random_rational(rng) for t in link})
+
+
 def signed_tables(delta: SimplicialComplex, rng: Random) -> dict[int, ProbabilityTable]:
-    """Per player, signed weights (zeros included) on every face of its link."""
-    return {
-        i: ProbabilityTable(
-            i, {t: random_rational(rng) for t in delta.link(Face.from_vertices([i]))}
-        )
-        for i in delta.vertices
-    }
+    return {i: signed_table(delta, i, rng) for i in delta.vertices}
+
+
+def signed_coefficients(delta: SimplicialComplex, rng: Random) -> dict[Face, Fraction]:
+    """Signed a_T on some nonempty faces (maybe none), as ``efficiency_rhs`` takes them."""
+    faces = rng.sample(delta.faces[1:], rng.randint(0, len(delta.faces) - 1))
+    return {t: random_rational(rng) for t in faces}
 
 
 def games_of(delta: SimplicialComplex, rng: Random) -> list[Game]:
@@ -117,8 +134,11 @@ def test_integer_kernels_equal_the_fraction_references(seed):
             assert generalized_shapley(v, i) == generalized_shapley_ref(v, i)
             phi[i] = probabilistic_value_ref(v, i, tables[i])
             assert probabilistic_value(v, i, tables[i]) == phi[i]
+            assert probabilistic_value(v, i, ProbabilityTable(i, {})) == 0
         rhs = sum((a * worth[t] for t, a in coeffs.items()), F(0))
         assert efficiency_rhs(coeffs, v) == rhs
+        drawn = signed_coefficients(delta, rng)
+        assert efficiency_rhs(drawn, v) == sum((a * worth[t] for t, a in drawn.items()), F(0))
         check = check_efficiency_identity(coeffs, tables, v)
         assert (check.equal, check.lhs, check.rhs) == (True, sum(phi.values(), F(0)), rhs)
         assert check_efficiency_identity(canonical_coeffs, canonical, v).equal

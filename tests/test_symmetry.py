@@ -23,6 +23,7 @@ from simplicial_games import (
     moved_facet,
     permutation_preserves,
     pi_delta_generators,
+    shapley_weights,
     solve_p_system,
     swap_permutation,
     symm_group,
@@ -41,6 +42,7 @@ from conftest import cycle, figure_a, figure_b, petersen
 from oracles import (
     built_link,
     compose,
+    cycles_ref,
     inverse,
     link_transposition_bijection,
     pi_delta_contained_ref,
@@ -84,6 +86,17 @@ def test_permutation_apply():
 def test_permutation_cycle_string():
     assert str(Permutation.identity(3)) == "id"
     assert str(Permutation.from_mapping(5, {1: 4, 4: 1, 2: 5, 5: 2})) == "(1 4)(2 5)"
+    assert str(Permutation((3, 5, 1, 4, 2))) == "(1 3)(2 5)"
+    assert str(Permutation((4, 1, 2, 6, 5, 3))) == "(1 4 6 3 2)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@example([1])
+@example([2, 1])
+def test_cycles_walk_only_moved_vertices_as_the_full_walk_does(images):
+    perm = Permutation(tuple(images))
+    assert perm.cycles() == cycles_ref(perm.images)
 
 
 # -- Symm(Delta) -------------------------------------------------------------
@@ -486,6 +499,47 @@ def test_reduction_detects_perturbation():
     report = check_symmetry_reduction(delta, tables)
     assert not report.ok
     assert report.violation is not None
+
+
+def canonical_tables_reduce(delta: SimplicialComplex) -> bool:
+    """True iff p_T^i depends only on |T| over the nonempty T of every table."""
+    common: dict[int, Fraction] = {}
+    for table in canonical_shapley_tables(delta).values():
+        for t, p in table.weights.items():
+            if t.cardinality and common.setdefault(t.cardinality, p) != p:
+                return False
+    return True
+
+
+def test_tables_reduce_under_two_link_f_vectors():
+    # the octahedron boundary beside K_{6,6}: links (1, 4, 4) and (1, 6), so
+    # not a Shapley complex, yet both put 1/12 on every link vertex
+    octahedron = [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+    k66 = [[u, w] for u in range(7, 13) for w in range(13, 19)]
+    delta = SimplicialComplex.from_facets(18, octahedron + k66)
+    assert set(delta.link_f_vectors().values()) == {(1, 4, 4), (1, 6)}
+    assert not classify_shapley(delta).is_shapley
+    weights: dict[int, set[Fraction]] = {}
+    for table in canonical_shapley_tables(delta).values():
+        for t, p in table.weights.items():
+            if t.cardinality:
+                weights.setdefault(t.cardinality, set()).add(p)
+    assert weights == {1: {F(1, 12)}, 2: {F(1, 12)}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(face_families())
+@example((6, [0b111, 0b1000]))  # an isolated vertex and a triangle
+@example((7, [0b111, 0b1000, 0b110000]))  # a triangle and an edge: 1/6 against 1/2
+def test_tables_reduce_iff_the_shapley_weights_agree_per_size(case):
+    n, family = case
+    delta = SimplicialComplex(n, [Face(m) for m in family])
+    by_size: dict[int, set[Fraction]] = {}
+    for fv in delta.link_f_vectors().values():
+        for c, w in enumerate(shapley_weights(fv)[1:], start=1):  # sizes with a c-face
+            by_size.setdefault(c, set()).add(w)
+    agree = all(len(ws) == 1 for ws in by_size.values())
+    assert canonical_tables_reduce(delta) == agree
 
 
 def test_reduction_requires_containment():

@@ -10,12 +10,14 @@ import importlib
 import importlib.util
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import simplicial_games
 import simplicial_games.cli
 from simplicial_games.complexes import complex_to_dict
+from simplicial_games.games import game_to_dict, random_game
 from conftest import figure_a, figure_b
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -44,19 +46,31 @@ def test_traced_name_resolves(module, path):
 
 
 def test_traced_commands_count_what_the_benchmark_divides_by(tmp_path, capsys):
-    # bench/run.py divides by these figures or takes len() of the generators
-    paths = []
+    # bench/run.py divides by these figures or takes len() of the generators,
+    # and --trace 1 reads the solver dimensions and the value-kernel calls
+    rng = Random(5)
+    paths = {}
     for name, delta in (("a", figure_a()), ("b", figure_b())):
-        paths.append(tmp_path / f"figure_{name}.json")
-        paths[-1].write_text(json.dumps(complex_to_dict(delta)))
-    runs = [["symmetry", "--complex", str(paths[0])], ["verify", "--complex", str(paths[1])]]
+        paths[name] = tmp_path / f"figure_{name}.json"
+        paths[name].write_text(json.dumps(complex_to_dict(delta)))
+        paths["game_" + name] = tmp_path / f"game_{name}.json"
+        paths["game_" + name].write_text(json.dumps(game_to_dict(random_game(delta, rng))))
+    runs = [["symmetry", "--complex", paths["a"]], ["verify", "--complex", paths["b"]]]
+    for name in ("a", "b"):
+        complex_, game = ["--complex", paths[name]], ["--game", paths["game_" + name]]
+        runs += [
+            ["shapley", *complex_, *game],
+            ["efficiency", *complex_, *game],
+            ["psystem", *complex_],
+            ["decompose", *complex_, "--player", "3"],
+        ]
     tracer = TRACER_MODULE.Tracer(simplicial_games)
     tracer.install()
     try:
         tracer.start_batch()
         for k, argv in enumerate(runs):
             tracer.start_command(k)
-            assert simplicial_games.cli.main(argv) == 0
+            assert simplicial_games.cli.main([str(arg) for arg in argv]) == 0, argv
         tracer.end_batch()
     finally:
         tracer.uninstall()
@@ -64,5 +78,12 @@ def test_traced_commands_count_what_the_benchmark_divides_by(tmp_path, capsys):
     figures = tracer.batches[-1]
     built = ("symmetry.swap_permutation.calls", "symmetry.transposition.calls")
     assert sum(figures.get(name, 0) for name in built) > 0
-    assert figures.get("symmetry.generators", 0) > 0
-    assert figures.get("complexes.link.calls", 0) > 0
+    for name in (
+        "symmetry.generators",
+        "complexes.link.calls",
+        "exactnum.solve_exact.rows",
+        "exactnum.solve_exact.cols",
+        "values.generalized_shapley.calls",
+        "values.decompose_shapley.calls",
+    ):
+        assert figures.get(name, 0) > 0, name

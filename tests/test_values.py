@@ -3,6 +3,8 @@ from math import comb
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simplicial_games import (
     EMPTY_FACE,
@@ -53,6 +55,7 @@ from conftest import (
 from oracles import (
     axiom_suite_ref,
     built_link,
+    decomposition_system_ref,
     efficiency_coefficients_ref,
     generalized_shapley_ref,
     probabilistic_value_ref,
@@ -516,6 +519,42 @@ def test_decompose_boundary_of_8_simplex():
     assert dec.status is DecompositionStatus.EXACT
     ref = solve_exact_ref(RationalMatrix.from_rows(dec.matrix), dec.rhs)
     assert dec.facet_weights == dict(zip(dec.facet_order, ref.particular))
+
+
+def assert_decomposition_system_matches_ref(delta: SimplicialComplex) -> None:
+    for i in delta.vertices:
+        dec = decompose_shapley(delta, i)
+        facet_order, row_faces, matrix, rhs = decomposition_system_ref(delta, i)
+        assert (dec.facet_order, dec.row_faces, dec.rhs) == (facet_order, row_faces, rhs)
+        assert all(type(e) is Fraction for row in dec.matrix for e in row)
+        assert dec.matrix == matrix
+
+
+def test_decomposition_rows_match_the_facet_scan_on_seeded_complexes():
+    complexes = [d for d in random_nonpure_complexes(80, seed=13) if d.n <= 7]
+    assert len(complexes) > 20
+    for delta in complexes:
+        assert_decomposition_system_matches_ref(delta)
+
+
+@st.composite
+def nonpure_complexes(draw):
+    """Complexes on at most 7 vertices whose facets differ in size."""
+    n = draw(st.integers(3, 7))
+    big = draw(st.sets(st.integers(1, n), min_size=2, max_size=n - 1))
+    # a smaller face through a vertex outside ``big``
+    small = draw(st.sets(st.integers(1, n), max_size=len(big) - 2))
+    small.add(draw(st.sampled_from(sorted(set(range(1, n + 1)) - big))))
+    rest = draw(st.lists(st.sets(st.integers(1, n), min_size=1), max_size=4))
+    delta = SimplicialComplex.from_facets(n, [big, small, *rest])
+    assume(len({f.cardinality for f in delta.facets}) > 1)
+    return delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonpure_complexes())
+def test_decomposition_rows_match_the_facet_scan(delta):
+    assert_decomposition_system_matches_ref(delta)
 
 
 def test_decompose_requires_vertex():
