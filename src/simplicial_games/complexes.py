@@ -1,7 +1,8 @@
 """Simplicial complexes over the vertex set {1, ..., n} and their queries.
 
-Faces are immutable 64-bit vertex bitmasks (hard cap n <= 64), so subset
-tests are O(1).  ``SimplicialComplex(n, faces)`` takes any face family on
+A ``Face`` is an ``int`` subclass, its own 64-bit vertex bitmask (hard cap
+n <= 64): subset tests are O(1), and a face equals and hashes as its mask,
+so no table converts between the two.  ``SimplicialComplex(n, faces)`` takes any face family on
 [n] and materializes its downward closure eagerly: every downstream formula
 sums over faces or links, and the canonical ordering (cardinality, then
 lexicographic on the vertex tuple) is fixed wherever output order matters.
@@ -17,7 +18,6 @@ comes out in canonical order with no closure, no sort and no complex built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -39,14 +39,14 @@ _FLIPPED = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 FVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Face:
-    """An immutable subset of {1, ..., n}, stored as a bitmask.
+class Face(int):
+    """An immutable subset of {1, ..., n}: an ``int`` that is its own vertex bitmask.
 
-    Vertex id v occupies bit v-1. The empty face is ``Face(0)``.
+    Vertex id v occupies bit v-1. The empty face is ``Face(0)``.  A face
+    equals and hashes as its mask, so tables keyed by face are keyed by mask.
     """
 
-    mask: int = 0
+    __slots__ = ()
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[int]) -> "Face":
@@ -61,40 +61,45 @@ class Face:
         return cls(mask)
 
     @property
+    def mask(self) -> int:
+        """The mask as a plain ``int``."""
+        return int(self)
+
+    @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.mask.bit_length()) if self.mask >> i & 1)
+        return tuple(i + 1 for i in range(self.bit_length()) if self >> i & 1)
 
     @property
     def cardinality(self) -> int:
-        return self.mask.bit_count()
+        return self.bit_count()
 
     def __len__(self) -> int:
-        return self.cardinality
+        return self.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.vertices)
 
     def __contains__(self, vertex: int) -> bool:
-        return vertex >= 1 and self.mask >> (vertex - 1) & 1 == 1
+        return vertex >= 1 and self >> (vertex - 1) & 1 == 1
 
-    def issubset(self, other: "Face") -> bool:
-        return self.mask & other.mask == self.mask
+    def issubset(self, other: int) -> bool:
+        return self & other == self
 
-    def union(self, other: "Face") -> "Face":
-        return Face(self.mask | other.mask)
+    def union(self, other: int) -> "Face":
+        return Face(self | other)
 
-    def difference(self, other: "Face") -> "Face":
-        return Face(self.mask & ~other.mask)
+    def difference(self, other: int) -> "Face":
+        return Face(self & ~other)
 
     def sort_key(self) -> int:
         """Cardinality, then the lowest differing vertex: the vertex tuples' order.
 
         The low 64 bits are the complemented bit-reversed mask, so of two faces
         of one size the one holding the lowest vertex they differ in is smaller.
+        Any int mask may be passed as ``self``.
         """
-        m = self.mask
-        flipped = m.to_bytes(8, "little").translate(_FLIPPED)
-        return m.bit_count() << 64 | int.from_bytes(flipped, "big")
+        flipped = self.to_bytes(8, "little").translate(_FLIPPED)
+        return self.bit_count() << 64 | int.from_bytes(flipped, "big")
 
     def __str__(self) -> str:
         return format_ids(self.vertices)
@@ -118,16 +123,16 @@ def as_face(obj: FaceLike) -> Face:
     return obj if isinstance(obj, Face) else Face.from_vertices(obj)
 
 
-def _check_vertex_ids(n: int, masks: Iterable[int]) -> None:
-    """Raise unless 0 <= n <= MAX_VERTICES and every face mask lies in 1..n."""
+def _check_vertex_ids(n: int, faces: Iterable[Face]) -> None:
+    """Raise unless 0 <= n <= MAX_VERTICES and every face lies in 1..n."""
     if n > MAX_VERTICES:
         raise TooManyVertices(f"at most {MAX_VERTICES} vertices supported, got n={n}")
     if n < 0:
         raise VertexOutOfRange(f"vertex count must be >= 0, got {n}")
     limit = (1 << n) - 1
-    for m in masks:
-        if m & ~limit:
-            raise VertexOutOfRange(f"face {Face(m)} has vertices outside 1..{n}")
+    for f in faces:
+        if f & ~limit:
+            raise VertexOutOfRange(f"face {f} has vertices outside 1..{n}")
 
 
 class SimplicialComplex:
@@ -149,12 +154,12 @@ class SimplicialComplex:
         2^|facet| subsets are counted, and BudgetExceeded is raised once the
         count would pass FACE_BUDGET.
         """
-        masks = [as_face(f).mask for f in faces]
-        _check_vertex_ids(n, masks)
+        inputs = [as_face(f) for f in faces]
+        _check_vertex_ids(n, inputs)
         closure: set[int] = set()
         facets = set()
         walked = 0
-        for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for m in sorted(set(inputs), key=int.bit_count, reverse=True):
             if m in closure:
                 continue
             walked += 1 << m.bit_count()
@@ -170,8 +175,8 @@ class SimplicialComplex:
                 rest ^= low
             closure.update(subs)
         self.n = n
-        self.faces: tuple[Face, ...] = tuple(sorted(map(Face, closure), key=Face.sort_key))
-        self.facets: tuple[Face, ...] = tuple(f for f in self.faces if f.mask in facets)
+        self.faces: tuple[Face, ...] = tuple(map(Face, sorted(closure, key=Face.sort_key)))
+        self.facets: tuple[Face, ...] = tuple(f for f in self.faces if f in facets)
         self.rank = self.faces[-1].cardinality if self.faces else -1
         self._face_masks = frozenset(closure)
         self._link_f_vectors: dict[int, FVector] | None = None
@@ -184,23 +189,23 @@ class SimplicialComplex:
     # -- membership ---------------------------------------------------
 
     def has_face(self, face: FaceLike) -> bool:
-        return as_face(face).mask in self._face_masks
+        return as_face(face) in self._face_masks
 
     @property
     def face_masks(self) -> frozenset[int]:
-        """The faces as bitmasks, for set-membership tests on raw masks."""
+        """The faces as a set, for membership tests."""
         return self._face_masks
 
     def require_face(self, face: FaceLike) -> Face:
         f = as_face(face)
-        if f.mask not in self._face_masks:
+        if f not in self._face_masks:
             raise FaceNotInComplex(f"{f} is not a face of the complex")
         return f
 
     def require_vertex(self, i: int) -> Face:
         """The face {i}, or VertexNotInComplex when i is not a vertex."""
         # i is compared with n before the mask, which is i bits wide
-        if i <= self.n and (single := Face.from_vertices([i])).mask in self._face_masks:
+        if i <= self.n and (single := Face.from_vertices([i])) in self._face_masks:
             return single
         raise VertexNotInComplex(f"vertex {i} is not in the complex")
 
@@ -220,13 +225,13 @@ class SimplicialComplex:
         order.  For a vertex this is exactly the set of coalitions the
         player can join.
         """
-        sm = self.require_face(s).mask
-        return tuple(Face(f.mask ^ sm) for f in self.faces if f.mask & sm == sm)
+        sm = self.require_face(s)
+        return tuple(Face(f ^ sm) for f in self.faces if f & sm == sm)
 
     def star(self, s: FaceLike) -> frozenset[Face]:
         """All faces contained in some face that contains s: the t with t + s a face."""
-        sm = self.require_face(s).mask
-        return frozenset(t for t in self.faces if t.mask | sm in self._face_masks)
+        sm = self.require_face(s)
+        return frozenset(t for t in self.faces if t | sm in self._face_masks)
 
     def f_vector(self) -> FVector:
         """(f_{-1}, f_0, ..., f_{rank-1}): face counts by cardinality."""
@@ -274,7 +279,7 @@ class SimplicialComplex:
 
     def extension_set(self, t: FaceLike) -> frozenset[int]:
         """Vertices j outside t with t+j again a face."""
-        m = self.require_face(t).mask
+        m = self.require_face(t)
         return frozenset(
             j + 1
             for j in range(self.n)

@@ -1,11 +1,11 @@
 """Characteristic functions on a complex and the carrier-game families.
 
-A game is integers over one denominator: every face mask of its complex, in
+A game is integers over one denominator: every face of its complex, in
 canonical face order, maps to an ``int`` numerator, zeros included, and the
 worth of a face is its numerator over the game's ``denominator``, the lcm of
 the worths' reduced denominators, so equal games store equal tables.  The
 empty coalition is pinned to 0.  The value kernels add and subtract the
-numerators, reading the faces through a player as the masks that hold its
+numerators, reading the faces through a player as the faces that hold its
 bit, and build a ``Fraction`` only for a result; ``value``, ``values`` and
 ``mask_table`` are ``Fraction`` views derived from the table.  A table costs
 |faces| times the bits of the denominator, so a game whose denominator would
@@ -45,7 +45,7 @@ class Game:
     """An exact-rational characteristic function v on a complex, v({}) = 0.
 
     ``values`` maps faces to worths; faces it leaves out are worth 0.  The
-    game stores ``numerators`` (every face mask -> int) over ``denominator``.
+    game stores ``numerators`` (every face -> int) over ``denominator``.
     """
 
     __slots__ = ("complex", "denominator", "_num")
@@ -54,23 +54,23 @@ class Game:
         self, complex: SimplicialComplex, values: Mapping[Face, Fraction | int] = ()
     ):
         face_masks = complex.face_masks
-        worth: dict[int, Fraction] = {}
+        worth: dict[Face, Fraction] = {}
         for face, w in dict(values).items():
             face = as_face(face)
             w = Fraction(w)
-            if face.mask not in face_masks:
+            if face not in face_masks:
                 raise GameFaceNotInComplex(f"{face} is not a face of the complex")
             if face == EMPTY_FACE and w != 0:
                 raise EmptyCoalitionWorth("the empty coalition is always worth 0")
-            worth[face.mask] = w
+            worth[face] = w
         self.complex = complex
         self._num, self.denominator = _over_lcm(complex, worth)
 
     @classmethod
-    def _of(cls, complex: SimplicialComplex, num: dict[int, int], denominator: int) -> "Game":
-        """The game worth num[m] / denominator at each face mask m.
+    def _of(cls, complex: SimplicialComplex, num: dict[Face, int], denominator: int) -> "Game":
+        """The game worth num[f] / denominator at each face f.
 
-        ``num`` lists every face mask in canonical order, the empty one 0.
+        ``num`` lists every face in canonical order, the empty one 0.
         The common factor of the numerators and the denominator is divided out.
         """
         g = math.gcd(denominator, *num.values())
@@ -82,19 +82,19 @@ class Game:
         return game
 
     @property
-    def numerators(self) -> Mapping[int, int]:
-        """The stored table, read only: every face mask -> numerator, in canonical order."""
+    def numerators(self) -> Mapping[Face, int]:
+        """The stored table, read only: every face -> numerator, in canonical order."""
         return MappingProxyType(self._num)
 
     def value(self, face: FaceLike) -> Fraction:
         face = as_face(face)
-        w = self._num.get(face.mask)
+        w = self._num.get(face)
         if w is None:
             raise GameFaceNotInComplex(f"{face} is not a face of the complex")
         return Fraction(w, self.denominator)
 
-    def mask_table(self) -> Mapping[int, Fraction]:
-        """Every face mask -> worth, in canonical order: a read-only view, built per call."""
+    def mask_table(self) -> Mapping[Face, Fraction]:
+        """Every face -> worth, in canonical order: a read-only view, built per call."""
         d = self.denominator
         return MappingProxyType({m: Fraction(w, d) for m, w in self._num.items()})
 
@@ -102,7 +102,7 @@ class Game:
     def values(self) -> dict[Face, Fraction]:
         """The nonzero worths by face, in canonical face order (a new dict)."""
         d = self.denominator
-        return {Face(m): Fraction(w, d) for m, w in self._num.items() if w}
+        return {f: Fraction(w, d) for f, w in self._num.items() if w}
 
     def is_monotone(self) -> bool:
         """v(S) <= v(T) over all comparable pairs; covering pairs T - j, T suffice."""
@@ -118,7 +118,7 @@ class Game:
 
     def is_dummy(self, i: int) -> bool:
         """Does player i add exactly v({i}) to every coalition it can join?"""
-        bit = self.complex.require_vertex(i).mask
+        bit = self.complex.require_vertex(i)
         num = self._num
         vi = num[bit]
         return all(w == num[m ^ bit] + vi for m, w in num.items() if m & bit)
@@ -133,7 +133,7 @@ class Game:
         num = self._num
         return Game._of(
             self.complex,
-            {f.mask: num[perm.apply_face(f).mask] for f in self.complex.faces},
+            {f: num[perm.apply_face(f)] for f in self.complex.faces},
             self.denominator,
         )
 
@@ -150,14 +150,9 @@ class Game:
         return f"Game({{{', '.join(f'{f}: {w}' for f, w in self.values.items())}}})"
 
 
-def _zeros(delta: SimplicialComplex) -> dict[int, int]:
-    """Every face mask in canonical order, mapped to 0."""
-    return dict.fromkeys([f.mask for f in delta.faces], 0)
-
-
 def _over_lcm(
-    delta: SimplicialComplex, worth: Mapping[int, Fraction]
-) -> tuple[dict[int, int], int]:
+    delta: SimplicialComplex, worth: Mapping[Face, Fraction]
+) -> tuple[dict[Face, int], int]:
     """The numerators of ``worth`` (faces left out are 0) over the lcm of its denominators.
 
     The lcm is taken one distinct denominator at a time, and BudgetExceeded is
@@ -172,9 +167,9 @@ def _over_lcm(
                 f"the worths' common denominator reaches {d.bit_length()} bits, so a "
                 f"table of {faces} faces would pass {TABLE_BITS_BUDGET} bits"
             )
-    num = _zeros(delta)
-    for m, w in worth.items():
-        num[m] = w.numerator * (d // w.denominator)
+    num = dict.fromkeys(delta.faces, 0)
+    for f, w in worth.items():
+        num[f] = w.numerator * (d // w.denominator)
     return num, d
 
 
@@ -192,8 +187,7 @@ def carrier_game(
         raise FaceNotInComplex(f"{t} is not a face of the complex")
     if t == EMPTY_FACE and not strict:
         raise EmptyCarrierNotAllowed("carrier game of the empty face must be strict")
-    tm = t.mask
-    num = {m: int(m & tm == tm and not (strict and m == tm)) for m in _zeros(delta)}
+    num = {f: int(f & t == t and not (strict and f == t)) for f in delta.faces}
     return Game._of(delta, num, 1)
 
 
@@ -204,8 +198,8 @@ def indicator_game(delta: SimplicialComplex, t: FaceLike) -> Game:
         raise FaceNotInComplex(f"{t} is not a face of the complex")
     if t == EMPTY_FACE:
         raise EmptyCarrierNotAllowed("the empty face cannot carry an indicator")
-    num = _zeros(delta)
-    num[t.mask] = 1
+    num = dict.fromkeys(delta.faces, 0)
+    num[t] = 1
     return Game._of(delta, num, 1)
 
 
@@ -243,7 +237,7 @@ def random_rational(rng: Random, lo: int = -9) -> Fraction:
 
 def random_game(delta: SimplicialComplex, rng: Random) -> Game:
     """Independent random rational worth on every nonempty face."""
-    num = {m: _draw(rng) if m else 0 for m in _zeros(delta)}
+    num = {f: _draw(rng) if f else 0 for f in delta.faces}
     return Game._of(delta, num, _DRAWN_DENOMINATOR)
 
 
@@ -254,7 +248,7 @@ def random_monotone_game(delta: SimplicialComplex, rng: Random) -> Game:
     sum of the weights of its subfaces, accumulated one vertex bit at a time
     over the downward-closed face set (a subset-sum pass, O(n |faces|)).
     """
-    num = {m: _draw(rng, lo=0) if m else 0 for m in _zeros(delta)}
+    num = {f: _draw(rng, lo=0) if f else 0 for f in delta.faces}
     for j in range(delta.n):
         bit = 1 << j
         for m in num:
@@ -269,13 +263,12 @@ def random_dummy_game(delta: SimplicialComplex, i: int, rng: Random) -> Game:
     Faces without i get independent random worth; every face containing i
     is pinned to v(T) + v({i}) for T the face minus i.
     """
-    bit = delta.require_vertex(i).mask
-    masks = _zeros(delta)
-    num = {m: _draw(rng) if m else 0 for m in masks if not m & bit}
+    bit = delta.require_vertex(i)
+    num = {f: _draw(rng) if f else 0 for f in delta.faces if not f & bit}
     vi = _draw(rng)
     return Game._of(
         delta,
-        {m: num[m ^ bit] + vi if m & bit else num[m] for m in masks},
+        {f: num[f ^ bit] + vi if f & bit else num[f] for f in delta.faces},
         _DRAWN_DENOMINATOR,
     )
 
@@ -309,20 +302,20 @@ def game_from_dict(data: object, delta: SimplicialComplex) -> Game:
     raw = data["values"]
     if not isinstance(raw, dict):
         raise ParseError("'values' must map coalition keys to rationals")
-    worth: dict[int, Fraction] = {}
+    worth: dict[Face, Fraction] = {}
     for key, text in raw.items():
         if key == "":
             raise ParseError("the empty coalition may not appear in a game file")
         ids = _coalition_ids(key)
         # ids are compared with n before the mask, which is max(ids) bits wide
-        if max(ids) > delta.n or (m := Face.from_vertices(ids).mask) not in delta.face_masks:
+        if max(ids) > delta.n or (f := Face.from_vertices(ids)) not in delta.face_masks:
             raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")
-        if m in worth:  # read already, under another spelling
-            first = next(k for k in raw if Face.from_vertices(_coalition_ids(k)).mask == m)
-            raise ParseError(f"keys {first!r} and {key!r} name one coalition {Face(m)}")
+        if f in worth:  # read already, under another spelling
+            first = next(k for k in raw if Face.from_vertices(_coalition_ids(k)) == f)
+            raise ParseError(f"keys {first!r} and {key!r} name one coalition {f}")
         if not isinstance(text, str):
             raise ParseError(f"worth of {key!r} must be a rational string")
-        worth[m] = parse_rational(text)
+        worth[f] = parse_rational(text)
     return Game._of(delta, *_over_lcm(delta, worth))
 
 

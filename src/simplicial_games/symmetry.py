@@ -98,7 +98,7 @@ class Permutation:
         return [1 << (w - 1) for w in self.images]
 
     def apply_face(self, face: Face) -> Face:
-        return Face(_image_mask(face.mask, self.bits))
+        return Face(_image_mask(face, self.bits))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, walked from the moved vertices up: each starts at its minimum."""
@@ -135,7 +135,7 @@ def moved_facet(delta: SimplicialComplex, perm: Permutation) -> Face | None:
     bits = perm.bits
     faces = delta.face_masks
     for f in delta.facets:
-        if _image_mask(f.mask, bits) not in faces:
+        if _image_mask(f, bits) not in faces:
             return f
     return None
 
@@ -161,7 +161,7 @@ class SymmetryGroup:
         self.complex = delta
         self.n = delta.n
         self._faces = delta.face_masks
-        self._facets = [f.mask for f in delta.facets]
+        self._facets = delta.facets
         # _holders[v]: indices of the facets through vertex v+1
         self._holders = [
             [k for k, m in enumerate(self._facets) if m >> v & 1] for v in range(self.n)
@@ -260,9 +260,9 @@ def swap_permutation(n: int, left: Face, right: Face) -> Permutation:
     lo, ro = left.difference(right), right.difference(left)
     if len(lo) != len(ro):
         raise ValueError("sets must have equal cardinality")
-    if (lo.mask | ro.mask) >> n:
+    if (lo | ro) >> n:
         raise ValueError(f"sets must lie in 1..{n}")
-    return Permutation(_swap_images(list(range(1, n + 1)), lo.mask, ro.mask))
+    return Permutation(_swap_images(list(range(1, n + 1)), lo, ro))
 
 
 def _generators(delta: SimplicialComplex) -> Iterator[Permutation]:
@@ -277,10 +277,10 @@ def _generators(delta: SimplicialComplex) -> Iterator[Permutation]:
     for i in verts:
         link = delta.link(Face.from_vertices([i]))[1:]  # nonempty T
         for _, same in groupby(link, key=len):
-            for left, right in combinations([t.mask for t in same], 2):
+            for left, right in combinations(same, 2):
                 if not left & right and (key := _swap_images(ident, left, right)) not in seen:
                     seen.add(key)
-                    yield swap_permutation(n, Face(left), Face(right))
+                    yield swap_permutation(n, left, right)
     for i, j in combinations(verts, 2):
         if (key := _swap_images(ident, 1 << i - 1, 1 << j - 1)) not in seen:
             seen.add(key)

@@ -1,10 +1,19 @@
+import pickle
 from random import Random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplicial_games import EMPTY_FACE, Face, SimplicialComplex, complexes, full_simplex
+from simplicial_games import (
+    EMPTY_FACE,
+    Face,
+    Game,
+    SimplicialComplex,
+    complexes,
+    full_simplex,
+    random_game,
+)
 from simplicial_games.complexes import complex_from_dict, complex_to_dict
 from simplicial_games.errors import (
     BudgetExceeded,
@@ -26,6 +35,7 @@ from oracles import (
     link_masks,
     skeleton_masks,
     star_masks,
+    vertices_of,
 )
 
 
@@ -66,6 +76,58 @@ def test_face_set_operations():
     assert a.difference(b) == face(1, 2)
     assert face(1, 2).issubset(a) and not a.issubset(b)
     assert 2 in a and 5 not in a
+
+
+def masks_on_up_to_12_vertices(size):
+    """(n, masks) for n <= 12: ``size`` vertex masks on [n]."""
+    return st.integers(0, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), **size))
+    )
+
+
+@given(masks_on_up_to_12_vertices(dict(min_size=1, max_size=8)))
+@example((12, [0, 0b101, (1 << 12) - 1]))
+def test_a_face_is_its_mask(case):
+    n, ms = case
+    for m in ms:
+        f = Face(m)
+        assert isinstance(f, int) and f == m and hash(f) == hash(m)
+        assert type(f.mask) is int and f.mask == m
+        # a plain mask finds a face key, and a face finds a mask key
+        assert {f: "face"}[m] == "face" and m in {f} and {m: "mask"}[f] == "mask"
+        vs = vertices_of(n, m)
+        assert f.vertices == tuple(vs) and list(f) == vs
+        assert len(f) == f.cardinality == len(vs)
+        assert [v for v in range(-1, n + 3) if v in f] == vs
+        back = pickle.loads(pickle.dumps(f))
+        assert type(back) is Face and back == f
+        # every way of printing a face gives the vertex-id form, never the int
+        text = "{" + ",".join(map(str, vs)) + "}"
+        assert f"{f}" == "%s" % f == format(f, "") == str(f) == text
+        assert " ".join(map(str, [f, f])) == f"{text} {text}"
+        assert repr(f) == f"Face({text})"
+    ordered = sorted(map(Face, ms), key=Face.sort_key)
+    assert ordered == sorted(ms, key=lambda m: (m.bit_count(), vertices_of(n, m)))
+
+
+def test_a_face_prints_as_its_vertices():
+    f = face(1, 3)
+    assert (f"{f}", "%s" % f, format(f, ""), ",".join([str(f)])) == ("{1,3}",) * 4
+    assert f == 0b101 and f + f == 0b1010  # arithmetic is the int's
+    assert f | face(2) == f.union(face(2)) == face(1, 2, 3)
+    assert pickle.loads(pickle.dumps(EMPTY_FACE, protocol=0)) == EMPTY_FACE
+
+
+@settings(max_examples=60, deadline=None)
+@given(masks_on_up_to_12_vertices(dict(max_size=4)))
+def test_game_tables_are_keyed_by_the_complex_faces(case):
+    n, family = case
+    delta = SimplicialComplex(n, [Face(m) for m in family])
+    v = random_game(delta, Random(n))
+    for table in (v.numerators, v.mask_table(), Game(delta, v.values).numerators):
+        assert tuple(table) == delta.faces
+        assert all(type(k) is Face for k in table)
+    assert all(type(k) is Face for k in v.values)
 
 
 # -- construction ----------------------------------------------------------

@@ -442,6 +442,52 @@ def test_p_system_shapley_fixtures_admit_canonical_solution():
         ) == 1
 
 
+@st.composite
+def shapley_complexes_with_pure_links(draw):
+    """A Shapley complex with pure links on n <= 7, its vertices placed at random in [n].
+
+    Disjoint copies of one skeleton of a simplex (every vertex link is the
+    same skeleton), a disjoint union of cycles, or a complete bipartite K_{a,a}.
+    """
+    kind = draw(st.sampled_from(["skeleta", "cycles", "bipartite"]))
+    if kind == "skeleta":
+        m = draw(st.integers(1, 7))
+        k = draw(st.integers(1, m))
+        pieces = [
+            [[c * m + v for v in f] for f in combinations(range(m), k)]
+            for c in range(draw(st.integers(1, 7 // m)))
+        ]
+    elif kind == "cycles":
+        pieces, used = [], 0
+        for size in draw(st.lists(st.integers(3, 7), min_size=1, max_size=2)):
+            if used + size <= 7:
+                pieces.append([[used + v, used + (v + 1) % size] for v in range(size)])
+                used += size
+    else:
+        a = draw(st.integers(1, 3))
+        pieces = [[[u, a + w] for u in range(a) for w in range(a)]]
+    facets = [f for piece in pieces for f in piece]
+    used = 1 + max(v for f in facets for v in f)
+    n = draw(st.integers(used, 7))
+    place = draw(st.permutations(range(1, n + 1)))
+    return SimplicialComplex(n, [[place[v] for v in f] for f in facets])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapley_complexes_with_pure_links())
+def test_the_canonical_solution_satisfies_the_p_system(delta):
+    # one shared link f-vector s: sum_k s_k / (len(s) s_k) = 1, which is why
+    # the psystem command prints "satisfies system: yes" without checking
+    assert delta.has_pure_links()
+    cls = classify_shapley(delta)
+    assert cls.is_shapley
+    rows, _ = symmetry.p_system_rows(delta)
+    assert rows == (cls.s_vector,) and len(cls.s_vector) == delta.rank
+    canonical = shapley_weights(cls.s_vector)
+    assert sum(c * w for c, w in zip(cls.s_vector, canonical)) == 1
+    assert solve_p_system(delta).status is not SolveStatus.INCONSISTENT
+
+
 def test_p_system_simplex_3():
     sol = solve_p_system(full_simplex(3))
     # single deduplicated row (1, 2, 1)
