@@ -25,11 +25,12 @@ from random import Random
 from typing import Callable
 
 from .complexes import SimplicialComplex, format_ids, load_complex
-from .errors import EmptyComplex, SimplicialGamesError
+from .errors import EmptyComplex, HypothesisNotMet, NotPureLinks, SimplicialGamesError
 from .exactnum import format_rational
 from .games import face_key, load_game, random_game
 from .symmetry import (
     SYMM_GROUP_MAX_N,
+    _is_skeleton,
     classify_shapley,
     moved_facet,
     pi_delta_generators,
@@ -155,7 +156,7 @@ def cmd_shapley(args) -> int:
     closed_rhs = None
     try:
         closed_rhs = efficiency_rhs(shapley_efficiency_closed_form(delta), game)
-    except SimplicialGamesError:
+    except (NotPureLinks, HypothesisNotMet):
         pass
     match = closed_rhs == aggregate if closed_rhs is not None else None
     result = {
@@ -180,7 +181,8 @@ def cmd_shapley(args) -> int:
 def cmd_symmetry(args) -> int:
     delta = load_nonempty_complex(args.complex)
     gens = pi_delta_generators(delta)
-    bads = [moved_facet(delta, g) for g in gens]
+    skeleton = _is_skeleton(delta)  # then every generator, a permutation of V, preserves it
+    bads = [None if skeleton else moved_facet(delta, g) for g in gens]
     verdicts = [(g, bad.vertices if bad else None) for g, bad in zip(gens, bads)]
     witness = next(((g, moved) for g, moved in verdicts if moved is not None), None)
     group = symm_group(delta) if delta.n <= SYMM_GROUP_MAX_N else None
@@ -288,7 +290,7 @@ def cmd_efficiency(args) -> int:
     closed = None
     try:
         closed = shapley_efficiency_closed_form(delta)
-    except SimplicialGamesError:
+    except (NotPureLinks, HypothesisNotMet):
         pass
     check = None
     if args.game:

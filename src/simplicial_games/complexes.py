@@ -2,12 +2,14 @@
 
 A ``Face`` is an ``int`` subclass, its own 64-bit vertex bitmask (hard cap
 n <= 64): subset tests are O(1), and a face equals and hashes as its mask,
-so no table converts between the two.  ``SimplicialComplex(n, faces)`` takes any face family on
-[n] and materializes its downward closure eagerly: every downstream formula
-sums over faces or links, and the canonical ordering (cardinality, then
-lexicographic on the vertex tuple) is fixed wherever output order matters.
-A closure whose walk would pass ``FACE_BUDGET`` subsets is refused before
-it starts.
+so no table converts between the two.  Wherever a face is taken, any
+non-negative ``int`` is read as the face whose mask it is, and any other
+argument as its vertex ids.  ``SimplicialComplex(n, faces)`` takes any face
+family on [n] and materializes its downward closure eagerly: every
+downstream formula sums over faces or links, and the canonical ordering
+(cardinality, then lexicographic on the vertex tuple) is fixed wherever
+output order matters.  A closure whose walk would pass ``FACE_BUDGET``
+subsets is refused before it starts.
 
 A link is read as ``link(s)``, the faces through s minus s, on the *same*
 ground set [n], so per-face weight tables index directly into them.
@@ -116,11 +118,18 @@ def format_ids(ids: Iterable[int]) -> str:
     return "{" + ",".join(map(str, ids)) + "}"
 
 
-FaceLike = Union[Face, Iterable[int]]
+FaceLike = Union[int, Iterable[int]]
 
 
 def as_face(obj: FaceLike) -> Face:
-    return obj if isinstance(obj, Face) else Face.from_vertices(obj)
+    """The face a non-negative int (not a bool) is the mask of, or that vertex ids name."""
+    if isinstance(obj, Face):
+        return obj
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        if obj < 0:
+            raise VertexOutOfRange(f"a face mask must be >= 0, got {obj}")
+        return Face(obj)
+    return Face.from_vertices(obj)
 
 
 def _check_vertex_ids(n: int, faces: Iterable[Face]) -> None:

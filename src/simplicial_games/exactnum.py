@@ -6,14 +6,14 @@ as :data:`Rational`): always normalized, positive denominator, and raising
 anywhere; decimal rendering is a display concern of the CLI.
 
 ``solve_exact`` performs Gauss-Jordan elimination with first-nonzero pivot
-selection, so results are fully deterministic.  It eliminates sparse rows
-(only the nonzeros of ``[A | b]``, by column), so zero entries cost
-nothing.  Underdetermined systems report the particular solution with every
-free variable fixed to 0, plus a basis of the nullspace.  Inconsistent
-systems carry a certificate: a row vector ``lam`` with ``lam @ A == 0`` and
-``lam @ b == 1``.  Only then is the system eliminated a second time as
-``[A | I | b]``, whose identity block records the row operations; the
-pivots depend on ``A`` alone, so both passes choose the same ones.
+selection, so results are fully deterministic.  A ``RationalMatrix`` keeps
+the caller's rows as given; the solver makes ``Fraction``s of the nonzeros
+of ``[A | b]`` alone and eliminates sparse rows, so zeros cost nothing.
+Underdetermined systems report the particular solution with every free
+variable fixed to 0, plus a basis of the nullspace.  Inconsistent systems
+carry a certificate ``lam`` with ``lam @ A == 0`` and ``lam @ b == 1``.
+Only then is ``[A | I | b]`` eliminated, its identity block recording the
+row operations; the pivots depend on ``A`` alone, so both passes agree.
 """
 
 from __future__ import annotations
@@ -81,34 +81,35 @@ class LinearSolution:
 
 
 class RationalMatrix:
-    """Dense row-major matrix of exact rationals."""
+    """Matrix of exact rationals: the caller's rows as tuples, ints or ``Fraction``s as given."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Fraction | int]):
-        self.rows = rows
-        self.cols = cols
-        self.entries = [Fraction(e) for e in entries]
-        if len(self.entries) != rows * cols:
+        flat = tuple(entries)
+        if len(flat) != rows * cols:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
-                f"got {len(self.entries)}"
+                f"got {len(flat)}"
             )
+        self.rows = rows
+        self.cols = cols
+        self._rows = tuple(flat[r * cols : (r + 1) * cols] for r in range(rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        if not rows:
-            return cls(0, 0, [])
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise DimensionMismatch("ragged rows")
-        return cls(len(rows), ncols, [e for r in rows for e in r])
+        matrix = cls.__new__(cls)
+        matrix.rows, matrix.cols, matrix._rows = len(rows), ncols, tuple(map(tuple, rows))
+        return matrix
 
     def at(self, r: int, c: int) -> Fraction:
-        return self.entries[r * self.cols + c]
+        return Fraction(self._rows[r][c])
 
     def row(self, r: int) -> list[Fraction]:
-        return self.entries[r * self.cols : (r + 1) * self.cols]
+        return [Fraction(e) for e in self._rows[r]]
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -117,9 +118,9 @@ class RationalMatrix:
 _ZERO = Fraction(0)
 
 
-def _sparse_row(dense: list[Fraction], extra: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The nonzeros of ``dense`` by column, then the nonzeros of ``extra``."""
-    row = {c: e for c, e in enumerate(dense) if e}
+def _sparse_row(dense: Sequence, extra: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The nonzeros of ``dense`` by column, each made a ``Fraction``, then those of ``extra``."""
+    row = {c: Fraction(e) for c, e in enumerate(dense) if e}
     row.update((c, e) for c, e in extra.items() if e)
     return row
 
@@ -170,7 +171,7 @@ def solve_exact(a: RationalMatrix, b: Sequence[Fraction | int]) -> LinearSolutio
     if a.rows != len(b):
         raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)}")
     m, n = a.rows, a.cols
-    rows = [_sparse_row(a.row(r), {n: Fraction(b[r])}) for r in range(m)]
+    rows = [_sparse_row(a._rows[r], {n: Fraction(b[r])}) for r in range(m)]
     pivot_of_col = _eliminate(rows, n)
     rank = len(pivot_of_col)
 
@@ -179,7 +180,7 @@ def solve_exact(a: RationalMatrix, b: Sequence[Fraction | int]) -> LinearSolutio
         # operations, so an inconsistent row yields a certificate against
         # the original system.  The pivots depend on A alone, so they repeat.
         rows = [
-            _sparse_row(a.row(r), {n + r: Fraction(1), n + m: Fraction(b[r])})
+            _sparse_row(a._rows[r], {n + r: Fraction(1), n + m: Fraction(b[r])})
             for r in range(m)
         ]
         _eliminate(rows, n)

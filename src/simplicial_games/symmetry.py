@@ -14,15 +14,15 @@ longer a face.  The group order is the product of the orbit sizes along the
 stabilizer chain of 1, 2, ..., n.
 
 The generated subgroup driving the symmetry reduction is built from two
-generator families: for every vertex i, the permutation swapping two
-equal-cardinality members L, T of the vertex link (the sorted pairing of
-L-minus-T with T-minus-L), and every transposition (i, j) whose vertex
-links share a face.  Every vertex link holds the empty face, so the
-generated subgroup is Sym(V), V the vertex set, and it preserves the
-complex exactly when the complex is a skeleton of the simplex on V: cycles
-and the Petersen graph are refused, although vertex-transitive.  The
-paper's own generator family cannot be checked against its abstract
-alone, so this reading is kept.
+generator families, both by :func:`swap_permutation`: for every vertex i,
+the swap of two equal-cardinality members L, T of the vertex link (the
+sorted pairing of L-minus-T with T-minus-L), and every transposition (i j)
+whose vertex links share a face, the swap of {i} and {j}.  Every vertex
+link holds the empty face, so the generated subgroup is Sym(V), V the
+vertex set, and it preserves the complex exactly when the complex is a
+skeleton of the simplex on V, a face count: cycles and the Petersen graph
+are refused, although vertex-transitive.  The paper's own generator family
+cannot be checked against its abstract alone, so this reading is kept.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from math import comb
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -97,7 +97,7 @@ class Permutation:
         """The bit table: bits[v-1] is the mask of the image of vertex v."""
         return [1 << (w - 1) for w in self.images]
 
-    def apply_face(self, face: Face) -> Face:
+    def apply_face(self, face: int) -> Face:
         return Face(_image_mask(face, self.bits))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -251,14 +251,14 @@ def _swap_images(identity: list[int], left: int, right: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-def swap_permutation(n: int, left: Face, right: Face) -> Permutation:
-    """The permutation exchanging two equal-cardinality sets.
+def swap_permutation(n: int, left: int, right: int) -> Permutation:
+    """The permutation exchanging two equal-cardinality sets, given as masks.
 
     The symmetric differences are paired in sorted order; the overlap and
     everything else stay fixed.
     """
-    lo, ro = left.difference(right), right.difference(left)
-    if len(lo) != len(ro):
+    lo, ro = left & ~right, right & ~left
+    if lo.bit_count() != ro.bit_count():
         raise ValueError("sets must have equal cardinality")
     if (lo | ro) >> n:
         raise ValueError(f"sets must lie in 1..{n}")
@@ -273,18 +273,19 @@ def _generators(delta: SimplicialComplex) -> Iterator[Permutation]:
             f"generator walk would examine {pairs} link-face pairs, over {PAIR_BUDGET}"
         )
     n, verts, ident = delta.n, delta.vertices, list(range(1, delta.n + 1))
+    link_pairs = (
+        (left, right)
+        for i in verts
+        for _, same in groupby(delta.link(1 << i - 1)[1:], key=len)  # nonempty T
+        for left, right in combinations(same, 2)
+        if not left & right
+    )
+    singletons = combinations([1 << i - 1 for i in verts], 2)
     seen: set[tuple[int, ...]] = set()
-    for i in verts:
-        link = delta.link(Face.from_vertices([i]))[1:]  # nonempty T
-        for _, same in groupby(link, key=len):
-            for left, right in combinations(same, 2):
-                if not left & right and (key := _swap_images(ident, left, right)) not in seen:
-                    seen.add(key)
-                    yield swap_permutation(n, left, right)
-    for i, j in combinations(verts, 2):
-        if (key := _swap_images(ident, 1 << i - 1, 1 << j - 1)) not in seen:
+    for left, right in chain(link_pairs, singletons):
+        if (key := _swap_images(ident, left, right)) not in seen:
             seen.add(key)
-            yield Permutation.transposition(n, i, j)
+            yield swap_permutation(n, left, right)
 
 
 def pi_delta_generators(delta: SimplicialComplex) -> tuple[Permutation, ...]:
@@ -309,16 +310,20 @@ class ContainmentReport:
     witness_face: Face | None = None
 
 
+def _is_skeleton(delta: SimplicialComplex) -> bool:
+    """Are the faces all sum_c C(|V|, c) subsets of V of size <= rank?"""
+    size = len(delta.vertices)
+    return len(delta.faces) == sum(comb(size, c) for c in range(delta.rank + 1))
+
+
 def check_pi_delta_contained(delta: SimplicialComplex) -> ContainmentReport:
     """True iff every generator preserves the complex.
 
-    The generators generate Sym(V), which preserves the complex exactly when
-    its faces are all the subsets of V of size at most rank: when there are
-    sum_c C(|V|, c) of them.  Otherwise the generators are walked in order,
-    and the first that moves a facet is reported with that facet.
+    The generators generate Sym(V), which preserves exactly the skeleta of
+    the simplex on V.  Otherwise the first generator that moves a facet is
+    reported with that facet.
     """
-    size = len(delta.vertices)
-    if len(delta.faces) == sum(comb(size, c) for c in range(delta.rank + 1)):
+    if _is_skeleton(delta):
         return ContainmentReport(True)
     # some transposition moves a face, so the walk stops at a witness
     return next(

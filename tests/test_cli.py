@@ -5,12 +5,23 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 from time import perf_counter
 
 import pytest
 
+from simplicial_games import (
+    Face,
+    SimplicialComplex,
+    full_simplex,
+    moved_facet,
+    pi_delta_generators,
+)
 from simplicial_games.cli import main
+from simplicial_games.complexes import complex_to_dict
+from simplicial_games.errors import BudgetExceeded
 from simplicial_games.exactnum import parse_rational
+from conftest import cycle, random_nonpure_complexes
 
 F = Fraction
 
@@ -130,6 +141,66 @@ def test_symmetry_report(files, capsys):
     assert code == 0
     assert "symmetry group order: 8" in out
     assert "pi(Delta) contained in Symm(Delta): no" in out
+
+
+def symmetry_corpus() -> dict[str, SimplicialComplex]:
+    """Skeleta, with and without isolated ids, cycles, cones and non-pure complexes."""
+    rng = Random(23)
+    corpus = {}
+    for k in range(6):
+        n = rng.randint(2, 7)
+        rank = rng.randint(1, n)
+        skeleton = full_simplex(n).skeleton(rank)
+        corpus[f"skeleton_{n}_{rank}"] = skeleton
+        # ids past n are isolated: no face holds them
+        corpus[f"skeleton_{n}_{rank}_in_{n + 2}"] = SimplicialComplex(n + 2, skeleton.facets)
+    for n in (4, 5, 7):
+        corpus[f"cycle_{n}"] = cycle(n)
+        apex = 1 << n
+        corpus[f"cone_{n}"] = SimplicialComplex(n + 1, [Face(f | apex) for f in cycle(n).facets])
+    for k, delta in enumerate(random_nonpure_complexes(6, seed=29)):
+        corpus[f"nonpure_{k}"] = delta
+    return corpus
+
+
+@pytest.mark.parametrize("name, delta", symmetry_corpus().items())
+def test_symmetry_verdicts_are_the_preservation_test_of_each_generator(
+    name, delta, tmp_path, capsys
+):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(complex_to_dict(delta)))
+    code, out, _ = run(capsys, "symmetry", "--complex", str(path), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    gens = pi_delta_generators(delta)
+    assert [tuple(g["perm"]) for g in doc["generators"]] == [g.images for g in gens]
+    moved = [moved_facet(delta, g) for g in gens]
+    assert [g["preserves"] for g in doc["generators"]] == [f is None for f in moved]
+    assert [g["moved_face"] for g in doc["generators"]] == [
+        None if f is None else list(f.vertices) for f in moved
+    ]
+    witness = next(
+        ({"perm": list(g.images), "face": list(f.vertices)}
+         for g, f in zip(gens, moved) if f is not None),
+        None,
+    )
+    assert (doc["pi_delta_contained"], doc["witness"]) == (witness is None, witness)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", ["shapley", "efficiency"])
+def test_closed_form_errors_other_than_its_refusals_propagate(
+    command, fmt, files, monkeypatch, capsys
+):
+    from simplicial_games import cli
+
+    def over_budget(delta):
+        raise BudgetExceeded("closed form over budget")
+
+    monkeypatch.setattr(cli, "shapley_efficiency_closed_form", over_budget)
+    argv = ["--complex", files["simplex4.json"], "--game", files["edge_game.json"]]
+    code, out, err = run(capsys, command, *argv, "--format", fmt)
+    assert (code, out, err) == (3, "", "error[BudgetExceeded]: closed form over budget\n")
 
 
 def test_verify_passes(files, capsys):

@@ -10,16 +10,20 @@ from simplicial_games import (
     Face,
     Game,
     SimplicialComplex,
+    canonical_shapley_tables,
+    carrier_game,
     complexes,
     full_simplex,
+    indicator_game,
     random_game,
 )
-from simplicial_games.complexes import complex_from_dict, complex_to_dict
+from simplicial_games.complexes import as_face, complex_from_dict, complex_to_dict
 from simplicial_games.errors import (
     BudgetExceeded,
     EmptyComplex,
     FaceNotInComplex,
     ParseError,
+    SimplicialGamesError,
     TooManyVertices,
     VertexOutOfRange,
 )
@@ -130,6 +134,76 @@ def test_game_tables_are_keyed_by_the_complex_faces(case):
     assert all(type(k) is Face for k in v.values)
 
 
+# -- any int is a face ------------------------------------------------------
+
+def test_int_faces_on_the_full_3_simplex():
+    delta = full_simplex(3)
+    assert delta.has_face(5) and not delta.has_face(8)
+    assert delta.require_face(5) == face(1, 3) and type(delta.require_face(5)) is Face
+    assert delta.link(1) == delta.link([1]) == (face(), face(2), face(3), face(2, 3))
+    v = Game(delta, {5: 2})
+    assert v.value(4) == 0 and v.value([1, 3]) == 2
+    assert v == Game(delta, {face(1, 3): 2})
+
+
+def test_as_face_reads_ints_as_masks_and_nothing_else():
+    assert as_face(0) == EMPTY_FACE and type(as_face(6)) is Face
+    assert as_face(6) == as_face([2, 3]) == as_face(Face(6))
+    with pytest.raises(VertexOutOfRange):
+        as_face(-1)
+    with pytest.raises(VertexOutOfRange):
+        full_simplex(3).has_face(-1)
+    with pytest.raises(TypeError):  # a bool is no mask, and no vertex list either
+        as_face(True)
+    with pytest.raises(TypeError):
+        full_simplex(3).require_face(False)
+
+
+def call_outcome(call, arg):
+    try:
+        return call(arg)
+    except SimplicialGamesError as e:
+        return type(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5),
+            st.integers(0, (1 << n + 1) - 1),
+        )
+    )
+)
+@example((3, [0b111], 0b101))
+@example((4, [0b0011, 0b1100], 0))
+def test_every_face_argument_takes_a_face_its_mask_or_its_vertex_ids(case):
+    # the probe reaches one id past n, so some probes lie outside the ground set
+    n, family, m = case
+    delta = SimplicialComplex(n, family)
+    game = random_game(delta, Random(m))
+    tables = canonical_shapley_tables(delta).values()
+    calls = [
+        delta.has_face,
+        delta.require_face,
+        delta.link,
+        delta.star,
+        delta.facets_containing,
+        delta.extension_set,
+        game.value,
+        *(table.weight for table in tables),
+        lambda t: carrier_game(delta, t),
+        lambda t: carrier_game(delta, t, strict=True),
+        lambda t: indicator_game(delta, t),
+    ]
+    for call in calls:
+        as_face_, as_mask, as_ids = (
+            call_outcome(call, arg) for arg in (Face(m), m, vertices_of(n + 1, m))
+        )
+        assert as_face_ == as_mask == as_ids
+
+
 # -- construction ----------------------------------------------------------
 
 def test_figure_a_closure():
@@ -189,6 +263,7 @@ def test_constructor_builds_the_closure_of_any_family(case):
     assert delta.rank == max((m.bit_count() for m in faces), default=-1)
     assert delta == SimplicialComplex.from_facets(n, [Face(m).vertices for m in family])
     assert delta == SimplicialComplex.from_facets(n, delta.facets)
+    assert delta == SimplicialComplex(n, family)
 
 
 def test_closure_budget_boundary(monkeypatch):

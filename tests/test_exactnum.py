@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from simplicial_games import (
     RationalMatrix,
+    exactnum,
     SolveStatus,
     decompose_shapley,
     format_rational,
@@ -160,29 +161,37 @@ def test_certificates_verify_on_perturbed_rhs(system, shift):
 def random_system(rng: Random) -> tuple[RationalMatrix, list[Fraction]]:
     """A seeded system of shape 0..12 x 0..12, dense or at most 20% dense.
 
-    Some have rows duplicated and combined from earlier ones (rank
-    deficient), a perturbed consistent rhs (inconsistent), or a zero row
-    and a zero column.
+    Entries are all ``Fraction``s, all ints, or mixed.  Some systems have
+    rows duplicated and combined from earlier ones (rank deficient), a
+    perturbed consistent rhs (inconsistent), a zero row and a zero column,
+    or no rows or no columns at all.
     """
     m, n = rng.randint(0, 12), rng.randint(0, 12)
+    if rng.random() < 0.1:
+        m, n = rng.choice([(0, n), (m, 0)])
     density = rng.choice([1.0, 0.2, 0.1])
+    kind = rng.choice(["fraction", "int", "mixed"])
+    zero = F(0) if kind == "fraction" else 0
 
-    def entry() -> Fraction:
+    def entry() -> Fraction | int:
         if rng.random() >= density:
-            return F(0)
+            return zero
+        if kind == "int" or kind == "mixed" and rng.random() < 0.5:
+            return rng.randint(-5, 5)
         return F(rng.randint(-5, 5), rng.randint(1, 4))
 
     rows = [[entry() for _ in range(n)] for _ in range(m)]
     if m >= 2 and rng.random() < 0.5:
         for r in range(m // 2, m):
             i, j = rng.randrange(r), rng.randrange(r)
-            s, t = F(rng.randint(-3, 3)), F(rng.randint(-3, 3), 2)
+            s = rng.randint(-3, 3)
+            t = rng.randint(-3, 3) if kind == "int" else F(rng.randint(-3, 3), 2)
             rows[r] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
     if m and n and rng.random() < 0.3:
         zero_row, zero_col = rng.randrange(m), rng.randrange(n)
-        rows[zero_row] = [F(0)] * n
+        rows[zero_row] = [zero] * n
         for row in rows:
-            row[zero_col] = F(0)
+            row[zero_col] = zero
     a = RationalMatrix(m, n, [e for row in rows for e in row])
     rhs_kind = rng.choice(["random", "consistent", "perturbed"])
     if rhs_kind == "random":
@@ -192,6 +201,12 @@ def random_system(rng: Random) -> tuple[RationalMatrix, list[Fraction]]:
         if rhs_kind == "perturbed" and m:
             b[rng.randrange(m)] += rng.randint(1, 5)
     return a, b
+
+
+def check_all_fractions(sol) -> None:
+    """Every entry of a solution is a ``Fraction``, whatever the entries solved."""
+    vectors = [sol.particular or (), sol.certificate or (), *sol.nullspace_basis]
+    assert all(type(e) is Fraction for vector in vectors for e in vector)
 
 
 def check_certificate(rows, b, lam) -> None:
@@ -207,6 +222,7 @@ def test_solve_exact_matches_dense_reference_on_random_systems():
         rows = [a.row(r) for r in range(a.rows)]
         sol = solve_exact(a, b)
         assert sol == solve_exact_ref(a, b), seed
+        check_all_fractions(sol)
         statuses[sol.status] += 1
         assert (sol.status is SolveStatus.INCONSISTENT) == system_inconsistent(rows, b)
         if sol.status is SolveStatus.INCONSISTENT:
@@ -222,7 +238,39 @@ def test_solve_exact_matches_dense_reference_on_empty_shapes(size):
         (RationalMatrix(size, 0, []), [F(k % 3) for k in range(size)]),
         (RationalMatrix(0, size, []), []),
     ]:
-        assert solve_exact(a, b) == solve_exact_ref(a, b)
+        sol = solve_exact(a, b)
+        assert sol == solve_exact_ref(a, b)
+        check_all_fractions(sol)
+
+
+def test_from_rows_keeps_a_copy_of_the_caller_rows():
+    rows = [[1, F(1, 2)], [0, 3]]
+    a = RationalMatrix.from_rows(rows)
+    rows[0][0] = 7
+    rows[1] = [9, 9]
+    rows.append([1, 1])
+    assert (a.rows, a.cols) == (2, 2)
+    assert [a.row(r) for r in range(a.rows)] == [[F(1), F(1, 2)], [F(0), F(3)]]
+    assert all(type(a.at(r, c)) is Fraction for r in range(2) for c in range(2))
+    assert all(type(e) is Fraction for r in range(2) for e in a.row(r))
+
+
+def test_solve_exact_converts_no_zero_entry(monkeypatch):
+    converted = []
+
+    def fraction(*args):
+        converted.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(exactnum, "Fraction", fraction)
+    for rows, b in [
+        ([[0, 2, 0], [1, 0, 0]], [4, 1]),  # underdetermined
+        ([[0, 2], [0, 4], [F(1, 3), 0]], [1, 3, 1]),  # inconsistent: a second pass
+    ]:
+        sol = solve_exact(RationalMatrix.from_rows(rows), b)
+        assert sol.status is not SolveStatus.UNIQUE
+        assert converted and all(args[0] != 0 for args in converted), converted
+        converted.clear()
 
 
 def decomposition_systems():

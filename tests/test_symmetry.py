@@ -216,6 +216,40 @@ def test_swap_permutation_rejects_unequal_or_outside_sets(left, right):
         swap_permutation(3, face(*left), face(*right))
 
 
+def test_a_transposition_is_the_swap_of_two_singletons():
+    assert swap_permutation(3, 1, 2) == Permutation.transposition(3, 1, 2)
+    for n in range(2, 11):
+        for i, j in combinations(range(1, n + 1), 2):
+            swap = swap_permutation(n, 1 << i - 1, 1 << j - 1)
+            assert swap == Permutation.transposition(n, i, j)
+
+
+def swap_outcome(n, left, right):
+    try:
+        return swap_permutation(n, left, right)
+    except ValueError as e:
+        return str(e)
+
+
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(0, (1 << n + 1) - 1), st.integers(0, (1 << n + 1) - 1)
+        )
+    )
+)
+def test_swap_permutation_reads_masks_as_faces(case):
+    # masks reach one id past n, so both ValueErrors occur
+    n, left, right = case
+    assert swap_outcome(n, left, right) == swap_outcome(n, Face(left), Face(right))
+
+
+def test_a_permutation_bit_table_is_its_image_masks():
+    p = Permutation((3, 1, 2))
+    assert p.bits == [0b100, 0b001, 0b010]
+    assert p.apply_face(0b011) == face(1, 3)
+
+
 def test_generators_full_simplex_include_all_transpositions():
     gens = set(pi_delta_generators(full_simplex(3)))
     for i, j in combinations(range(1, 4), 2):
