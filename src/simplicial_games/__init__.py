@@ -13,7 +13,6 @@ from .exactnum import (
 from .games import (
     Game,
     carrier_game,
-    indicator_game,
     load_game,
     random_dummy_game,
     random_game,

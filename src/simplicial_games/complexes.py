@@ -320,10 +320,6 @@ def full_simplex(n: int) -> SimplicialComplex:
 
 # -- JSON interchange --------------------------------------------------
 
-def complex_to_dict(delta: SimplicialComplex) -> dict:
-    return {"n": delta.n, "facets": [list(f.vertices) for f in delta.facets]}
-
-
 def complex_from_dict(data: object) -> SimplicialComplex:
     if not isinstance(data, dict):
         raise ParseError("complex document must be a JSON object")

@@ -52,10 +52,6 @@ class EmptyCarrierNotAllowed(SimplicialGamesError):
     code = "EmptyCarrierNotAllowed"
 
 
-class PermutationNotSymmetry(SimplicialGamesError):
-    code = "PermutationNotSymmetry"
-
-
 class ComplexMismatch(SimplicialGamesError):
     code = "ComplexMismatch"
 

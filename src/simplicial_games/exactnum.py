@@ -18,6 +18,7 @@ row operations; the pivots depend on ``A`` alone, so both passes agree.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -28,22 +29,31 @@ from .errors import DimensionMismatch, ParseError, ResultTooLong
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the text form "p/q" (q omitted when 1). Rejects decimals."""
+def _rational_pair(text: str) -> tuple[int, int]:
+    """The reduced ints (p, q), q > 0, of the text form "p/q" (q omitted when 1).
+
+    The one grammar of a rational literal: ASCII digits only, no decimals.
+    """
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ParseError(f"not a rational 'p/q' literal: {text!r}")
+    p, q = m.groups()
     try:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        num, den = int(p), int(q) if q else 1
     except ValueError as e:  # over the interpreter's integer digit limit
         raise ParseError(f"rational literal too long: {e}") from None
     if den == 0:
         raise ParseError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(num, den)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the text form "p/q" (q omitted when 1). Rejects decimals."""
+    return Fraction(*_rational_pair(text))
 
 
 def format_rational(q: Fraction) -> str:

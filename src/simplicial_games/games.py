@@ -13,6 +13,14 @@ pass ``TABLE_BITS_BUDGET`` is refused before its table is built.  Carrier
 games v_T (containment) and their strict variants (proper containment) are
 the probing basis of Weber's axioms; the axiom suite reads their values off
 the weight tables instead of building them.
+
+A game file is read straight to integers.  One table per load maps the text
+"1".."n" of each vertex id to its bit, so a key whose parts all hit it, each
+a different vertex, is its mask, and each worth is read as a reduced
+``(p, q)`` int pair by the one rational grammar of ``exactnum``.  Any other
+key (a leading zero, a repeated id, an id above n, no digits) goes through
+the per-key diagnosis, which accepts the spellings that name a face and
+raises the typed error of the first bad key in file order.
 """
 
 from __future__ import annotations
@@ -32,10 +40,8 @@ from .errors import (
     FaceNotInComplex,
     GameFaceNotInComplex,
     ParseError,
-    PermutationNotSymmetry,
 )
-from .exactnum import format_rational, parse_rational
-from .symmetry import Permutation, moved_facet
+from .exactnum import _rational_pair
 
 # |faces| * bits of the common denominator above which a game is refused
 TABLE_BITS_BUDGET = 1 << 27
@@ -54,7 +60,7 @@ class Game:
         self, complex: SimplicialComplex, values: Mapping[Face, Fraction | int] = ()
     ):
         face_masks = complex.face_masks
-        worth: dict[Face, Fraction] = {}
+        worth: dict[Face, tuple[int, int]] = {}
         for face, w in dict(values).items():
             face = as_face(face)
             w = Fraction(w)
@@ -62,7 +68,7 @@ class Game:
                 raise GameFaceNotInComplex(f"{face} is not a face of the complex")
             if face == EMPTY_FACE and w != 0:
                 raise EmptyCoalitionWorth("the empty coalition is always worth 0")
-            worth[face] = w
+            worth[face] = w.numerator, w.denominator
         self.complex = complex
         self._num, self.denominator = _over_lcm(complex, worth)
 
@@ -104,39 +110,6 @@ class Game:
         d = self.denominator
         return {f: Fraction(w, d) for f, w in self._num.items() if w}
 
-    def is_monotone(self) -> bool:
-        """v(S) <= v(T) over all comparable pairs; covering pairs T - j, T suffice."""
-        num = self._num
-        for m, w in num.items():
-            rest = m
-            while rest:
-                low = rest & -rest
-                if num[m ^ low] > w:
-                    return False
-                rest ^= low
-        return True
-
-    def is_dummy(self, i: int) -> bool:
-        """Does player i add exactly v({i}) to every coalition it can join?"""
-        bit = self.complex.require_vertex(i)
-        num = self._num
-        vi = num[bit]
-        return all(w == num[m ^ bit] + vi for m, w in num.items() if m & bit)
-
-    def permuted(self, perm: Permutation) -> "Game":
-        """The game T -> v(pi T); pi must preserve the complex."""
-        bad = moved_facet(self.complex, perm)
-        if bad is not None:
-            raise PermutationNotSymmetry(
-                f"{perm} maps face {bad} outside the complex"
-            )
-        num = self._num
-        return Game._of(
-            self.complex,
-            {f: num[perm.apply_face(f)] for f in self.complex.faces},
-            self.denominator,
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Game):
             return NotImplemented
@@ -151,16 +124,16 @@ class Game:
 
 
 def _over_lcm(
-    delta: SimplicialComplex, worth: Mapping[Face, Fraction]
+    delta: SimplicialComplex, worth: Mapping[int, tuple[int, int]]
 ) -> tuple[dict[Face, int], int]:
-    """The numerators of ``worth`` (faces left out are 0) over the lcm of its denominators.
+    """The numerators of the reduced worths ``(p, q)`` by face, 0 elsewhere, over the lcm of the q.
 
     The lcm is taken one distinct denominator at a time, and BudgetExceeded is
     raised as soon as the table would pass TABLE_BITS_BUDGET bits.
     """
     faces = len(delta.faces)
     d = 1
-    for q in {w.denominator for w in worth.values()}:
+    for q in {q for _, q in worth.values()}:
         d = math.lcm(d, q)
         if faces * d.bit_length() > TABLE_BITS_BUDGET:
             raise BudgetExceeded(
@@ -168,8 +141,8 @@ def _over_lcm(
                 f"table of {faces} faces would pass {TABLE_BITS_BUDGET} bits"
             )
     num = dict.fromkeys(delta.faces, 0)
-    for f, w in worth.items():
-        num[f] = w.numerator * (d // w.denominator)
+    for f, (p, q) in worth.items():
+        num[f] = p * (d // q)
     return num, d
 
 
@@ -188,18 +161,6 @@ def carrier_game(
     if t == EMPTY_FACE and not strict:
         raise EmptyCarrierNotAllowed("carrier game of the empty face must be strict")
     num = {f: int(f & t == t and not (strict and f == t)) for f in delta.faces}
-    return Game._of(delta, num, 1)
-
-
-def indicator_game(delta: SimplicialComplex, t: FaceLike) -> Game:
-    """Worth 1 at exactly the face t (the difference of the two carrier games)."""
-    t = as_face(t)
-    if not delta.has_face(t):
-        raise FaceNotInComplex(f"{t} is not a face of the complex")
-    if t == EMPTY_FACE:
-        raise EmptyCarrierNotAllowed("the empty face cannot carry an indicator")
-    num = dict.fromkeys(delta.faces, 0)
-    num[t] = 1
     return Game._of(delta, num, 1)
 
 
@@ -279,12 +240,6 @@ def face_key(face: Face) -> str:
     return ",".join(str(v) for v in face.vertices)
 
 
-def game_to_dict(v: Game) -> dict:
-    return {
-        "values": {face_key(f): format_rational(w) for f, w in v.values.items()}
-    }
-
-
 def _coalition_ids(key: str) -> list[int]:
     """The vertex ids of a key "i,j,...": each one a run of ASCII digits."""
     parts = key.split(",")
@@ -296,26 +251,39 @@ def _coalition_ids(key: str) -> list[int]:
     raise ParseError(f"bad coalition key {key!r}")
 
 
+def _key_face(key: str, delta: SimplicialComplex) -> Face:
+    """The face a key names, or the typed error of a key that names none."""
+    if key == "":
+        raise ParseError("the empty coalition may not appear in a game file")
+    ids = _coalition_ids(key)
+    # ids are compared with n before the mask, which is max(ids) bits wide
+    if max(ids) > delta.n or (f := Face.from_vertices(ids)) not in delta.face_masks:
+        raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")
+    return f
+
+
 def game_from_dict(data: object, delta: SimplicialComplex) -> Game:
     if not isinstance(data, dict) or "values" not in data:
         raise ParseError("game document must be an object with a 'values' key")
     raw = data["values"]
     if not isinstance(raw, dict):
         raise ParseError("'values' must map coalition keys to rationals")
-    worth: dict[Face, Fraction] = {}
+    bits = {str(v): 1 << (v - 1) for v in range(1, delta.n + 1)}
+    faces = delta.face_masks
+    worth: dict[int, tuple[int, int]] = {}
     for key, text in raw.items():
-        if key == "":
-            raise ParseError("the empty coalition may not appear in a game file")
-        ids = _coalition_ids(key)
-        # ids are compared with n before the mask, which is max(ids) bits wide
-        if max(ids) > delta.n or (f := Face.from_vertices(ids)) not in delta.face_masks:
-            raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")
-        if f in worth:  # read already, under another spelling
-            first = next(k for k in raw if Face.from_vertices(_coalition_ids(k)) == f)
-            raise ParseError(f"keys {first!r} and {key!r} name one coalition {f}")
+        parts = key.split(",")
+        m = 0
+        for part in parts:  # a part that misses the table or repeats adds no bit
+            m |= bits.get(part, 0)
+        if m.bit_count() != len(parts) or m not in faces:
+            m = _key_face(key, delta)
+        if m in worth:  # read already, under another spelling
+            first = next(k for k in raw if _key_face(k, delta) == m)
+            raise ParseError(f"keys {first!r} and {key!r} name one coalition {Face(m)}")
         if not isinstance(text, str):
             raise ParseError(f"worth of {key!r} must be a rational string")
-        worth[f] = parse_rational(text)
+        worth[m] = _rational_pair(text)
     return Game._of(delta, *_over_lcm(delta, worth))
 
 

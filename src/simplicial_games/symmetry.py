@@ -97,9 +97,6 @@ class Permutation:
         """The bit table: bits[v-1] is the mask of the image of vertex v."""
         return [1 << (w - 1) for w in self.images]
 
-    def apply_face(self, face: int) -> Face:
-        return Face(_image_mask(face, self.bits))
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, walked from the moved vertices up: each starts at its minimum."""
         images = self.images

@@ -20,8 +20,9 @@ Efficiency aggregates come from the coefficient construction
 
 (a facet is in no link, so its second sum is empty), which makes
 sum_i phi_i(v) = sum_T a_T v(T) an identity.  It is computed as one
-scatter over the tables: each weight p^i_T adds p to a_{T+i} and, unless
-T is empty, subtracts p from a_T.  The facet decomposition
+scatter over the tables, in ints over the lcm of the weights' denominators:
+each weight p^i_T adds p to a_{T+i} and, unless T is empty, subtracts p
+from a_T.  The facet decomposition
 solves, per coalition T in the link, for weights c_F over the facets
 containing T+i so the weighted classical Shapley values on facet
 restrictions reproduce the generalized value.  Both sides are linear
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -233,16 +233,19 @@ def efficiency_coefficients(
 ) -> EfficiencyCoefficients:
     """The unique a_T with sum_i phi_i(v) = sum_T a_T v(T) for every game.
 
-    Scattered from the weights; the nonempty faces, zeros kept, in canonical order.
+    Scattered from the weights as int numerators over the lcm d of their
+    denominators; the nonempty faces, zeros kept, in canonical order.
     """
     player_tables = list(_player_tables(delta, tables))
-    a = dict.fromkeys(delta.faces, Fraction(0))
+    d = math.lcm(*{p.denominator for _, t in player_tables for p in t.weights.values()})
+    a = dict.fromkeys(delta.faces, 0)
     for i, table in player_tables:
         for t, up, p in _link_weights(table, i, delta.face_masks):
-            a[up] += p
-            a[t] -= p
+            x = p.numerator * (d // p.denominator)
+            a[up] += x
+            a[t] -= x
     del a[EMPTY_FACE]
-    return a
+    return {t: Fraction(x, d) for t, x in a.items()}
 
 
 def shapley_efficiency_closed_form(
@@ -264,11 +267,17 @@ def shapley_efficiency_closed_form(
         )
     weights = shapley_weights(cls.s_vector)
     # a face g extends g - j for each of its vertices j
-    ext = Counter(g ^ 1 << j for g in delta.face_masks for j in range(delta.n) if g >> j & 1)
+    ext = dict.fromkeys(delta.faces, 0)
+    for g in delta.face_masks:
+        rest = g
+        while rest:
+            low = rest & -rest
+            ext[g ^ low] += 1
+            rest ^= low
     by_pair: dict[tuple[int, int], Fraction] = {}  # one a_T per (|T|, ext(T))
     out: EfficiencyCoefficients = {}
     for t in delta.faces[1:]:
-        card, e = t.cardinality, ext[t]
+        card, e = t.bit_count(), ext[t]
         if (card, e) not in by_pair:
             by_pair[card, e] = card * weights[card - 1] - (e * weights[card] if e else 0)
         out[t] = by_pair[card, e]

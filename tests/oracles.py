@@ -16,35 +16,182 @@ generator walk that the face-count containment test replaced, and
 ``cycles_ref`` the all-vertex cycle walk that the moved-vertex walk
 replaced, and ``decomposition_system_ref`` the decomposition rows built
 from a scan of every facet per link face, with the weights written out,
-kept as the references their results must equal.  ``built_link`` builds
-a link as a complex, which no command does: ``SimplicialComplex.link``
-returns only its faces.
+and ``game_from_dict_ref``, ``efficiency_scatter_ref`` and
+``closed_form_ref`` the per-key game loader, the ``Fraction`` scatter and
+the per-bit extension count that the int-pair loader, the int scatter and
+the set-bit walk replaced, kept as the references their results must
+equal.  ``built_link`` builds a link as a complex, which no command does:
+``SimplicialComplex.link`` returns only its faces.
+
+The JSON writers, the indicator game, the monotone and dummy predicates and
+the permutation action on games are used by the tests alone, so they live
+here and not in the package.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import comb
 from random import Random
 
-from simplicial_games.complexes import EMPTY_FACE, Face, SimplicialComplex
+from simplicial_games.complexes import EMPTY_FACE, Face, SimplicialComplex, as_face
 from simplicial_games.errors import (
     DimensionMismatch,
+    EmptyCarrierNotAllowed,
     EmptyComplex,
+    FaceNotInComplex,
+    GameFaceNotInComplex,
+    HypothesisNotMet,
     KeyOutsideLink,
     MissingPlayerTable,
+    NotPureLinks,
+    ParseError,
     PlayerMismatch,
+    SimplicialGamesError,
 )
-from simplicial_games.exactnum import LinearSolution, SolveStatus
+from simplicial_games.exactnum import LinearSolution, SolveStatus, format_rational, parse_rational
 from simplicial_games.games import (
     Game,
+    _coalition_ids,
     carrier_game,
+    face_key,
     random_dummy_game,
     random_game,
     random_monotone_game,
     random_rational,
     scale_add,
 )
-from simplicial_games.values import AxiomCheck, AxiomSuiteReport, probabilistic_value
+from simplicial_games.symmetry import _image_mask, classify_shapley, moved_facet
+from simplicial_games.values import (
+    AxiomCheck,
+    AxiomSuiteReport,
+    _link_weights,
+    _player_tables,
+    probabilistic_value,
+    shapley_weights,
+)
+
+
+# -- test-only helpers: JSON writers, games, predicates, permutation action --
+
+class PermutationNotSymmetry(SimplicialGamesError):
+    code = "PermutationNotSymmetry"
+
+
+def complex_to_dict(delta: SimplicialComplex) -> dict:
+    return {"n": delta.n, "facets": [list(f.vertices) for f in delta.facets]}
+
+
+def game_to_dict(v: Game) -> dict:
+    return {
+        "values": {face_key(f): format_rational(w) for f, w in v.values.items()}
+    }
+
+
+def indicator_game(delta: SimplicialComplex, t) -> Game:
+    """Worth 1 at exactly the face t (the difference of the two carrier games)."""
+    t = as_face(t)
+    if not delta.has_face(t):
+        raise FaceNotInComplex(f"{t} is not a face of the complex")
+    if t == EMPTY_FACE:
+        raise EmptyCarrierNotAllowed("the empty face cannot carry an indicator")
+    num = dict.fromkeys(delta.faces, 0)
+    num[t] = 1
+    return Game._of(delta, num, 1)
+
+
+def is_monotone(v: Game) -> bool:
+    """v(S) <= v(T) over all comparable pairs; covering pairs T - j, T suffice."""
+    num = v.numerators
+    for m, w in num.items():
+        rest = m
+        while rest:
+            low = rest & -rest
+            if num[m ^ low] > w:
+                return False
+            rest ^= low
+    return True
+
+
+def is_dummy(v: Game, i: int) -> bool:
+    """Does player i add exactly v({i}) to every coalition it can join?"""
+    bit = v.complex.require_vertex(i)
+    num = v.numerators
+    vi = num[bit]
+    return all(w == num[m ^ bit] + vi for m, w in num.items() if m & bit)
+
+
+def apply_face(perm, face: int) -> Face:
+    """The image of a face under a permutation."""
+    return Face(_image_mask(face, perm.bits))
+
+
+def permuted(v: Game, perm) -> Game:
+    """The game T -> v(pi T); pi must preserve the complex."""
+    bad = moved_facet(v.complex, perm)
+    if bad is not None:
+        raise PermutationNotSymmetry(f"{perm} maps face {bad} outside the complex")
+    num = v.numerators
+    return Game._of(
+        v.complex,
+        {f: num[apply_face(perm, f)] for f in v.complex.faces},
+        v.denominator,
+    )
+
+
+def game_from_dict_ref(data: object, delta: SimplicialComplex) -> Game:
+    """The game file read key by key: ids, a Face, a Fraction per worth."""
+    if not isinstance(data, dict) or "values" not in data:
+        raise ParseError("game document must be an object with a 'values' key")
+    raw = data["values"]
+    if not isinstance(raw, dict):
+        raise ParseError("'values' must map coalition keys to rationals")
+    worth: dict[Face, Fraction] = {}
+    for key, text in raw.items():
+        if key == "":
+            raise ParseError("the empty coalition may not appear in a game file")
+        ids = _coalition_ids(key)
+        # ids are compared with n before the mask, which is max(ids) bits wide
+        if max(ids) > delta.n or (f := Face.from_vertices(ids)) not in delta.face_masks:
+            raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")
+        if f in worth:  # read already, under another spelling
+            first = next(k for k in raw if Face.from_vertices(_coalition_ids(k)) == f)
+            raise ParseError(f"keys {first!r} and {key!r} name one coalition {f}")
+        if not isinstance(text, str):
+            raise ParseError(f"worth of {key!r} must be a rational string")
+        worth[f] = parse_rational(text)
+    return Game(delta, worth)
+
+
+def efficiency_scatter_ref(delta, tables) -> dict:
+    """The efficiency coefficients scattered from the weights as ``Fraction``s."""
+    player_tables = list(_player_tables(delta, tables))
+    a = dict.fromkeys(delta.faces, Fraction(0))
+    for i, table in player_tables:
+        for t, up, p in _link_weights(table, i, delta.face_masks):
+            a[up] += p
+            a[t] -= p
+    del a[EMPTY_FACE]
+    return a
+
+
+def closed_form_ref(delta) -> dict:
+    """Closed-form a_T = |T| w_{|T|-1} - ext(T) w_{|T|}, ext(T) counted bit by bit."""
+    if not delta.has_pure_links():
+        raise NotPureLinks("closed-form coefficients require pure links")
+    cls = classify_shapley(delta)
+    if not cls.is_shapley:
+        raise HypothesisNotMet(
+            f"closed-form coefficients require a Shapley complex; links of "
+            f"vertices {cls.witness} differ"
+        )
+    weights = shapley_weights(cls.s_vector)
+    ext = Counter(g ^ 1 << j for g in delta.face_masks for j in range(delta.n) if g >> j & 1)
+    return {
+        t: t.cardinality * weights[t.cardinality - 1]
+        - (ext[t] * weights[t.cardinality] if ext[t] else 0)
+        for t in delta.faces[1:]
+    }
 
 
 def closure_masks(n: int, facet_masks: list[int]) -> set[int]:

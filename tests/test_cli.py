@@ -18,10 +18,10 @@ from simplicial_games import (
     pi_delta_generators,
 )
 from simplicial_games.cli import main
-from simplicial_games.complexes import complex_to_dict
 from simplicial_games.errors import BudgetExceeded
 from simplicial_games.exactnum import parse_rational
 from conftest import cycle, random_nonpure_complexes
+from oracles import complex_to_dict
 
 F = Fraction
 
@@ -397,6 +397,7 @@ HOSTILE = {
     "directory": ("--complex", None),
     "huge_n": ("--complex", b'{"n": ' + b"7" * 5000 + b', "facets": [[1, 2]]}'),
     "huge_value": ("--game", b'{"values": {"1,2": "' + b"7" * 5000 + b'"}}'),
+    "non_ascii_digits": ("--game", '{"values": {"1,2": "\u0663/4"}}'.encode()),
     "deep_complex": ("--complex", b"[" * 100000 + b"]" * 100000),
     "deep_game": ("--game", b'{"values": ' * 100000 + b"{}" + b"}" * 100000),
 }

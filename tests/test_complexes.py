@@ -14,10 +14,9 @@ from simplicial_games import (
     carrier_game,
     complexes,
     full_simplex,
-    indicator_game,
     random_game,
 )
-from simplicial_games.complexes import as_face, complex_from_dict, complex_to_dict
+from simplicial_games.complexes import as_face, complex_from_dict
 from simplicial_games.errors import (
     BudgetExceeded,
     EmptyComplex,
@@ -31,10 +30,12 @@ from conftest import figure_a, figure_b, golden_fixtures, random_nonpure_complex
 from oracles import (
     built_link,
     closure_masks,
+    complex_to_dict,
     ext_ids,
     f_vector_of,
     facet_masks_of,
     has_pure_links_ref,
+    indicator_game,
     is_downward_closed,
     link_masks,
     skeleton_masks,

@@ -51,8 +51,12 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_rejects_non_rational():
-    # the last two exceed the interpreter's integer digit limit
-    for text in ["1.5", "", "a/b", "1/0", "1/2/3", "7" * 5000, "1/" + "7" * 5000]:
+    # two exceed the interpreter's integer digit limit; the rest spell digits
+    # that are not ASCII, which int() would read
+    for text in [
+        "1.5", "", "a/b", "1/0", "1/2/3", "7" * 5000, "1/" + "7" * 5000,
+        "\u0663/4", "3/\u0664", "\uff13", "\u0967",
+    ]:
         with pytest.raises(ParseError):
             parse_rational(text)
 

@@ -25,10 +25,10 @@ import pytest
 
 from simplicial_games import SimplicialComplex, full_simplex
 from simplicial_games.cli import main
-from simplicial_games.complexes import complex_to_dict
-from simplicial_games.games import game_to_dict, random_game
+from simplicial_games.games import random_game
 from simplicial_games.symmetry import check_pi_delta_contained
 from conftest import golden_fixtures
+from oracles import complex_to_dict, game_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("table", "json")

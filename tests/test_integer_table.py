@@ -6,17 +6,23 @@ large pairwise-coprime denominators (2^p - 1 for distinct primes p share no
 factor), on seeded random non-pure complexes with n <= 7.  The weight
 tables and efficiency coefficients are as hostile: signed, zero, empty, or
 all over one large denominator.  Every kernel must equal the definitional
-Fraction computation exactly.
+Fraction computation exactly.  The game loader, which reads keys to masks
+and worths to int pairs, must build the game the per-key ``Fraction`` loader
+builds, and raise its error (type, message, first bad key in file order) on
+every file it refuses; the int efficiency scatter and the closed form must
+equal the ``Fraction`` scatter and the per-bit extension count.
 """
 
 import math
 from fractions import Fraction
 from random import Random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplicial_games import Face, Game, SimplicialComplex
+from simplicial_games import Face, Game, SimplicialComplex, full_simplex
+from simplicial_games.errors import KeyOutsideLink, MissingPlayerTable, SimplicialGamesError
 from simplicial_games.games import game_from_dict
 from simplicial_games.values import (
     ProbabilityTable,
@@ -26,11 +32,19 @@ from simplicial_games.values import (
     efficiency_rhs,
     generalized_shapley,
     probabilistic_value,
+    shapley_efficiency_closed_form,
 )
+from conftest import cycle, figure_b, golden_fixtures
 from oracles import (
+    closed_form_ref,
+    efficiency_coefficients_ref,
+    efficiency_scatter_ref,
     facet_masks_of,
+    game_from_dict_ref,
     generalized_shapley_ref,
+    is_dummy,
     is_dummy_ref,
+    is_monotone,
     is_monotone_ref,
     probabilistic_value_ref,
 )
@@ -127,10 +141,10 @@ def test_integer_kernels_equal_the_fraction_references(seed):
     for v in games_of(delta, rng):
         worth = {f: v.value(f) for f in delta.faces}
         assert v.denominator == math.lcm(*(w.denominator for w in worth.values()))
-        assert v.is_monotone() == is_monotone_ref(v)
+        assert is_monotone(v) == is_monotone_ref(v)
         phi = {}
         for i in delta.vertices:
-            assert v.is_dummy(i) == is_dummy_ref(v, i)
+            assert is_dummy(v, i) == is_dummy_ref(v, i)
             assert generalized_shapley(v, i) == generalized_shapley_ref(v, i)
             phi[i] = probabilistic_value_ref(v, i, tables[i])
             assert probabilistic_value(v, i, tables[i]) == phi[i]
@@ -164,3 +178,121 @@ def test_equal_tables_in_other_spellings_are_equal_games(seed):
     for other in (game_from_dict(doc, delta), Game(delta, spelled), Game(delta, v.values)):
         assert other == v
         assert (other.denominator, dict(other.numerators)) == (v.denominator, dict(v.numerators))
+
+
+BAD_KEYS = ["", "0", "1,1", ",1", "1,,2", "1,", "a", "+1", " 1", "\u0663", "7" * 5000]
+WORTHS = ["+3", " 3/4 ", "-0/7", "6/4", "0", "-12/18", f"{7**355}/{2**40}", f"-{10**299}"]
+BAD_WORTHS = ["3/0", "1.5", "", "3/", "\u0663/4", "9" * 5000, 3, None, 1.5, ["1"]]
+
+
+@st.composite
+def game_files(draw):
+    """(complex, document): keys spelled in any valid way, and now and then a bad
+    key, a bad worth or a second spelling of a coalition read already."""
+    n = draw(st.integers(1, 8))
+    facet = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+    delta = SimplicialComplex.from_facets(n, draw(st.lists(facet, min_size=1, max_size=4)))
+    values = {}
+    for _ in range(draw(st.integers(0, 10))):
+        flaw = draw(st.integers(0, 24))
+        if flaw == 1:
+            key = draw(st.sampled_from([*BAD_KEYS, str(n + 1), f"1,{n + 1}"]))
+        else:
+            ids = list(draw(st.sampled_from(delta.faces[1:])).vertices)
+            if flaw == 2:  # another order, and leading zeros
+                ids = draw(st.permutations(ids))
+                ids = ["0" * draw(st.integers(0, 2)) + str(v) for v in ids]
+            key = ",".join(map(str, ids))
+        if flaw == 3:
+            values[key] = draw(st.sampled_from(BAD_WORTHS))
+        elif flaw < 12:
+            values[key] = draw(st.sampled_from(WORTHS))
+        else:
+            values[key] = str(draw(st.fractions(max_denominator=50)))
+    return delta, {"values": values}
+
+
+def outcome(f, *args):
+    """What f returns, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except SimplicialGamesError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(game_files())
+@example((full_simplex(3), {"values": {"2,1": "6/4", "01,3": "+3", "3": " 3/4 ", "2": "-0/7"}}))
+@example((full_simplex(3), {"values": {"1,2": "1", "3": "3/0", "2,01": "1"}}))
+@example((full_simplex(3), {"values": {"3": "1", "1,2": "1", "2,1": "1", "": "1"}}))
+@example((full_simplex(3), {"values": {"1": "1", "4": "1", "1,1": "1"}}))
+@example((cycle(4), {"values": {"1,3": "1", "1": 1}}))
+def test_int_pair_loader_equals_the_per_key_loader(case):
+    delta, doc = case
+    got, want = outcome(game_from_dict, doc, delta), outcome(game_from_dict_ref, doc, delta)
+    assert got == want
+    if isinstance(want, Game):
+        assert (got.denominator, list(got.numerators.items())) == (
+            want.denominator,
+            list(want.numerators.items()),
+        )
+
+
+def mixed_tables(delta: SimplicialComplex) -> dict[int, ProbabilityTable]:
+    """Hand-built weights over mixed denominators, ints and zeros among them."""
+    cycle_of = [F(1, 3), F(-2, 7), F(5, 12), 0, 4, F(9, 2**61 - 1), F(-1, 6)]
+    tables = {}
+    for i in delta.vertices:
+        link = delta.link(Face.from_vertices([i]))
+        tables[i] = ProbabilityTable(i, {t: cycle_of[(i + k) % 7] for k, t in enumerate(link)})
+    return tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_int_efficiency_scatter_equals_the_fraction_scatter(seed):
+    rng = Random(seed)
+    delta = nonpure_complex(rng)
+    for tables in (signed_tables(delta, rng), canonical_shapley_tables(delta), mixed_tables(delta)):
+        got = efficiency_coefficients(delta, tables)
+        assert list(got.items()) == list(efficiency_scatter_ref(delta, tables).items())
+        assert got == efficiency_coefficients_ref(delta, tables)
+        assert all(type(a) is F for a in got.values())
+
+
+def test_efficiency_scatter_raises_in_the_reference_order():
+    delta = figure_b()
+    tables = mixed_tables(delta)
+    first, second, last = delta.vertices[0], delta.vertices[1], delta.vertices[-1]
+
+    def own(i):  # a player is not in its own link
+        return ProbabilityTable(i, {**tables[i].weights, Face.from_vertices([i]): F(1)})
+
+    without_last = {i: t for i, t in tables.items() if i != last}
+    cases = [
+        without_last,
+        {**tables, second: own(second)},
+        # a bad key on the first player and a missing table after it: the table is missed first
+        {**without_last, first: own(first)},
+    ]
+    for bad, error in zip(cases, (MissingPlayerTable, KeyOutsideLink, MissingPlayerTable)):
+        got = outcome(efficiency_coefficients, delta, bad)
+        assert got == outcome(efficiency_scatter_ref, delta, bad)
+        assert got[0] is error
+
+
+CLOSED_FORM_CASES = [
+    *golden_fixtures().values(),
+    *(full_simplex(n) for n in range(1, 8)),
+    *(full_simplex(7).skeleton(k) for k in range(1, 6)),
+    *(cycle(n) for n in range(3, 9)),
+]
+
+
+@pytest.mark.parametrize("delta", CLOSED_FORM_CASES + [nonpure_complex(Random(s)) for s in range(12)])
+def test_closed_form_equals_the_per_bit_count(delta):
+    got, want = outcome(shapley_efficiency_closed_form, delta), outcome(closed_form_ref, delta)
+    if isinstance(want, dict):
+        assert list(got.items()) == list(want.items())
+    else:
+        assert got == want

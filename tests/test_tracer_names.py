@@ -16,9 +16,9 @@ import pytest
 
 import simplicial_games
 import simplicial_games.cli
-from simplicial_games.complexes import complex_to_dict
-from simplicial_games.games import game_to_dict, random_game
+from simplicial_games.games import random_game
 from conftest import figure_a, figure_b
+from oracles import complex_to_dict, game_to_dict
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 

@@ -25,7 +25,6 @@ from simplicial_games import (
     full_simplex,
     generalized_shapley,
     group_value,
-    indicator_game,
     probabilistic_value,
     random_dummy_game,
     random_game,
@@ -58,6 +57,7 @@ from oracles import (
     decomposition_system_ref,
     efficiency_coefficients_ref,
     generalized_shapley_ref,
+    indicator_game,
     probabilistic_value_ref,
     solve_exact_ref,
     system_inconsistent,
