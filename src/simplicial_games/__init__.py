@@ -25,7 +25,6 @@ from .symmetry import (
     ShapleyClassification,
     SymmetryGroup,
     check_pi_delta_contained,
-    check_symmetry_reduction,
     classify_shapley,
     moved_facet,
     permutation_preserves,

@@ -7,13 +7,21 @@ anywhere; decimal rendering is a display concern of the CLI.
 
 ``solve_exact`` performs Gauss-Jordan elimination with first-nonzero pivot
 selection, so results are fully deterministic.  A ``RationalMatrix`` keeps
-the caller's rows as given; the solver makes ``Fraction``s of the nonzeros
-of ``[A | b]`` alone and eliminates sparse rows, so zeros cost nothing.
-Underdetermined systems report the particular solution with every free
-variable fixed to 0, plus a basis of the nullspace.  Inconsistent systems
-carry a certificate ``lam`` with ``lam @ A == 0`` and ``lam @ b == 1``.
-Only then is ``[A | I | b]`` eliminated, its identity block recording the
-row operations; the pivots depend on ``A`` alone, so both passes agree.
+the caller's rows as given.  The solver eliminates integer rows: each row
+of ``[A | b]`` holds its nonzeros, sparse by column, times the lcm of their
+denominators, so each row carries one denominator and no entry becomes a
+``Fraction``.  Column c of a row is cancelled by integer multiples of the
+pivot row, and the row is divided by the gcd of its entries: integer
+elimination as in Bareiss (1968), kept small by gcds instead of by his
+division by the previous pivot.  Each reduced row is then a multiple of the
+row a ``Fraction`` elimination with the same pivots would give, and a
+``Fraction`` is built only for the result, as the ratio of two ints of one
+row.  Underdetermined systems report the particular solution with every
+free variable fixed to 0, plus a basis of the nullspace.  Inconsistent
+systems carry a certificate ``lam`` with ``lam @ A == 0`` and
+``lam @ b == 1``.  Only then is ``[A | I | b]`` eliminated, its identity
+block recording the row operations; the pivots depend on ``A`` alone, so
+both passes agree.
 """
 
 from __future__ import annotations
@@ -128,17 +136,20 @@ class RationalMatrix:
 _ZERO = Fraction(0)
 
 
-def _sparse_row(dense: Sequence, extra: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The nonzeros of ``dense`` by column, each made a ``Fraction``, then those of ``extra``."""
-    row = {c: Fraction(e) for c, e in enumerate(dense) if e}
+def _int_row(dense: Sequence, extra: dict[int, Fraction | int]) -> dict[int, int]:
+    """Nonzeros of ``dense``, then of ``extra``, by column, times the lcm of their denominators."""
+    row = {c: e for c, e in enumerate(dense) if e}
     row.update((c, e) for c, e in extra.items() if e)
-    return row
+    scale = math.lcm(*(e.denominator for e in row.values()))
+    return {c: e.numerator * (scale // e.denominator) for c, e in row.items()}
 
 
-def _eliminate(rows: list[dict[int, Fraction]], n: int) -> dict[int, int]:
-    """Reduce sparse rows in place to RREF on columns 0..n-1.
+def _eliminate(rows: list[dict[int, int]], n: int) -> dict[int, int]:
+    """Reduce sparse int rows in place to a multiple of the RREF on columns 0..n-1.
 
-    Columns from n on are carried along but never pivot.  Returns the
+    Columns from n on are carried along but never pivot.  Each row keeps
+    its own scale: a pivot row is never divided by its pivot, and a row
+    is divided by the gcd of its entries whenever it changes.  Returns the
     pivot row of each pivot column; the rank is its length.
     """
     m = len(rows)
@@ -149,39 +160,51 @@ def _eliminate(rows: list[dict[int, Fraction]], n: int) -> dict[int, int]:
         if pr is None:
             continue
         rows[rank], rows[pr] = rows[pr], rows[rank]
-        piv = rows[rank][c]
-        prow = rows[rank] = {k: e / piv for k, e in rows[rank].items()}
+        prow = rows[rank]
+        piv = prow[c]
         for r in range(m):
             row = rows[r]
             if r == rank or c not in row:
                 continue
+            # row <- (piv/g) row - (f/g) prow cancels column c
             f = row[c]
+            g = math.gcd(piv, f)
+            s, t = piv // g, f // g
+            if s != 1:
+                for k in row:
+                    row[k] *= s
             for k, e in prow.items():
-                if k in row:
-                    x = row[k] - f * e
-                    if x:
-                        row[k] = x
-                    else:
-                        del row[k]
+                x = row.get(k, 0) - t * e
+                if x:
+                    row[k] = x
                 else:
-                    row[k] = -f * e
+                    del row[k]
+            d = math.gcd(*row.values())
+            if d > 1:
+                for k in row:
+                    row[k] //= d
         pivot_of_col[c] = rank
         rank += 1
     return pivot_of_col
 
 
+def _ratio(row: dict[int, int], k: int, c: int) -> Fraction:
+    """row[k] / row[c]; a column missing from the sparse row is 0."""
+    return Fraction(row[k], row[c]) if k in row else _ZERO
+
+
 def solve_exact(a: RationalMatrix, b: Sequence[Fraction | int]) -> LinearSolution:
     """Solve A x = b exactly over the rationals.
 
-    Gauss-Jordan elimination on sparse rows; in each column the first row
-    (top to bottom) with a nonzero entry becomes the pivot.  The identity
-    block that yields a certificate is carried only when the first pass
-    finds the system inconsistent.
+    Gauss-Jordan elimination on sparse int rows; in each column the first
+    row (top to bottom) with a nonzero entry becomes the pivot.  The
+    identity block that yields a certificate is carried only when the first
+    pass finds the system inconsistent.
     """
     if a.rows != len(b):
         raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)}")
     m, n = a.rows, a.cols
-    rows = [_sparse_row(a._rows[r], {n: Fraction(b[r])}) for r in range(m)]
+    rows = [_int_row(a._rows[r], {n: b[r]}) for r in range(m)]
     pivot_of_col = _eliminate(rows, n)
     rank = len(pivot_of_col)
 
@@ -189,30 +212,27 @@ def solve_exact(a: RationalMatrix, b: Sequence[Fraction | int]) -> LinearSolutio
         # Eliminate [A | I | b] again; the I block records the row
         # operations, so an inconsistent row yields a certificate against
         # the original system.  The pivots depend on A alone, so they repeat.
-        rows = [
-            _sparse_row(a._rows[r], {n + r: Fraction(1), n + m: Fraction(b[r])})
-            for r in range(m)
-        ]
+        rows = [_int_row(a._rows[r], {n + r: 1, n + m: b[r]}) for r in range(m)]
         _eliminate(rows, n)
         row = next(rows[r] for r in range(rank, m) if n + m in rows[r])
-        rhs = row[n + m]
         return LinearSolution(
             status=SolveStatus.INCONSISTENT,
             particular=None,
             nullspace_basis=(),
-            certificate=tuple(row.get(n + k, _ZERO) / rhs for k in range(m)),
+            certificate=tuple(_ratio(row, n + k, n + m) for k in range(m)),
         )
 
+    # the row of pivot column c is a multiple of the RREF row: divide by row[c]
     free_cols = [c for c in range(n) if c not in pivot_of_col]
     particular = [_ZERO] * n
     for c, r in pivot_of_col.items():
-        particular[c] = rows[r].get(n, _ZERO)
+        particular[c] = _ratio(rows[r], n, c)
     basis = []
     for fc in free_cols:
         z = [_ZERO] * n
         z[fc] = Fraction(1)
         for c, r in pivot_of_col.items():
-            z[c] = -rows[r].get(fc, _ZERO)
+            z[c] = -_ratio(rows[r], fc, c)
         basis.append(tuple(z))
     status = SolveStatus.UNIQUE if not free_cols else SolveStatus.UNDERDETERMINED
     return LinearSolution(

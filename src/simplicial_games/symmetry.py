@@ -28,11 +28,10 @@ cannot be checked against its abstract alone, so this reading is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, groupby
 from math import comb
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .complexes import Face, FVector, SimplicialComplex
 from .errors import (
@@ -40,13 +39,9 @@ from .errors import (
     DimensionMismatch,
     EmptyComplex,
     GroundSetTooLarge,
-    HypothesisNotMet,
     NotPureLinks,
 )
 from .exactnum import LinearSolution, RationalMatrix, solve_exact
-
-if TYPE_CHECKING:
-    from .values import ProbabilityTable
 
 SYMM_GROUP_MAX_N = 10
 PAIR_BUDGET = 1 << 25  # pairs of equal-size link faces one generator walk may examine
@@ -373,42 +368,3 @@ def solve_p_system(delta: SimplicialComplex) -> LinearSolution:
     """
     rows, _ = p_system_rows(delta)
     return solve_exact(RationalMatrix.from_rows(rows), [1] * len(rows))
-
-
-@dataclass(frozen=True)
-class SymmetryReductionReport:
-    """Whether per-player weights collapse to per-cardinality constants."""
-
-    ok: bool
-    common_p: dict[int, Fraction] | None = None
-    violation: tuple[int, Face, Fraction, Fraction] | None = None
-
-
-def check_symmetry_reduction(
-    delta: SimplicialComplex, tables: Mapping[int, "ProbabilityTable"]
-) -> SymmetryReductionReport:
-    """Verify p_T^i depends only on |T| for nonempty T, across all players.
-
-    Requires the generated-subgroup containment hypothesis; the report
-    carries the shared constants (p_1, ..., ) or the first violation
-    (player, face, expected, actual).
-    """
-    report = check_pi_delta_contained(delta)
-    if not report.contained:
-        raise HypothesisNotMet(
-            f"generated subgroup not contained in Symm: generator "
-            f"{report.witness_generator} moves {report.witness_face} outside"
-        )
-    common: dict[int, Fraction] = {}
-    for i in delta.vertices:
-        table = tables[i]
-        for t in delta.link(Face.from_vertices([i]))[1:]:  # nonempty T
-            p = table.weight(t)
-            card = t.cardinality
-            if card not in common:
-                common[card] = p
-            elif common[card] != p:
-                return SymmetryReductionReport(
-                    False, violation=(i, t, common[card], p)
-                )
-    return SymmetryReductionReport(True, common_p=common)

@@ -358,14 +358,15 @@ def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
     weights = shapley_weights(delta.link_f_vectors()[i])
     facet_order = delta.facets_containing(single)
     row_faces = delta.link(single)
-    # i is in every facet of the order, so T + i lies in F exactly when T does
+    # i is in every facet of the order, so T + i lies in F exactly when T
+    # does, and then |T| < |F|: coeff[|F|][|T|] = 1/(|F| C(|F|-1, |T|))
+    sizes = [f.cardinality for f in facet_order]
+    coeff = {k: [Fraction(1, k * math.comb(k - 1, j)) for j in range(k)] for k in set(sizes)}
     zero = Fraction(0)
     matrix = tuple(
         tuple(
-            Fraction(1, f.cardinality * math.comb(f.cardinality - 1, t.cardinality))
-            if t.issubset(f)
-            else zero
-            for f in facet_order
+            coeff[k][t.cardinality] if t.issubset(f) else zero
+            for f, k in zip(facet_order, sizes)
         )
         for t in row_faces
     )

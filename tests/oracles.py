@@ -23,16 +23,18 @@ the set-bit walk replaced, kept as the references their results must
 equal.  ``built_link`` builds a link as a complex, which no command does:
 ``SimplicialComplex.link`` returns only its faces.
 
-The JSON writers, the indicator game, the monotone and dummy predicates and
-the permutation action on games are used by the tests alone, so they live
-here and not in the package.
+The JSON writers, the indicator game, the monotone and dummy predicates,
+the permutation action on games and the symmetry-reduction check are used
+by the tests alone, so they live here and not in the package.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb
 from random import Random
+from typing import Mapping
 
 from simplicial_games.complexes import EMPTY_FACE, Face, SimplicialComplex, as_face
 from simplicial_games.errors import (
@@ -61,10 +63,16 @@ from simplicial_games.games import (
     random_rational,
     scale_add,
 )
-from simplicial_games.symmetry import _image_mask, classify_shapley, moved_facet
+from simplicial_games.symmetry import (
+    _image_mask,
+    check_pi_delta_contained,
+    classify_shapley,
+    moved_facet,
+)
 from simplicial_games.values import (
     AxiomCheck,
     AxiomSuiteReport,
+    ProbabilityTable,
     _link_weights,
     _player_tables,
     probabilistic_value,
@@ -137,6 +145,45 @@ def permuted(v: Game, perm) -> Game:
         {f: num[apply_face(perm, f)] for f in v.complex.faces},
         v.denominator,
     )
+
+
+@dataclass(frozen=True)
+class SymmetryReductionReport:
+    """Whether per-player weights collapse to per-cardinality constants."""
+
+    ok: bool
+    common_p: dict[int, Fraction] | None = None
+    violation: tuple[int, Face, Fraction, Fraction] | None = None
+
+
+def check_symmetry_reduction(
+    delta: SimplicialComplex, tables: Mapping[int, ProbabilityTable]
+) -> SymmetryReductionReport:
+    """Verify p_T^i depends only on |T| for nonempty T, across all players.
+
+    Requires the generated-subgroup containment hypothesis; the report
+    carries the shared constants (p_1, ..., ) or the first violation
+    (player, face, expected, actual).
+    """
+    report = check_pi_delta_contained(delta)
+    if not report.contained:
+        raise HypothesisNotMet(
+            f"generated subgroup not contained in Symm: generator "
+            f"{report.witness_generator} moves {report.witness_face} outside"
+        )
+    common: dict[int, Fraction] = {}
+    for i in delta.vertices:
+        table = tables[i]
+        for t in delta.link(Face.from_vertices([i]))[1:]:  # nonempty T
+            p = table.weight(t)
+            card = t.cardinality
+            if card not in common:
+                common[card] = p
+            elif common[card] != p:
+                return SymmetryReductionReport(
+                    False, violation=(i, t, common[card], p)
+                )
+    return SymmetryReductionReport(True, common_p=common)
 
 
 def game_from_dict_ref(data: object, delta: SimplicialComplex) -> Game:

@@ -16,7 +16,6 @@ from simplicial_games import (
     carrier_game,
     check_efficiency_identity,
     check_pi_delta_contained,
-    check_symmetry_reduction,
     classical_shapley_all,
     classify_shapley,
     decompose_shapley,
@@ -37,6 +36,7 @@ from simplicial_games.values import DecompositionStatus
 from conftest import all_fixtures, cycle, figure_a
 from oracles import (
     built_link,
+    check_symmetry_reduction,
     closure_masks,
     ext_ids,
     f_vector_of,

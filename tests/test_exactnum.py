@@ -2,11 +2,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplicial_games import (
     RationalMatrix,
+    SimplicialComplex,
     exactnum,
     SolveStatus,
     decompose_shapley,
@@ -247,6 +248,58 @@ def test_solve_exact_matches_dense_reference_on_empty_shapes(size):
         check_all_fractions(sol)
 
 
+BIG = 10**12
+big_entries = st.one_of(
+    st.just(0),
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@st.composite
+def big_systems(draw):
+    """Systems up to 6 x 6 with numerators and denominators up to 10^12.
+
+    Some rows are combinations of earlier rows (rank deficient); the rhs is
+    arbitrary, consistent, or consistent with one entry perturbed, so both
+    inconsistent systems and their certificates come up.
+    """
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [[draw(big_entries) for _ in range(n)] for _ in range(m)]
+    for r in range(1, m):
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            s, t = draw(big_entries), draw(big_entries)
+            rows[r] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+    a = RationalMatrix.from_rows(rows)
+    rhs_kind = draw(st.sampled_from(["random", "consistent", "perturbed"]))
+    if rhs_kind == "random":
+        return a, [draw(big_entries) for _ in range(m)]
+    b = matvec(a, [draw(big_entries) for _ in range(n)])
+    if rhs_kind == "perturbed":
+        b[draw(st.integers(0, m - 1))] += draw(big_entries.filter(bool))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_systems())
+@example(  # rank 1, perturbed: the certificate is normalized by its rhs
+    (
+        RationalMatrix.from_rows(
+            [[F(999_999_999_989, 10**12 - 11), 7 * 10**11], [F(1, 10**12), F(7, 10)]]
+        ),
+        [F(3, 10**12 - 1), F(5, 10**12 + 1)],
+    )
+)
+def test_solve_exact_matches_dense_reference_on_big_entries(system):
+    # same pivot order, so the same particular solution, nullspace basis
+    # and certificate, whatever the scale the int rows are kept at
+    a, b = system
+    sol = solve_exact(a, b)
+    assert sol == solve_exact_ref(a, b)
+    check_all_fractions(sol)
+
+
 def test_from_rows_keeps_a_copy_of_the_caller_rows():
     rows = [[1, F(1, 2)], [0, 3]]
     a = RationalMatrix.from_rows(rows)
@@ -277,6 +330,23 @@ def test_solve_exact_converts_no_zero_entry(monkeypatch):
         converted.clear()
 
 
+def seeded_nonpure(seed: int) -> SimplicialComplex:
+    """9-13 vertices, 7-20 facets of 2-5 vertices, facets of at least two sizes.
+
+    Rows of one decomposition system then carry the coefficients of
+    several facet sizes, so their denominators differ.
+    """
+    rng = Random(f"nonpure-{seed}")
+    while True:
+        n = rng.randint(9, 13)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(2, 5)) for _ in range(rng.randint(7, 20))
+        ]
+        delta = SimplicialComplex.from_facets(n, facets)
+        if len({f.cardinality for f in delta.facets}) > 1:
+            return delta
+
+
 def decomposition_systems():
     corpus = {f"golden {name}": delta for name, delta in golden_fixtures().items()}
     for n in range(5, 11):
@@ -284,6 +354,8 @@ def decomposition_systems():
     for n in range(4, 9):
         corpus[f"boundary_simplex_{n}"] = boundary_simplex(n)
     corpus["skeleton_8_4"] = full_simplex(8).skeleton(4)
+    for seed in range(8):
+        corpus[f"nonpure_{seed}"] = seeded_nonpure(seed)
     return corpus
 
 

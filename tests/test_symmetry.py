@@ -17,7 +17,6 @@ from simplicial_games import (
     SymmetryGroup,
     canonical_shapley_tables,
     check_pi_delta_contained,
-    check_symmetry_reduction,
     classify_shapley,
     full_simplex,
     moved_facet,
@@ -42,6 +41,7 @@ from conftest import cycle, figure_a, figure_b, petersen
 from oracles import (
     apply_face,
     built_link,
+    check_symmetry_reduction,
     compose,
     cycles_ref,
     inverse,
