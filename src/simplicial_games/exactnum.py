@@ -99,35 +99,16 @@ class LinearSolution:
 
 
 class RationalMatrix:
-    """Matrix of exact rationals: the caller's rows as tuples, ints or ``Fraction``s as given."""
+    """The caller's rows, ``cols`` entries each: ints or ``Fraction``s, kept as given."""
 
     __slots__ = ("rows", "cols", "_rows")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[Fraction | int]):
-        flat = tuple(entries)
-        if len(flat) != rows * cols:
-            raise DimensionMismatch(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
-                f"got {len(flat)}"
-            )
-        self.rows = rows
+    def __init__(self, cols: int, rows: Iterable[Sequence[Fraction | int]]):
+        self._rows = tuple(map(tuple, rows))
+        if any(len(r) != cols for r in self._rows):
+            raise DimensionMismatch(f"every row of a {cols}-column matrix needs {cols} entries")
+        self.rows = len(self._rows)
         self.cols = cols
-        self._rows = tuple(flat[r * cols : (r + 1) * cols] for r in range(rows))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatch("ragged rows")
-        matrix = cls.__new__(cls)
-        matrix.rows, matrix.cols, matrix._rows = len(rows), ncols, tuple(map(tuple, rows))
-        return matrix
-
-    def at(self, r: int, c: int) -> Fraction:
-        return Fraction(self._rows[r][c])
-
-    def row(self, r: int) -> list[Fraction]:
-        return [Fraction(e) for e in self._rows[r]]
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"

@@ -10,8 +10,8 @@ Symm(D) is the subgroup of S_n whose members map faces to faces.  It is
 found by backtracking over vertex images (n <= 10): vertex v may go to w
 only when their vertex-link f-vectors agree or neither is a vertex, and a
 branch is cut as soon as the image of the assigned part of some facet is no
-longer a face.  The group order is the product of the orbit sizes along the
-stabilizer chain of 1, 2, ..., n.
+longer a face.  The group order, all the search reports, is the product of
+the orbit sizes along the stabilizer chain of 1, 2, ..., n.
 
 The generated subgroup driving the symmetry reduction is built from two
 generator families, both by :func:`swap_permutation`: for every vertex i,
@@ -84,9 +84,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def apply(self, vertex: int) -> int:
-        return self.images[vertex - 1]
-
     @property
     def bits(self) -> list[int]:
         """The bit table: bits[v-1] is the mask of the image of vertex v."""
@@ -144,13 +141,11 @@ class SymmetryGroup:
     neither is a vertex; a branch is cut as soon as the partial image of a
     facet is not a face.  ``order`` multiplies, over k, the orbit size of k
     in the pointwise stabilizer of 1..k-1, each orbit member found by one
-    search stopped at its first hit.  ``in`` is the preservation test, and
-    ``elements`` yields every member lazily, in lexicographic order of the
-    image tuples.
+    search stopped at its first hit.  Membership of one permutation is
+    :func:`permutation_preserves`.
     """
 
     def __init__(self, delta: SimplicialComplex):
-        self.complex = delta
         self.n = delta.n
         self._faces = delta.face_masks
         self._facets = delta.facets
@@ -177,13 +172,6 @@ class SymmetryGroup:
                 or (w > k and next(self._completions(fixed + [w]), None) is not None)
             )
         return order
-
-    @property
-    def elements(self) -> Iterator[Permutation]:
-        return (Permutation(images) for images in self._completions([]))
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm.n == self.n and moved_facet(self.complex, perm) is None
 
     def _completions(self, prefix: list[int]) -> Iterator[tuple[int, ...]]:
         """Image tuples of the members sending vertex v+1 to prefix[v]+1."""
@@ -367,4 +355,4 @@ def solve_p_system(delta: SimplicialComplex) -> LinearSolution:
     links), deduplicated before elimination; unknowns are (p_0, ..., p_{r-1}).
     """
     rows, _ = p_system_rows(delta)
-    return solve_exact(RationalMatrix.from_rows(rows), [1] * len(rows))
+    return solve_exact(RationalMatrix(delta.rank, rows), [1] * len(rows))

@@ -324,19 +324,17 @@ class DecompositionStatus(Enum):
 class Decomposition:
     """Facet weights writing the generalized value as classical Shapley values.
 
-    ``row_faces``/``matrix``/``rhs`` are the solved system: one row per
-    coalition T in the link of the player, one column per facet in
-    ``facet_order``.  For EXACT, ``facet_weights`` maps each facet
-    containing the player to its weight c_F, free variables fixed to 0; for
-    INFEASIBLE, ``certificate`` is lam with lam @ matrix = 0, lam @ rhs = 1.
+    The solved system has one row per coalition T in ``row_faces``, the
+    link of the player, and one column per facet in ``facet_order``.  For
+    EXACT, ``facet_weights`` maps each facet containing the player to its
+    weight c_F, free variables fixed to 0; for INFEASIBLE, ``certificate``
+    is lam with lam @ A = 0 and lam @ b = 1 for that system A c = b.
     """
 
     player: int
     status: DecompositionStatus
     facet_order: tuple[Face, ...]
     row_faces: tuple[Face, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
     facet_weights: dict[Face, Fraction] | None = None
     certificate: tuple[Fraction, ...] | None = None
 
@@ -362,20 +360,14 @@ def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
     # does, and then |T| < |F|: coeff[|F|][|T|] = 1/(|F| C(|F|-1, |T|))
     sizes = [f.cardinality for f in facet_order]
     coeff = {k: [Fraction(1, k * math.comb(k - 1, j)) for j in range(k)] for k in set(sizes)}
-    zero = Fraction(0)
-    matrix = tuple(
-        tuple(
-            coeff[k][t.cardinality] if t.issubset(f) else zero
-            for f, k in zip(facet_order, sizes)
-        )
+    rows = (
+        tuple(coeff[k][t.cardinality] if t.issubset(f) else 0 for f, k in zip(facet_order, sizes))
         for t in row_faces
     )
-    rhs = tuple(weights[t.cardinality] for t in row_faces)
-    solution = solve_exact(RationalMatrix.from_rows(matrix), rhs)
+    rhs = [weights[t.cardinality] for t in row_faces]
+    solution = solve_exact(RationalMatrix(len(facet_order), rows), rhs)
 
-    base = dict(
-        player=i, facet_order=facet_order, row_faces=row_faces, matrix=matrix, rhs=rhs
-    )
+    base = dict(player=i, facet_order=facet_order, row_faces=row_faces)
     if solution.status is SolveStatus.INCONSISTENT:
         return Decomposition(
             status=DecompositionStatus.INFEASIBLE,

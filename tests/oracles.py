@@ -421,10 +421,7 @@ def matvec(a, xs) -> list[Fraction]:
     """A @ xs for a RationalMatrix A."""
     if len(xs) != a.cols:
         raise DimensionMismatch(f"vector length {len(xs)} != cols {a.cols}")
-    return [
-        sum((a.at(r, c) * xs[c] for c in range(a.cols)), Fraction(0))
-        for r in range(a.rows)
-    ]
+    return [sum((Fraction(e) * x for e, x in zip(row, xs)), Fraction(0)) for row in a._rows]
 
 
 def solve_exact_ref(a, b) -> LinearSolution:
@@ -435,8 +432,8 @@ def solve_exact_ref(a, b) -> LinearSolution:
     # Augment [A | I | b]; the I block tracks row operations so an
     # inconsistent row yields a certificate against the original system.
     tab = [
-        a.row(r) + [Fraction(int(r == k)) for k in range(m)] + [Fraction(b[r])]
-        for r in range(m)
+        [Fraction(e) for e in row] + [Fraction(int(r == k)) for k in range(m)] + [Fraction(b[r])]
+        for r, row in enumerate(a._rows)
     ]
     width = n + m + 1
     pivot_of_col: dict[int, int] = {}

@@ -38,6 +38,7 @@ from oracles import (
     built_link,
     check_symmetry_reduction,
     closure_masks,
+    decomposition_system_ref,
     ext_ids,
     f_vector_of,
     link_masks,
@@ -234,7 +235,7 @@ def test_criterion_7_decomposition():
                     failures.append(("figure_a", i, g, "weighted sum mismatch"))
         else:
             lam = dec.certificate
-            rows, rhs = dec.matrix, dec.rhs
+            _, _, rows, rhs = decomposition_system_ref(delta, i)
             lhs_ok = all(
                 sum((lam[r] * rows[r][c] for r in range(len(rows))), F(0)) == 0
                 for c in range(len(dec.facet_order))

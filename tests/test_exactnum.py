@@ -18,7 +18,7 @@ from simplicial_games import (
 )
 from simplicial_games.errors import DimensionMismatch, ParseError
 from conftest import boundary_simplex, golden_fixtures
-from oracles import matvec, solve_exact_ref, system_inconsistent
+from oracles import decomposition_system_ref, matvec, solve_exact_ref, system_inconsistent
 
 F = Fraction
 
@@ -63,19 +63,23 @@ def test_parse_rejects_non_rational():
 
 
 def test_matrix_entry_count_checked():
-    with pytest.raises(DimensionMismatch):
-        RationalMatrix(2, 2, [F(1)] * 3)
+    with pytest.raises(DimensionMismatch):  # ragged rows
+        RationalMatrix(2, [[F(1), F(1)], [F(1)]])
+    with pytest.raises(DimensionMismatch):  # rows of the wrong column count
+        RationalMatrix(3, [[1, 2], [3, 4]])
+    with pytest.raises(DimensionMismatch):  # a row for a matrix of no columns
+        RationalMatrix(0, [[1]])
 
 
 def test_solve_identity_system():
-    sol = solve_exact(RationalMatrix.from_rows([[1]]), [F(1)])
+    sol = solve_exact(RationalMatrix(1, [[1]]), [F(1)])
     assert sol.status is SolveStatus.UNIQUE
     assert sol.particular == (F(1),)
     assert sol.nullspace_basis == ()
 
 
 def test_solve_duplicated_row_underdetermined():
-    a = RationalMatrix.from_rows([[1, 2], [1, 2]])
+    a = RationalMatrix(2, [[1, 2], [1, 2]])
     sol = solve_exact(a, [F(1), F(1)])
     assert sol.status is SolveStatus.UNDERDETERMINED
     # free variable fixed to 0
@@ -85,7 +89,7 @@ def test_solve_duplicated_row_underdetermined():
 
 def test_solve_link_fvector_row():
     # single row (1, 2) = the link f-vector of a degree-2 vertex
-    a = RationalMatrix.from_rows([[1, 2]])
+    a = RationalMatrix(2, [[1, 2]])
     sol = solve_exact(a, [F(1)])
     assert sol.status is SolveStatus.UNDERDETERMINED
     # the canonical weights p_k = 1/(r s_k) with r=2, s=(1,2) satisfy the row
@@ -94,28 +98,28 @@ def test_solve_link_fvector_row():
 
 
 def test_solve_inconsistent_with_certificate():
-    a = RationalMatrix.from_rows([[1, 1], [2, 2]])
-    sol = solve_exact(a, [F(1), F(3)])
+    rows = [[1, 1], [2, 2]]
+    sol = solve_exact(RationalMatrix(2, rows), [F(1), F(3)])
     assert sol.status is SolveStatus.INCONSISTENT
     assert sol.particular is None
     lam = sol.certificate
     # lam @ A == 0 and lam @ b == 1
-    for c in range(a.cols):
-        assert sum(lam[r] * a.at(r, c) for r in range(a.rows)) == 0
+    for c in range(2):
+        assert sum(lam[r] * rows[r][c] for r in range(2)) == 0
     assert lam[0] * F(1) + lam[1] * F(3) == 1
 
 
 def test_solution_status_invariants():
-    unique = solve_exact(RationalMatrix.from_rows([[2]]), [F(1)])
+    unique = solve_exact(RationalMatrix(1, [[2]]), [F(1)])
     assert unique.particular is not None and not unique.nullspace_basis
-    inconsistent = solve_exact(RationalMatrix.from_rows([[0]]), [F(1)])
+    inconsistent = solve_exact(RationalMatrix(1, [[0]]), [F(1)])
     assert inconsistent.status is SolveStatus.INCONSISTENT
     assert inconsistent.particular is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        solve_exact(RationalMatrix.from_rows([[1, 2]]), [F(1), F(2)])
+        solve_exact(RationalMatrix(2, [[1, 2]]), [F(1), F(2)])
 
 
 @st.composite
@@ -133,7 +137,7 @@ def small_systems(draw):
 @given(small_systems())
 def test_consistent_solves_have_exact_residual(system):
     rows, x = system
-    a = RationalMatrix.from_rows(rows)
+    a = RationalMatrix(len(x), rows)
     b = matvec(a, x)
     sol = solve_exact(a, b)
     assert sol.status is not SolveStatus.INCONSISTENT
@@ -145,17 +149,12 @@ def test_consistent_solves_have_exact_residual(system):
 @given(small_systems(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
 def test_certificates_verify_on_perturbed_rhs(system, shift):
     rows, x = system
-    a = RationalMatrix.from_rows(rows)
+    a = RationalMatrix(len(x), rows)
     b = matvec(a, x)
     b[0] += shift
     sol = solve_exact(a, b)
     if sol.status is SolveStatus.INCONSISTENT:
-        lam = sol.certificate
-        assert all(
-            sum(lam[r] * a.at(r, c) for r in range(a.rows)) == 0
-            for c in range(a.cols)
-        )
-        assert sum(lam[r] * b[r] for r in range(a.rows)) == 1
+        check_certificate(rows, b, sol.certificate)
     else:
         assert matvec(a, list(sol.particular)) == b
 
@@ -163,7 +162,7 @@ def test_certificates_verify_on_perturbed_rhs(system, shift):
 # -- differential gate: the sparse solver against the dense reference ---------
 
 
-def random_system(rng: Random) -> tuple[RationalMatrix, list[Fraction]]:
+def random_system(rng: Random) -> tuple[list[list], RationalMatrix, list[Fraction]]:
     """A seeded system of shape 0..12 x 0..12, dense or at most 20% dense.
 
     Entries are all ``Fraction``s, all ints, or mixed.  Some systems have
@@ -197,7 +196,7 @@ def random_system(rng: Random) -> tuple[RationalMatrix, list[Fraction]]:
         rows[zero_row] = [zero] * n
         for row in rows:
             row[zero_col] = zero
-    a = RationalMatrix(m, n, [e for row in rows for e in row])
+    a = RationalMatrix(n, rows)
     rhs_kind = rng.choice(["random", "consistent", "perturbed"])
     if rhs_kind == "random":
         b = [entry() for _ in range(m)]
@@ -205,7 +204,7 @@ def random_system(rng: Random) -> tuple[RationalMatrix, list[Fraction]]:
         b = matvec(a, [entry() for _ in range(n)])
         if rhs_kind == "perturbed" and m:
             b[rng.randrange(m)] += rng.randint(1, 5)
-    return a, b
+    return rows, a, b
 
 
 def check_all_fractions(sol) -> None:
@@ -223,8 +222,7 @@ def check_certificate(rows, b, lam) -> None:
 def test_solve_exact_matches_dense_reference_on_random_systems():
     statuses = {status: 0 for status in SolveStatus}
     for seed in range(400):
-        a, b = random_system(Random(seed))
-        rows = [a.row(r) for r in range(a.rows)]
+        rows, a, b = random_system(Random(seed))
         sol = solve_exact(a, b)
         assert sol == solve_exact_ref(a, b), seed
         check_all_fractions(sol)
@@ -239,9 +237,9 @@ def test_solve_exact_matches_dense_reference_on_random_systems():
 @pytest.mark.parametrize("size", range(13))
 def test_solve_exact_matches_dense_reference_on_empty_shapes(size):
     for a, b in [
-        (RationalMatrix(size, 0, []), [F(0)] * size),
-        (RationalMatrix(size, 0, []), [F(k % 3) for k in range(size)]),
-        (RationalMatrix(0, size, []), []),
+        (RationalMatrix(0, [[]] * size), [F(0)] * size),
+        (RationalMatrix(0, [[]] * size), [F(k % 3) for k in range(size)]),
+        (RationalMatrix(size, []), []),
     ]:
         sol = solve_exact(a, b)
         assert sol == solve_exact_ref(a, b)
@@ -271,7 +269,7 @@ def big_systems(draw):
             i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
             s, t = draw(big_entries), draw(big_entries)
             rows[r] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
-    a = RationalMatrix.from_rows(rows)
+    a = RationalMatrix(n, rows)
     rhs_kind = draw(st.sampled_from(["random", "consistent", "perturbed"]))
     if rhs_kind == "random":
         return a, [draw(big_entries) for _ in range(m)]
@@ -285,8 +283,8 @@ def big_systems(draw):
 @given(big_systems())
 @example(  # rank 1, perturbed: the certificate is normalized by its rhs
     (
-        RationalMatrix.from_rows(
-            [[F(999_999_999_989, 10**12 - 11), 7 * 10**11], [F(1, 10**12), F(7, 10)]]
+        RationalMatrix(
+            2, [[F(999_999_999_989, 10**12 - 11), 7 * 10**11], [F(1, 10**12), F(7, 10)]]
         ),
         [F(3, 10**12 - 1), F(5, 10**12 + 1)],
     )
@@ -300,16 +298,15 @@ def test_solve_exact_matches_dense_reference_on_big_entries(system):
     check_all_fractions(sol)
 
 
-def test_from_rows_keeps_a_copy_of_the_caller_rows():
+def test_matrix_keeps_a_copy_of_the_caller_rows():
     rows = [[1, F(1, 2)], [0, 3]]
-    a = RationalMatrix.from_rows(rows)
+    a = RationalMatrix(2, rows)
     rows[0][0] = 7
     rows[1] = [9, 9]
     rows.append([1, 1])
     assert (a.rows, a.cols) == (2, 2)
-    assert [a.row(r) for r in range(a.rows)] == [[F(1), F(1, 2)], [F(0), F(3)]]
-    assert all(type(a.at(r, c)) is Fraction for r in range(2) for c in range(2))
-    assert all(type(e) is Fraction for r in range(2) for e in a.row(r))
+    assert matvec(a, [1, 1]) == [F(3, 2), F(3)]
+    assert solve_exact(a, [1, 3]).particular == (F(1, 2), F(1))
 
 
 def test_solve_exact_converts_no_zero_entry(monkeypatch):
@@ -324,7 +321,7 @@ def test_solve_exact_converts_no_zero_entry(monkeypatch):
         ([[0, 2, 0], [1, 0, 0]], [4, 1]),  # underdetermined
         ([[0, 2], [0, 4], [F(1, 3), 0]], [1, 3, 1]),  # inconsistent: a second pass
     ]:
-        sol = solve_exact(RationalMatrix.from_rows(rows), b)
+        sol = solve_exact(RationalMatrix(len(rows[0]), rows), b)
         assert sol.status is not SolveStatus.UNIQUE
         assert converted and all(args[0] != 0 for args in converted), converted
         converted.clear()
@@ -367,12 +364,13 @@ def test_decompose_solves_as_the_dense_reference(name):
     delta = DECOMPOSITION_SYSTEMS[name]
     for i in delta.vertices:
         dec = decompose_shapley(delta, i)
-        a = RationalMatrix.from_rows(dec.matrix)
-        ref = solve_exact_ref(a, dec.rhs)
-        assert solve_exact(a, dec.rhs) == ref
+        facet_order, _, rows, rhs = decomposition_system_ref(delta, i)
+        a = RationalMatrix(len(facet_order), rows)
+        ref = solve_exact_ref(a, rhs)
+        assert solve_exact(a, rhs) == ref
         if ref.status is SolveStatus.INCONSISTENT:
             assert dec.certificate == ref.certificate
-            check_certificate(dec.matrix, dec.rhs, dec.certificate)
-            assert system_inconsistent(dec.matrix, dec.rhs)
+            check_certificate(rows, rhs, dec.certificate)
+            assert system_inconsistent(rows, rhs)
         else:
-            assert dec.facet_weights == dict(zip(dec.facet_order, ref.particular))
+            assert dec.facet_weights == dict(zip(facet_order, ref.particular))

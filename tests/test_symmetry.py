@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 from random import Random
 from time import perf_counter
@@ -78,12 +78,6 @@ def test_permutation_validation():
         Permutation((1, 1, 3))
 
 
-def test_permutation_apply():
-    a = Permutation((2, 3, 1))
-    assert a.apply(1) == 2
-    assert apply_face(a, face(1, 3)) == face(1, 2)
-
-
 def test_permutation_cycle_string():
     assert str(Permutation.identity(3)) == "id"
     assert str(Permutation.from_mapping(5, {1: 4, 4: 1, 2: 5, 5: 2})) == "(1 4)(2 5)"
@@ -124,13 +118,14 @@ def test_symm_figure_b():
         Permutation.transposition(5, 4, 5),
         Permutation.from_mapping(5, {1: 4, 4: 1, 2: 5, 5: 2}),
     ]:
-        assert perm in group
+        assert permutation_preserves(figure_b(), perm)
 
 
 def test_symm_figure_a():
     group = symm_group(figure_a())
     assert group.order == 2
-    assert Permutation.from_mapping(5, {1: 4, 4: 1, 2: 5, 5: 2}) in group
+    swap = Permutation.from_mapping(5, {1: 4, 4: 1, 2: 5, 5: 2})
+    assert permutation_preserves(figure_a(), swap)
 
 
 def test_symm_matches_oracle():
@@ -140,10 +135,19 @@ def test_symm_matches_oracle():
         )
 
 
+def preserving_images(delta: SimplicialComplex) -> set[tuple[int, ...]]:
+    """Image tuples of the permutations of [n] that permutation_preserves accepts."""
+    return {
+        images
+        for images in permutations(range(1, delta.n + 1))
+        if permutation_preserves(delta, Permutation(images))
+    }
+
+
 def test_symm_group_axioms():
     for delta in (figure_b(), cycle(4), full_simplex(4)):
-        group = symm_group(delta)
-        members = {p.images for p in group.elements}
+        members = preserving_images(delta)
+        assert symm_group(delta).order == len(members)
         assert Permutation.identity(delta.n).images in members
         for a in members:
             assert inverse(a) in members
@@ -162,17 +166,7 @@ def test_symm_order_matches_oracle_on_random_complexes():
         group = symm_group(delta)
         assert group.order == symm_order(delta.n, faces), delta
         if k % 10 == 0:
-            elements = {p.images for p in group.elements}
-            assert elements == symm_elements(delta.n, faces), delta
-
-
-def test_symm_elements_lexicographic_and_members():
-    group = symm_group(cycle(5))
-    images = [p.images for p in group.elements]
-    assert images == sorted(images) and len(images) == group.order == 10
-    assert all(p in group for p in group.elements)
-    assert Permutation.transposition(5, 1, 2) not in group
-    assert Permutation.identity(4) not in group  # wrong size: not a member
+            assert preserving_images(delta) == symm_elements(delta.n, faces), delta
 
 
 def test_symm_group_with_non_vertices():
@@ -265,7 +259,7 @@ def test_generators_single_edge():
 def test_generators_fix_the_link_owner():
     delta = figure_a()
     pi = swap_permutation(5, face(1, 2), face(4, 5))
-    assert pi.apply(3) == 3
+    assert pi.images[3 - 1] == 3
     assert pi in set(pi_delta_generators(delta))
 
 

@@ -13,6 +13,7 @@ from simplicial_games import (
     ProbabilityTable,
     RationalMatrix,
     SimplicialComplex,
+    SolveStatus,
     axiom_suite,
     canonical_shapley_tables,
     carrier_game,
@@ -420,7 +421,8 @@ def test_decompose_figure_a_per_player():
         dec = decompose_shapley(delta, i)
         outcomes[i] = dec.status
         if dec.status is DecompositionStatus.INFEASIBLE:
-            assert system_inconsistent(dec.matrix, dec.rhs)
+            _, _, rows, rhs = decomposition_system_ref(delta, i)
+            assert system_inconsistent(rows, rhs)
     assert outcomes == {
         1: DecompositionStatus.EXACT,
         2: DecompositionStatus.INFEASIBLE,
@@ -469,7 +471,7 @@ def test_decompose_solves_the_coefficient_identity(name):
     for i in delta.vertices:
         dec = decompose_shapley(delta, i)
         if dec.status is DecompositionStatus.INFEASIBLE:
-            lam, rows, rhs = dec.certificate, dec.matrix, dec.rhs
+            lam, (_, _, rows, rhs) = dec.certificate, decomposition_system_ref(delta, i)
             for c in range(len(dec.facet_order)):
                 assert sum(lam[r] * rows[r][c] for r in range(len(rows))) == 0
             assert sum(lam[r] * rhs[r] for r in range(len(rows))) == 1
@@ -517,24 +519,37 @@ def test_decompose_boundary_of_8_simplex():
     dec = decompose_shapley(delta, 1)
     assert (len(dec.row_faces), len(dec.facet_order)) == (127, 7)
     assert dec.status is DecompositionStatus.EXACT
-    ref = solve_exact_ref(RationalMatrix.from_rows(dec.matrix), dec.rhs)
-    assert dec.facet_weights == dict(zip(dec.facet_order, ref.particular))
+    facet_order, _, rows, rhs = decomposition_system_ref(delta, 1)
+    ref = solve_exact_ref(RationalMatrix(len(facet_order), rows), rhs)
+    assert dec.facet_weights == dict(zip(facet_order, ref.particular))
 
 
-def assert_decomposition_system_matches_ref(delta: SimplicialComplex) -> None:
+def assert_decompose_matches_the_reference(delta: SimplicialComplex) -> None:
+    """decompose_shapley against the dense reference solve of the facet-scan rows."""
     for i in delta.vertices:
         dec = decompose_shapley(delta, i)
-        facet_order, row_faces, matrix, rhs = decomposition_system_ref(delta, i)
-        assert (dec.facet_order, dec.row_faces, dec.rhs) == (facet_order, row_faces, rhs)
-        assert all(type(e) is Fraction for row in dec.matrix for e in row)
-        assert dec.matrix == matrix
+        facet_order, row_faces, rows, rhs = decomposition_system_ref(delta, i)
+        ref = solve_exact_ref(RationalMatrix(len(facet_order), rows), rhs)
+        if ref.status is SolveStatus.INCONSISTENT:
+            status, weights = DecompositionStatus.INFEASIBLE, None
+        else:
+            status, weights = DecompositionStatus.EXACT, dict(zip(facet_order, ref.particular))
+        assert (dec.facet_order, dec.row_faces) == (facet_order, row_faces)
+        assert (dec.status, dec.facet_weights, dec.certificate) == (
+            status, weights, ref.certificate
+        )
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITION_CORPUS))
+def test_decompose_matches_the_reference_solve(name):
+    assert_decompose_matches_the_reference(DECOMPOSITION_CORPUS[name])
 
 
 def test_decomposition_rows_match_the_facet_scan_on_seeded_complexes():
     complexes = [d for d in random_nonpure_complexes(80, seed=13) if d.n <= 7]
     assert len(complexes) > 20
     for delta in complexes:
-        assert_decomposition_system_matches_ref(delta)
+        assert_decompose_matches_the_reference(delta)
 
 
 @st.composite
@@ -554,7 +569,7 @@ def nonpure_complexes(draw):
 @settings(max_examples=80, deadline=None)
 @given(nonpure_complexes())
 def test_decomposition_rows_match_the_facet_scan(delta):
-    assert_decomposition_system_matches_ref(delta)
+    assert_decompose_matches_the_reference(delta)
 
 
 def test_decompose_requires_vertex():
