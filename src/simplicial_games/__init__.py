@@ -3,7 +3,6 @@
 from .complexes import EMPTY_FACE, Face, FVector, SimplicialComplex, full_simplex, load_complex
 from .exactnum import (
     LinearSolution,
-    Rational,
     RationalMatrix,
     SolveStatus,
     format_rational,

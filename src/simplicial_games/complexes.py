@@ -1,8 +1,9 @@
 """Simplicial complexes over the vertex set {1, ..., n} and their queries.
 
 A ``Face`` is an ``int`` subclass, its own 64-bit vertex bitmask (hard cap
-n <= 64): subset tests are O(1), and a face equals and hashes as its mask,
-so no table converts between the two.  Wherever a face is taken, any
+n <= 64): set operations are the int operators (``s & f == s``, ``a | b``,
+``a & ~b``, ``bit_count()``), and a face equals and hashes as its mask, so
+no table converts between the two.  Wherever a face is taken, any
 non-negative ``int`` is read as the face whose mask it is, and any other
 argument as its vertex ids.  ``SimplicialComplex(n, faces)`` takes any face
 family on [n] and materializes its downward closure eagerly: every
@@ -54,7 +55,7 @@ class Face(int):
     def from_vertices(cls, vertices: Iterable[int]) -> "Face":
         mask = 0
         for v in vertices:
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise VertexOutOfRange(f"vertex ids must be integers >= 1, got {v!r}")
             bit = 1 << (v - 1)
             if mask & bit:
@@ -71,10 +72,6 @@ class Face(int):
     def vertices(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.bit_length()) if self >> i & 1)
 
-    @property
-    def cardinality(self) -> int:
-        return self.bit_count()
-
     def __len__(self) -> int:
         return self.bit_count()
 
@@ -83,15 +80,6 @@ class Face(int):
 
     def __contains__(self, vertex: int) -> bool:
         return vertex >= 1 and self >> (vertex - 1) & 1 == 1
-
-    def issubset(self, other: int) -> bool:
-        return self & other == self
-
-    def union(self, other: int) -> "Face":
-        return Face(self | other)
-
-    def difference(self, other: int) -> "Face":
-        return Face(self & ~other)
 
     def sort_key(self) -> int:
         """Cardinality, then the lowest differing vertex: the vertex tuples' order.
@@ -147,12 +135,13 @@ def _check_vertex_ids(n: int, faces: Iterable[Face]) -> None:
 class SimplicialComplex:
     """The downward closure of a face family, with its facet list and rank.
 
-    ``faces`` is the full closure in canonical order, ``facets`` the
+    ``faces`` is the full closure in canonical order, ``face_masks`` the same
+    faces as a frozenset for membership tests, ``facets`` the
     inclusion-maximal inputs, ``rank`` the largest face cardinality (-1 for
     the empty family).
     """
 
-    __slots__ = ("n", "faces", "facets", "rank", "_face_masks", "_link_f_vectors")
+    __slots__ = ("n", "faces", "facets", "rank", "face_masks", "_link_f_vectors")
 
     def __init__(self, n: int, faces: Iterable[FaceLike]):
         """The closure of ``faces``, any family of faces on the ground set [n].
@@ -186,8 +175,8 @@ class SimplicialComplex:
         self.n = n
         self.faces: tuple[Face, ...] = tuple(map(Face, sorted(closure, key=Face.sort_key)))
         self.facets: tuple[Face, ...] = tuple(f for f in self.faces if f in facets)
-        self.rank = self.faces[-1].cardinality if self.faces else -1
-        self._face_masks = frozenset(closure)
+        self.rank = self.faces[-1].bit_count() if self.faces else -1
+        self.face_masks = frozenset(closure)
         self._link_f_vectors: dict[int, FVector] | None = None
 
     @classmethod
@@ -198,32 +187,24 @@ class SimplicialComplex:
     # -- membership ---------------------------------------------------
 
     def has_face(self, face: FaceLike) -> bool:
-        return as_face(face) in self._face_masks
-
-    @property
-    def face_masks(self) -> frozenset[int]:
-        """The faces as a set, for membership tests."""
-        return self._face_masks
+        return as_face(face) in self.face_masks
 
     def require_face(self, face: FaceLike) -> Face:
         f = as_face(face)
-        if f not in self._face_masks:
+        if f not in self.face_masks:
             raise FaceNotInComplex(f"{f} is not a face of the complex")
         return f
 
     def require_vertex(self, i: int) -> Face:
         """The face {i}, or VertexNotInComplex when i is not a vertex."""
         # i is compared with n before the mask, which is i bits wide
-        if i <= self.n and (single := Face.from_vertices([i])) in self._face_masks:
+        if i <= self.n and (single := Face.from_vertices([i])) in self.face_masks:
             return single
         raise VertexNotInComplex(f"vertex {i} is not in the complex")
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if (1 << (v - 1)) in self._face_masks)
-
-    def is_empty(self) -> bool:
-        return not self.faces
+        return tuple(v for v in range(1, self.n + 1) if (1 << (v - 1)) in self.face_masks)
 
     # -- queries -------------------------------------------------------
 
@@ -240,22 +221,22 @@ class SimplicialComplex:
     def star(self, s: FaceLike) -> frozenset[Face]:
         """All faces contained in some face that contains s: the t with t + s a face."""
         sm = self.require_face(s)
-        return frozenset(t for t in self.faces if t | sm in self._face_masks)
+        return frozenset(t for t in self.faces if t | sm in self.face_masks)
 
     def f_vector(self) -> FVector:
         """(f_{-1}, f_0, ..., f_{rank-1}): face counts by cardinality."""
-        if self.is_empty():
+        if not self.faces:
             raise EmptyComplex("f-vector of the empty complex is undefined")
         counts = [0] * (self.rank + 1)
         for f in self.faces:
-            counts[f.cardinality] += 1
+            counts[f.bit_count()] += 1
         return tuple(counts)
 
     def skeleton(self, k: int) -> "SimplicialComplex":
         """The subcomplex of faces of cardinality at most k."""
         if k < 0:
             raise VertexOutOfRange(f"skeleton bound must be >= 0, got {k}")
-        return SimplicialComplex(self.n, [f for f in self.faces if f.cardinality <= k])
+        return SimplicialComplex(self.n, [f for f in self.faces if f.bit_count() <= k])
 
     def link_f_vectors(self) -> dict[int, FVector]:
         """f(Link(v)) for every vertex v, ascending, counted without building a link.
@@ -265,7 +246,7 @@ class SimplicialComplex:
         """
         if self._link_f_vectors is None:
             counts: list[list[int]] = [[] for _ in range(self.n)]
-            for f in self._face_masks:
+            for f in self.face_masks:
                 card = f.bit_count()
                 while f:
                     low = f & -f
@@ -282,9 +263,9 @@ class SimplicialComplex:
 
         Link(v) has the facets F - v for the facets F through v: this is purity.
         """
-        if self.is_empty() or not self.vertices:
+        if not self.vertices:
             raise EmptyComplex("pure-links test needs at least one vertex")
-        return all(f.cardinality == self.rank for f in self.facets)
+        return all(f.bit_count() == self.rank for f in self.facets)
 
     def extension_set(self, t: FaceLike) -> frozenset[int]:
         """Vertices j outside t with t+j again a face."""
@@ -292,22 +273,22 @@ class SimplicialComplex:
         return frozenset(
             j + 1
             for j in range(self.n)
-            if not m >> j & 1 and m | 1 << j in self._face_masks
+            if not m >> j & 1 and m | 1 << j in self.face_masks
         )
 
     def facets_containing(self, s: FaceLike) -> tuple[Face, ...]:
         s = self.require_face(s)
-        return tuple(f for f in self.facets if s.issubset(f))
+        return tuple(f for f in self.facets if s & f == s)
 
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.n == other.n and self._face_masks == other._face_masks
+        return self.n == other.n and self.face_masks == other.face_masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._face_masks))
+        return hash((self.n, self.face_masks))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(n={self.n}, facets={[str(f) for f in self.facets]})"

@@ -1,8 +1,8 @@
 """Exact rational scalars and exact linear-system solving.
 
-Scalars are arbitrary-precision ``fractions.Fraction`` values (re-exported
-as :data:`Rational`): always normalized, positive denominator, and raising
-``ZeroDivisionError`` on division by zero.  No floating point is used
+Scalars are arbitrary-precision ``fractions.Fraction`` values: always
+normalized, positive denominator, and raising ``ZeroDivisionError`` on
+division by zero.  No floating point is used
 anywhere; decimal rendering is a display concern of the CLI.
 
 ``solve_exact`` performs Gauss-Jordan elimination with first-nonzero pivot
@@ -34,8 +34,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ParseError, ResultTooLong
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 

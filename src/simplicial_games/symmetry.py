@@ -10,8 +10,9 @@ Symm(D) is the subgroup of S_n whose members map faces to faces.  It is
 found by backtracking over vertex images (n <= 10): vertex v may go to w
 only when their vertex-link f-vectors agree or neither is a vertex, and a
 branch is cut as soon as the image of the assigned part of some facet is no
-longer a face.  The group order, all the search reports, is the product of
-the orbit sizes along the stabilizer chain of 1, 2, ..., n.
+longer a face.  The search only answers whether a partial assignment
+extends to a member; the group order is the product of the orbit sizes
+along the stabilizer chain of 1, 2, ..., n, counted with those answers.
 
 The generated subgroup driving the symmetry reduction is built from two
 generator families, both by :func:`swap_permutation`: for every vertex i,
@@ -67,10 +68,6 @@ class Permutation:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def from_mapping(cls, n: int, mapping: Mapping[int, int]) -> "Permutation":
@@ -139,10 +136,10 @@ class SymmetryGroup:
 
     Vertex v may go to w only when their vertex-link f-vectors agree or
     neither is a vertex; a branch is cut as soon as the partial image of a
-    facet is not a face.  ``order`` multiplies, over k, the orbit size of k
-    in the pointwise stabilizer of 1..k-1, each orbit member found by one
-    search stopped at its first hit.  Membership of one permutation is
-    :func:`permutation_preserves`.
+    facet is not a face.  The search reports existence: it stops at the
+    first complete assignment and builds no permutation.  ``order``
+    multiplies, over k, the orbit size of k in the pointwise stabilizer of
+    1..k-1.  Membership of one permutation is :func:`permutation_preserves`.
     """
 
     def __init__(self, delta: SimplicialComplex):
@@ -166,23 +163,17 @@ class SymmetryGroup:
         for k in range(self.n):
             fixed = list(range(k))
             order *= sum(
-                1
-                for w in self._allowed[k]
-                if w == k
-                or (w > k and next(self._completions(fixed + [w]), None) is not None)
+                1 for w in self._allowed[k] if w == k or (w > k and self._extends(fixed + [w]))
             )
         return order
 
-    def _completions(self, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        """Image tuples of the members sending vertex v+1 to prefix[v]+1."""
+    def _extends(self, prefix: list[int]) -> bool:
+        """Does some member send vertex v+1 to prefix[v]+1 for every v?"""
         img = [0] * len(self._facets)
-        images = [0] * self.n
         for v, w in enumerate(prefix):
             if not self._place(v, w, img):
-                return
-            images[v] = w
-        used = sum(1 << w for w in prefix)
-        yield from self._search(len(prefix), images, img, used)
+                return False
+        return self._search(len(prefix), img, sum(1 << w for w in prefix))
 
     def _place(self, v: int, w: int, img: list[int]) -> bool:
         """Add w to the partial image of each facet through v, if all stay faces."""
@@ -196,19 +187,18 @@ class SymmetryGroup:
             img[k] |= bit
         return True
 
-    def _search(
-        self, v: int, images: list[int], img: list[int], used: int
-    ) -> Iterator[tuple[int, ...]]:
+    def _search(self, v: int, img: list[int], used: int) -> bool:
+        """Can vertices v+1..n be given unused images keeping every facet a face?"""
         if v == self.n:
-            yield tuple(w + 1 for w in images)
-            return
+            return True
         for w in self._allowed[v]:
             if used >> w & 1 or not self._place(v, w, img):
                 continue
-            images[v] = w
-            yield from self._search(v + 1, images, img, used | 1 << w)
+            if self._search(v + 1, img, used | 1 << w):
+                return True
             for k in self._holders[v]:
                 img[k] ^= 1 << w
+        return False
 
 
 def symm_group(delta: SimplicialComplex) -> SymmetryGroup:

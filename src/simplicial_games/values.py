@@ -208,7 +208,7 @@ def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, ProbabilityT
     for i, fv in delta.link_f_vectors().items():
         weights = shapley_weights(fv)
         link = delta.link(Face.from_vertices([i]))
-        tables[i] = ProbabilityTable(i, {t: weights[t.cardinality] for t in link})
+        tables[i] = ProbabilityTable(i, {t: weights[t.bit_count()] for t in link})
     return tables
 
 
@@ -358,13 +358,13 @@ def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
     row_faces = delta.link(single)
     # i is in every facet of the order, so T + i lies in F exactly when T
     # does, and then |T| < |F|: coeff[|F|][|T|] = 1/(|F| C(|F|-1, |T|))
-    sizes = [f.cardinality for f in facet_order]
+    sizes = [f.bit_count() for f in facet_order]
     coeff = {k: [Fraction(1, k * math.comb(k - 1, j)) for j in range(k)] for k in set(sizes)}
     rows = (
-        tuple(coeff[k][t.cardinality] if t.issubset(f) else 0 for f, k in zip(facet_order, sizes))
+        tuple(coeff[k][t.bit_count()] if t & f == t else 0 for f, k in zip(facet_order, sizes))
         for t in row_faces
     )
-    rhs = [weights[t.cardinality] for t in row_faces]
+    rhs = [weights[t.bit_count()] for t in row_faces]
     solution = solve_exact(RationalMatrix(len(facet_order), rows), rhs)
 
     base = dict(player=i, facet_order=facet_order, row_faces=row_faces)
@@ -396,9 +396,6 @@ class AxiomSuiteReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> tuple[AxiomCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
 
 def axiom_suite(

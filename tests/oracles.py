@@ -176,7 +176,7 @@ def check_symmetry_reduction(
         table = tables[i]
         for t in delta.link(Face.from_vertices([i]))[1:]:  # nonempty T
             p = table.weight(t)
-            card = t.cardinality
+            card = t.bit_count()
             if card not in common:
                 common[card] = p
             elif common[card] != p:
@@ -235,8 +235,8 @@ def closed_form_ref(delta) -> dict:
     weights = shapley_weights(cls.s_vector)
     ext = Counter(g ^ 1 << j for g in delta.face_masks for j in range(delta.n) if g >> j & 1)
     return {
-        t: t.cardinality * weights[t.cardinality - 1]
-        - (ext[t] * weights[t.cardinality] if ext[t] else 0)
+        t: t.bit_count() * weights[t.bit_count() - 1]
+        - (ext[t] * weights[t.bit_count()] if ext[t] else 0)
         for t in delta.faces[1:]
     }
 
@@ -305,19 +305,23 @@ def ext_ids(n: int, faces: set[int], t: int) -> set[int]:
 
 
 def symm_elements(n: int, faces: set[int]) -> set[tuple[int, ...]]:
-    """Image tuples of the face-preserving permutations of [n], by definition scan."""
+    """Image tuples of the face-preserving permutations of [n], by definition scan.
+
+    Every permutation is tested on every face, each face mapped through the
+    permutation's bit table: bits[v-1] is the mask of the image of vertex v.
+    """
     out = set()
     for images in permutations(range(1, n + 1)):
-        ok = True
+        bits = [1 << (w - 1) for w in images]
         for f in faces:
             img = 0
-            for v in range(1, n + 1):
-                if f >> (v - 1) & 1:
-                    img |= 1 << (images[v - 1] - 1)
+            while f:
+                low = f & -f
+                img |= bits[low.bit_length() - 1]
+                f ^= low
             if img not in faces:
-                ok = False
                 break
-        if ok:
+        else:
             out.add(images)
     return out
 
@@ -489,8 +493,8 @@ def generalized_shapley_ref(v, i: int) -> Fraction:
     r_i = link.rank
     total = Fraction(0)
     for t in link.faces:
-        total += Fraction(1, fv[t.cardinality]) * (
-            v.value(t.union(single)) - v.value(t)
+        total += Fraction(1, fv[t.bit_count()]) * (
+            v.value(t | single) - v.value(t)
         )
     return total / (r_i + 1)
 
@@ -505,7 +509,7 @@ def probabilistic_value_ref(v, i: int, table) -> Fraction:
     for t, p in table.weights.items():
         if not link.has_face(t):
             raise KeyOutsideLink(f"{t} is not in the link of vertex {i}")
-        total += p * (v.value(t.union(single)) - v.value(t))
+        total += p * (v.value(t | single) - v.value(t))
     return total
 
 
@@ -532,7 +536,7 @@ def is_dummy_ref(v, i: int) -> bool:
     single = v.complex.require_vertex(i)
     vi = v.value(single)
     for t in built_link(v.complex, single).faces:
-        if v.value(t.union(single)) != v.value(t) + vi:
+        if v.value(t | single) != v.value(t) + vi:
             return False
     return True
 
@@ -560,7 +564,7 @@ def random_monotone_game_ref(delta, rng):
         if s == EMPTY_FACE:
             continue
         total = sum(
-            (w for t, w in weights.items() if t.issubset(s)), Fraction(0)
+            (w for t, w in weights.items() if t & s == t), Fraction(0)
         )
         values[s] = total
     return Game(delta, values)
@@ -610,11 +614,11 @@ def decomposition_system_ref(delta, i: int) -> tuple:
     rows, rhs = [], []
     for t in delta.link(single):
         coeffs = [Fraction(0)] * len(facet_order)
-        for f in delta.facets_containing(t.union(single)):
-            size = f.cardinality
-            coeffs[col[f]] += Fraction(1, size * comb(size - 1, t.cardinality))
+        for f in delta.facets_containing(t | single):
+            size = f.bit_count()
+            coeffs[col[f]] += Fraction(1, size * comb(size - 1, t.bit_count()))
         rows.append(tuple(coeffs))
-        rhs.append(Fraction(1, len(fv) * fv[t.cardinality]))
+        rhs.append(Fraction(1, len(fv) * fv[t.bit_count()]))
     return facet_order, delta.link(single), tuple(rows), tuple(rhs)
 
 
@@ -635,12 +639,12 @@ def link_transposition_bijection(delta, i: int, j: int) -> dict:
 
 def has_pure_links_ref(delta) -> bool:
     """Every vertex link, built, has all facets of cardinality rank-1."""
-    if delta.is_empty() or not delta.vertices:
+    if not delta.faces or not delta.vertices:
         raise EmptyComplex("pure-links test needs at least one vertex")
     want = delta.rank - 1
     for v in delta.vertices:
         lk = built_link(delta, Face.from_vertices([v]))
-        if any(f.cardinality != want for f in lk.facets):
+        if any(f.bit_count() != want for f in lk.facets):
             return False
     return True
 

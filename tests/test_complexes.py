@@ -64,7 +64,7 @@ def test_face_ordering_key_is_the_tuple_order():
     rng = Random(61)
     masks = [*range(1 << 12), *(rng.getrandbits(rng.randint(1, 64)) for _ in range(20000))]
     faces = [Face(m) for m in masks]
-    by_tuple = sorted(faces, key=lambda f: (f.cardinality, f.vertices))
+    by_tuple = sorted(faces, key=lambda f: (f.bit_count(), f.vertices))
     assert sorted(faces, key=Face.sort_key) == by_tuple
 
 
@@ -77,9 +77,9 @@ def test_face_rejects_bad_vertices():
 
 def test_face_set_operations():
     a, b = face(1, 2, 3), face(3, 4)
-    assert a.union(b) == face(1, 2, 3, 4)
-    assert a.difference(b) == face(1, 2)
-    assert face(1, 2).issubset(a) and not a.issubset(b)
+    assert Face(a | b) == face(1, 2, 3, 4)
+    assert Face(a & ~b) == face(1, 2)
+    assert face(1, 2) & a == face(1, 2) and a & b != a
     assert 2 in a and 5 not in a
 
 
@@ -102,7 +102,7 @@ def test_a_face_is_its_mask(case):
         assert {f: "face"}[m] == "face" and m in {f} and {m: "mask"}[f] == "mask"
         vs = vertices_of(n, m)
         assert f.vertices == tuple(vs) and list(f) == vs
-        assert len(f) == f.cardinality == len(vs)
+        assert len(f) == f.bit_count() == len(vs)
         assert [v for v in range(-1, n + 3) if v in f] == vs
         back = pickle.loads(pickle.dumps(f))
         assert type(back) is Face and back == f
@@ -119,7 +119,7 @@ def test_a_face_prints_as_its_vertices():
     f = face(1, 3)
     assert (f"{f}", "%s" % f, format(f, ""), ",".join([str(f)])) == ("{1,3}",) * 4
     assert f == 0b101 and f + f == 0b1010  # arithmetic is the int's
-    assert f | face(2) == f.union(face(2)) == face(1, 2, 3)
+    assert f | face(2) == face(1, 2, 3) and str(Face(f | face(2))) == "{1,2,3}"
     assert pickle.loads(pickle.dumps(EMPTY_FACE, protocol=0)) == EMPTY_FACE
 
 
@@ -158,6 +158,20 @@ def test_as_face_reads_ints_as_masks_and_nothing_else():
         as_face(True)
     with pytest.raises(TypeError):
         full_simplex(3).require_face(False)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0])
+def test_a_vertex_id_is_an_int_and_not_a_bool(bad):
+    # True == 1, yet a bool names no vertex, just as 2.0 names none
+    with pytest.raises(VertexOutOfRange):
+        Face.from_vertices([bad, 2])
+    with pytest.raises(VertexOutOfRange):
+        SimplicialComplex(3, [[bad, 2]])
+    with pytest.raises(VertexOutOfRange):
+        full_simplex(3).require_vertex(bad)
+    with pytest.raises(VertexOutOfRange):
+        full_simplex(3).has_face([bad])
+    assert Face.from_vertices([1, 2]) == 0b11 and full_simplex(3).require_vertex(1) == 1
 
 
 def call_outcome(call, arg):
@@ -512,7 +526,7 @@ def test_link_f_vectors_are_counted_once_and_returned_fresh():
     delta = figure_a()
     counts = delta.link_f_vectors()
     counts[3] = (0,)  # a caller's dict is its own
-    delta._face_masks = frozenset()  # a second count would find no vertex
+    delta.face_masks = frozenset()  # a second count would find no vertex
     assert delta.link_f_vectors() == {
         v: built_link(figure_a(), face(v)).f_vector() for v in range(1, 6)
     }

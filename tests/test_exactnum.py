@@ -340,7 +340,7 @@ def seeded_nonpure(seed: int) -> SimplicialComplex:
             rng.sample(range(1, n + 1), rng.randint(2, 5)) for _ in range(rng.randint(7, 20))
         ]
         delta = SimplicialComplex.from_facets(n, facets)
-        if len({f.cardinality for f in delta.facets}) > 1:
+        if len({f.bit_count() for f in delta.facets}) > 1:
             return delta
 
 

@@ -94,7 +94,7 @@ def fixtures_for(command: str) -> dict[str, SimplicialComplex]:
 
 
 def test_seeded_nonpure_is_not_pure():
-    assert len({f.cardinality for f in STRUCTURE_FIXTURES["nonpure_8"].facets}) > 1
+    assert len({f.bit_count() for f in STRUCTURE_FIXTURES["nonpure_8"].facets}) > 1
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
