@@ -3,9 +3,11 @@
 Commands: info, shapley, symmetry, psystem, decompose, verify, efficiency.
 Each command computes one result, a dict under its JSON keys, and ``show``
 prints it in the format asked for.  The JSON output is that result, with
-every rational as the string "p/q"; the table is formatted from the same
-values.  All verdicts are computed on exact rationals; the decimal column
-of a table is a 6-significant-digit approximation, display only.
+every rational as the string "p/q", in the layout of ``json.dumps(indent=2)``;
+before Python 3.13 the CLI's own writer prints it, as ``json.dumps`` writes
+an indent there with its pure-Python encoder.  The table is formatted from
+the same values.  All verdicts are computed on exact rationals; the decimal
+column of a table is a 6-significant-digit approximation, display only.
 Identical inputs and seed produce byte-identical output.
 
 Exit codes: 0 success, 2 parse/config error, 3 mathematical precondition
@@ -21,6 +23,7 @@ import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Callable
 
@@ -81,8 +84,57 @@ def emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _json_text(o, nl: str = "\n") -> str:
+    """The text of ``json.dumps(o, indent=2, default=rational)``, byte for byte.
+
+    ``emit_json`` uses it before Python 3.13, where ``json.dumps`` writes an
+    indent in pure Python; delete it once ``requires-python`` reaches 3.13.
+    Keys are str or int, not bool; values are str, int, bool, None,
+    ``Fraction``, list, tuple or dict.  Any other type is a TypeError.
+    """
+    t = type(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        if set(map(type, o)) == {int}:
+            items = map(int.__repr__, o)
+        else:
+            items = [_json_text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for k, v in o.items():
+            if type(k) is str:
+                k = encode_basestring_ascii(k)
+            elif type(k) is not bool and isinstance(k, int):
+                k = '"' + int.__repr__(k) + '"'
+            else:
+                raise TypeError(f"keys must be str or int, not {type(k).__name__}")
+            items.append(k + ": " + _json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is Fraction:
+        return encode_basestring_ascii(format_rational(o))
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    if isinstance(o, int):  # a Face too
+        return int.__repr__(o)
+    raise TypeError(f"{t.__name__} is not JSON serializable")
+
+
 def emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, default=rational) + "\n")
+    if sys.version_info >= (3, 13):  # json.dumps writes an indent in C
+        text = json.dumps(doc, indent=2, default=rational)
+    else:
+        text = _json_text(doc)
+    sys.stdout.write(text + "\n")
 
 
 def show(args, result: dict, table: Callable[[], list[str]], code: int = EXIT_OK) -> int:
