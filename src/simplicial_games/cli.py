@@ -10,8 +10,9 @@ the same values.  All verdicts are computed on exact rationals; the decimal
 column of a table is a 6-significant-digit approximation, display only.
 Identical inputs and seed produce byte-identical output.
 
-Exit codes: 0 success, 2 parse/config error, 3 mathematical precondition
-violated, 4 verification failure.
+Exit codes: 0 success, 2 parse/config error, a malformed command line included,
+3 mathematical precondition violated, 4 verification failure; each error prints
+one ``error[Code]: ...`` line on stderr.  ``--help`` prints usage and exits 0.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from random import Random
 from typing import Callable
 
 from .complexes import SimplicialComplex, format_ids, load_complex
-from .errors import EmptyComplex, HypothesisNotMet, NotPureLinks, SimplicialGamesError
+from .errors import (
+    EmptyComplex, HypothesisNotMet, NotPureLinks, ParseError, SimplicialGamesError,
+)
 from .exactnum import format_rational
 from .games import face_key, load_game, random_game
 from .symmetry import (
@@ -55,7 +58,6 @@ from .values import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 2
 EXIT_VERIFICATION = 4
 
 
@@ -348,11 +350,11 @@ def cmd_efficiency(args) -> int:
     if args.game:
         game = load_game(args.game, delta)
         check = check_efficiency_identity(coeffs, tables, game)
-    coefficients = by_face_key(coeffs)
+    coefficients = by_face_key(coeffs)  # the nonempty faces in canonical order, as in closed
     matches = closed == coeffs if closed is not None else None
     result = {
         "coefficients": coefficients,
-        "closed_form": by_face_key(closed) if closed is not None else None,
+        "closed_form": dict(zip(coefficients, closed.values())) if closed is not None else None,
         "closed_form_matches": matches,
         "identity": None if check is None else {
             "lhs": check.lhs, "rhs": check.rhs, "residual": check.residual,
@@ -410,13 +412,18 @@ def cmd_verify(args) -> int:
     return show(args, result, table, EXIT_OK if ok else EXIT_VERIFICATION)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a malformed command line, printed like any error
+        raise ParseError(message.replace("\n", "\\n"))  # an argv word may hold a newline
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simplicial-games",
         description="Exact cooperative-game analysis on simplicial complexes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # each a _Parser too
 
     def common(p, game=False, game_required=False, player=False):
         p.add_argument("--complex", required=True, help="complex JSON file")
@@ -451,12 +458,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except SimplicialGamesError as e:
         sys.stderr.write(f"error[{e.code}]: {e}\n")

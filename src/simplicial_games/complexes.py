@@ -196,7 +196,7 @@ class SimplicialComplex:
         return f
 
     def require_vertex(self, i: int) -> Face:
-        """The face {i}, or VertexNotInComplex when i is not a vertex."""
+        """The face {i}; VertexOutOfRange when i < 1, VertexNotInComplex when not a vertex."""
         # i is compared with n before the mask, which is i bits wide
         if i <= self.n and (single := Face.from_vertices([i])) in self.face_masks:
             return single

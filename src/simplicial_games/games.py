@@ -192,8 +192,8 @@ def _draw(rng: Random, lo: int = -9) -> int:
     return p * (_DRAWN_DENOMINATOR // rng.randint(1, 9))
 
 
-def random_rational(rng: Random, lo: int = -9) -> Fraction:
-    return Fraction(_draw(rng, lo), _DRAWN_DENOMINATOR)
+def random_rational(rng: Random) -> Fraction:
+    return Fraction(_draw(rng), _DRAWN_DENOMINATOR)
 
 
 def random_game(delta: SimplicialComplex, rng: Random) -> Game:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, groupby
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .complexes import Face, FVector, SimplicialComplex
 from .errors import (
@@ -70,12 +70,9 @@ class Permutation:
             raise ValueError(f"not a bijection of 1..{n}: {self.images}")
 
     @classmethod
-    def from_mapping(cls, n: int, mapping: Mapping[int, int]) -> "Permutation":
-        return cls(tuple(mapping.get(v, v) for v in range(1, n + 1)))
-
-    @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        return cls.from_mapping(n, {i: j, j: i})
+        """(i j): the swap of {i} and {j}."""
+        return swap_permutation(n, 1 << (i - 1), 1 << (j - 1))
 
     @property
     def n(self) -> int:

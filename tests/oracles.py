@@ -555,9 +555,14 @@ def is_monotone_ref(v) -> bool:
 
 
 def random_monotone_game_ref(delta, rng):
-    """A nonnegative combination of carrier games, each face summing all weights."""
+    """A nonnegative combination of carrier games, each face summing all weights.
+
+    Each weight is p/q, p drawn from 0..9 and then q from 1..9.
+    """
     weights = {
-        f: random_rational(rng, lo=0) for f in delta.faces if f != EMPTY_FACE
+        f: Fraction(rng.randint(0, 9), rng.randint(1, 9))
+        for f in delta.faces
+        if f != EMPTY_FACE
     }
     values = {}
     for s in delta.faces:

@@ -20,7 +20,8 @@ from simplicial_games import (
     pi_delta_generators,
 )
 from simplicial_games.cli import _json_text, main, rational
-from simplicial_games.errors import BudgetExceeded
+from simplicial_games import errors
+from simplicial_games.errors import BudgetExceeded, ParseError, SimplicialGamesError
 from simplicial_games.exactnum import parse_rational
 from conftest import cycle, random_nonpure_complexes
 from oracles import complex_to_dict
@@ -384,8 +385,32 @@ def test_game_face_not_in_complex_exits_3(files, tmp_path, capsys):
 
 
 def test_missing_game_flag_exits_2(files, capsys):
-    code, _, _ = run(capsys, "shapley", "--complex", files["cycle4.json"])
+    code, out, err = run(capsys, "shapley", "--complex", files["cycle4.json"])
     assert code == 2
+    assert out == ""
+    assert err == "error[ParseError]: the following arguments are required: --game\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["info", "--help"]])
+def test_help_prints_usage_on_stdout_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 0
+    assert out.startswith("usage: simplicial-games")
+    assert err == ""
+
+
+def test_every_error_code_is_its_class_name():
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, SimplicialGamesError)
+        and c is not SimplicialGamesError
+    ]
+    assert ParseError in classes and BudgetExceeded in classes
+    for c in classes:
+        assert c.code == c.__name__
+        assert c.exit_code == (2 if issubclass(c, ParseError) else 3), c
 
 
 def test_missing_file_exits_2(capsys):

@@ -5,7 +5,8 @@ to 8 vertices.  Most documents are valid; the rest carry a flaw: a wrong
 type, an id out of range, a missing, duplicate or garbage key, a bad
 rational, or text that is not JSON at all.  On exit 2 or 3 stderr is
 exactly one ``error[...]`` line and stdout is empty; on exit 0 or 4 stderr
-is empty.
+is empty.  A malformed argv over valid files exits 2 with one
+``error[ParseError]`` line and nothing on stdout.
 """
 
 import io
@@ -136,3 +137,63 @@ def test_main_keeps_its_exit_and_error_promise(workdir, case):
         assert err.getvalue() == ""
         if "--format=json" in options:  # the CLI's writer gives json.dumps's layout
             assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"
+
+
+FLAGS = ["--complex", "--game", "--player", "--format", "--seed"]
+# no dash and no newline, so never a flag, never --help and one line in a message
+word = st.text("abcdefghijklmnopqrstuvwxyz0123456789._/:", max_size=8)
+not_int = word.filter(lambda w: not w.replace("_", "").isdigit())  # int() takes "1_0"
+
+
+@st.composite
+def malformed_argv(draw):
+    """An argv with one flaw in its words; "C" and "G" stand for valid files."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, "--complex", "C"]
+    if command == "shapley":
+        argv += ["--game", "G"]
+    if command == "decompose":
+        argv += ["--player", "1"]
+    flaw = draw(st.integers(0, 8))
+    if flaw == 0:
+        return []
+    if flaw == 1:  # an unknown command
+        return [draw(word.filter(lambda w: not any(c.startswith(w) for c in COMMANDS)))]
+    if flaw == 2:  # no --complex
+        return [command] + argv[3:]
+    if flaw == 3:  # a flag with no value
+        return argv + [draw(st.sampled_from(FLAGS))]
+    if flaw == 4:  # an unknown flag or word
+        return argv + [draw(st.sampled_from(["--bogus", "--complexity", "-x", "extra", "a\nb"]))]
+    if flaw == 5:
+        return argv + ["--format", draw(word.filter(lambda w: w not in ("table", "json")))]
+    if flaw == 6:
+        return argv + ["--seed", draw(not_int)]
+    if flaw == 7:
+        return ["decompose", "--complex", "C", "--player", draw(not_int)]
+    return ["shapley", "--complex", "C"]  # no --game
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_argv())
+@example([])
+@example(["frobnicate"])
+@example(["info"])
+@example(["info", "--complex"])
+@example(["info", "--complex", "C", "--bogus"])
+@example(["info", "--complex", "C", "--bo\ngus"])
+@example(["info", "--complex", "C", "--format", "xml"])
+@example(["decompose", "--complex", "C", "--player", "x"])
+@example(["shapley", "--complex", "C"])
+@example(["verify", "--complex", "C", "--seed", "1.5"])
+def test_malformed_argv_is_one_parse_error(workdir, argv):
+    (workdir / "argv_complex.json").write_text('{"n": 2, "facets": [[1, 2]]}', encoding="utf-8")
+    (workdir / "argv_game.json").write_text('{"values": {"1,2": "1"}}', encoding="utf-8")
+    files = {"C": str(workdir / "argv_complex.json"), "G": str(workdir / "argv_game.json")}
+    argv = [files.get(w, w) for w in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, argv
+    assert out.getvalue() == ""
+    assert re.fullmatch(r"error\[ParseError\]: [^\n]*\n", err.getvalue()), err.getvalue()

@@ -323,7 +323,7 @@ def test_permuted_game_rejects_wrong_size_permutation(size):
 
 def test_permuted_game_figure_b_reflection():
     delta = figure_b()
-    pi = Permutation.from_mapping(5, {1: 4, 4: 1, 2: 5, 5: 2})
+    pi = Permutation((4, 5, 3, 1, 2))
     v = carrier_game(delta, face(1, 2))
     moved = permuted(v, pi)
     # (pi.v)(T) = v(pi T): support is the preimages of supersets of {1,2}
@@ -336,7 +336,7 @@ def test_permuted_game_figure_b_reflection():
 def test_permute_roundtrip_random():
     delta = figure_b()
     rng = Random(3)
-    pi = Permutation.from_mapping(5, {1: 2, 2: 1})
+    pi = Permutation((2, 1, 3, 4, 5))
     for _ in range(5):
         v = random_game(delta, rng)
         assert permuted(permuted(v, pi), Permutation(inverse(pi.images))) == v
