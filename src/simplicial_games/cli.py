@@ -33,7 +33,7 @@ from .errors import (
     EmptyComplex, HypothesisNotMet, NotPureLinks, ParseError, SimplicialGamesError,
 )
 from .exactnum import format_rational
-from .games import face_key, load_game, random_game
+from .games import load_game, random_game
 from .symmetry import (
     SYMM_GROUP_MAX_N,
     _is_skeleton,
@@ -148,9 +148,10 @@ def show(args, result: dict, table: Callable[[], list[str]], code: int = EXIT_OK
     return code
 
 
-def by_face_key(by_face: dict) -> dict:
+def by_face_key(delta: SimplicialComplex, by_face: dict) -> dict:
     """The same items keyed "i,j,...", since a JSON object's keys are strings."""
-    return {face_key(f): w for f, w in by_face.items()}
+    ids = delta.face_ids
+    return {",".join(map(str, ids[f])): w for f, w in by_face.items()}
 
 
 def load_nonempty_complex(path: str) -> SimplicialComplex:
@@ -167,7 +168,7 @@ def cmd_info(args) -> int:
     link_fvs = delta.link_f_vectors()
     pure = delta.has_pure_links()
     cls = classify_shapley(delta)
-    facets = [f.vertices for f in delta.facets]
+    facets = [tuple(delta.face_ids[f]) for f in delta.facets]
     result = {
         "n": delta.n,
         "rank": delta.rank,
@@ -310,7 +311,7 @@ def cmd_decompose(args) -> int:
     delta = load_nonempty_complex(args.complex)
     dec = decompose_shapley(delta, args.player)
     # facet_weights, when present, is keyed in facet order
-    weights = None if dec.facet_weights is None else by_face_key(dec.facet_weights)
+    weights = None if dec.facet_weights is None else by_face_key(delta, dec.facet_weights)
     result = {
         "player": dec.player,
         "status": dec.status.value,
@@ -350,7 +351,8 @@ def cmd_efficiency(args) -> int:
     if args.game:
         game = load_game(args.game, delta)
         check = check_efficiency_identity(coeffs, tables, game)
-    coefficients = by_face_key(coeffs)  # the nonempty faces in canonical order, as in closed
+    # the nonempty faces in canonical order, as in closed
+    coefficients = by_face_key(delta, coeffs)
     matches = closed == coeffs if closed is not None else None
     result = {
         "coefficients": coefficients,

@@ -12,6 +12,13 @@ downstream formula sums over faces or links, and the canonical ordering
 output order matters.  A closure whose walk would pass ``FACE_BUDGET``
 subsets is refused before it starts.
 
+One table per complex, ``face_ids``, maps every face to its vertex ids in
+ascending order, one byte per id.  It is the complex's membership test, and
+what is read off a face's ids is read off its bytes: the canonical order is
+two sorts with C-level keys (the bytes, then the cardinality), a printed key
+joins the bytes, and a link f-vector counts a vertex's byte in each
+cardinality level.
+
 A link is read as ``link(s)``, the faces through s minus s, on the *same*
 ground set [n], so per-face weight tables index directly into them.
 Removing the vertices those faces share keeps their order, so the link
@@ -21,6 +28,7 @@ comes out in canonical order with no closure, no sort and no complex built.
 from __future__ import annotations
 
 import json
+from itertools import groupby, repeat, takewhile
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -36,8 +44,7 @@ from .errors import (
 
 MAX_VERTICES = 64
 FACE_BUDGET = 1 << 20  # subsets one closure may walk: 2^|facet| summed over facets
-# each byte bit-reversed and complemented: the low 64 bits of Face.sort_key
-_FLIPPED = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+_ID_BYTE = [bytes([v]) for v in range(MAX_VERTICES + 1)]  # vertex id v -> its byte in face_ids
 
 FVector = tuple[int, ...]
 
@@ -80,16 +87,6 @@ class Face(int):
 
     def __contains__(self, vertex: int) -> bool:
         return vertex >= 1 and self >> (vertex - 1) & 1 == 1
-
-    def sort_key(self) -> int:
-        """Cardinality, then the lowest differing vertex: the vertex tuples' order.
-
-        The low 64 bits are the complemented bit-reversed mask, so of two faces
-        of one size the one holding the lowest vertex they differ in is smaller.
-        Any int mask may be passed as ``self``.
-        """
-        flipped = self.to_bytes(8, "little").translate(_FLIPPED)
-        return self.bit_count() << 64 | int.from_bytes(flipped, "big")
 
     def __str__(self) -> str:
         return format_ids(self.vertices)
@@ -135,13 +132,13 @@ def _check_vertex_ids(n: int, faces: Iterable[Face]) -> None:
 class SimplicialComplex:
     """The downward closure of a face family, with its facet list and rank.
 
-    ``faces`` is the full closure in canonical order, ``face_masks`` the same
-    faces as a frozenset for membership tests, ``facets`` the
-    inclusion-maximal inputs, ``rank`` the largest face cardinality (-1 for
-    the empty family).
+    ``faces`` is the full closure in canonical order, ``face_ids`` maps each
+    of them to its ascending vertex ids as ``bytes`` (one byte per id) and
+    answers membership tests, ``facets`` are the inclusion-maximal inputs,
+    ``rank`` the largest face cardinality (-1 for the empty family).
     """
 
-    __slots__ = ("n", "faces", "facets", "rank", "face_masks", "_link_f_vectors")
+    __slots__ = ("n", "faces", "facets", "rank", "face_ids", "_link_f_vectors")
 
     def __init__(self, n: int, faces: Iterable[FaceLike]):
         """The closure of ``faces``, any family of faces on the ground set [n].
@@ -150,12 +147,14 @@ class SimplicialComplex:
         the closure lies inside a larger input; every other input is a facet,
         and its subsets join the closure.  Before each facet is walked its
         2^|facet| subsets are counted, and BudgetExceeded is raised once the
-        count would pass FACE_BUDGET.
+        count would pass FACE_BUDGET.  The closure is then read in ascending
+        int order, where f minus its lowest vertex is a smaller int, so its
+        ids are in the table when f's are written.
         """
         inputs = [as_face(f) for f in faces]
         _check_vertex_ids(n, inputs)
         closure: set[int] = set()
-        facets = set()
+        facets = []
         walked = 0
         for m in sorted(set(inputs), key=int.bit_count, reverse=True):
             if m in closure:
@@ -165,18 +164,23 @@ class SimplicialComplex:
                 raise BudgetExceeded(
                     f"closure would walk {walked} subsets, over the budget of {FACE_BUDGET}"
                 )
-            facets.add(m)
+            facets.append(m)
             subs, rest = [0], m
             while rest:
                 low = rest & -rest
                 subs += [s | low for s in subs]
                 rest ^= low
             closure.update(subs)
+        ids: dict[int, bytes] = {}
+        for f in sorted(closure):
+            low = f & -f
+            ids[f] = _ID_BYTE[low.bit_length()] + ids[f ^ low] if f else b""
+        del closure  # the table holds every face; kept, the set adds 15% to the peak
         self.n = n
-        self.faces: tuple[Face, ...] = tuple(map(Face, sorted(closure, key=Face.sort_key)))
-        self.facets: tuple[Face, ...] = tuple(f for f in self.faces if f in facets)
+        self.face_ids = ids
+        self.faces: tuple[Face, ...] = _canonical(ids.keys(), ids)
+        self.facets: tuple[Face, ...] = _canonical(facets, ids)
         self.rank = self.faces[-1].bit_count() if self.faces else -1
-        self.face_masks = frozenset(closure)
         self._link_f_vectors: dict[int, FVector] | None = None
 
     @classmethod
@@ -187,24 +191,24 @@ class SimplicialComplex:
     # -- membership ---------------------------------------------------
 
     def has_face(self, face: FaceLike) -> bool:
-        return as_face(face) in self.face_masks
+        return as_face(face) in self.face_ids
 
     def require_face(self, face: FaceLike) -> Face:
         f = as_face(face)
-        if f not in self.face_masks:
+        if f not in self.face_ids:
             raise FaceNotInComplex(f"{f} is not a face of the complex")
         return f
 
     def require_vertex(self, i: int) -> Face:
         """The face {i}; VertexOutOfRange when i < 1, VertexNotInComplex when not a vertex."""
         # i is compared with n before the mask, which is i bits wide
-        if i <= self.n and (single := Face.from_vertices([i])) in self.face_masks:
+        if i <= self.n and (single := Face.from_vertices([i])) in self.face_ids:
             return single
         raise VertexNotInComplex(f"vertex {i} is not in the complex")
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if (1 << (v - 1)) in self.face_masks)
+        return tuple(v for v in range(1, self.n + 1) if (1 << (v - 1)) in self.face_ids)
 
     # -- queries -------------------------------------------------------
 
@@ -221,7 +225,7 @@ class SimplicialComplex:
     def star(self, s: FaceLike) -> frozenset[Face]:
         """All faces contained in some face that contains s: the t with t + s a face."""
         sm = self.require_face(s)
-        return frozenset(t for t in self.faces if t | sm in self.face_masks)
+        return frozenset(t for t in self.faces if t | sm in self.face_ids)
 
     def f_vector(self) -> FVector:
         """(f_{-1}, f_0, ..., f_{rank-1}): face counts by cardinality."""
@@ -245,17 +249,18 @@ class SimplicialComplex:
         The counts are taken once per complex; each call returns a fresh dict.
         """
         if self._link_f_vectors is None:
-            counts: list[list[int]] = [[] for _ in range(self.n)]
-            for f in self.face_masks:
-                card = f.bit_count()
-                while f:
-                    low = f & -f
-                    row = counts[low.bit_length() - 1]
-                    if len(row) < card:
-                        row.extend([0] * (card - len(row)))
-                    row[card - 1] += 1
-                    f ^= low
-            self._link_f_vectors = {v + 1: tuple(row) for v, row in enumerate(counts) if row}
+            # the ids of the faces of each cardinality 1..rank, joined
+            levels = [
+                b"".join(map(self.face_ids.__getitem__, level))
+                for _, level in groupby(self.faces[1:], int.bit_count)
+            ]
+            fvs = {}
+            for v in range(1, self.n + 1):
+                # v is in no face of cardinality c + 1 once it is in none of cardinality c
+                row = tuple(takewhile(bool, map(bytes.count, levels, repeat(_ID_BYTE[v]))))
+                if row:
+                    fvs[v] = row
+            self._link_f_vectors = fvs
         return dict(self._link_f_vectors)
 
     def has_pure_links(self) -> bool:
@@ -273,7 +278,7 @@ class SimplicialComplex:
         return frozenset(
             j + 1
             for j in range(self.n)
-            if not m >> j & 1 and m | 1 << j in self.face_masks
+            if not m >> j & 1 and m | 1 << j in self.face_ids
         )
 
     def facets_containing(self, s: FaceLike) -> tuple[Face, ...]:
@@ -285,13 +290,20 @@ class SimplicialComplex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.n == other.n and self.face_masks == other.face_masks
+        return self.n == other.n and self.faces == other.faces
 
     def __hash__(self) -> int:
-        return hash((self.n, self.face_masks))
+        return hash((self.n, self.faces))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(n={self.n}, facets={[str(f) for f in self.facets]})"
+
+
+def _canonical(faces: Iterable[int], ids: dict[int, bytes]) -> tuple[Face, ...]:
+    """``faces`` by cardinality, then by their vertex ids: the canonical order."""
+    order = sorted(faces, key=ids.__getitem__)
+    order.sort(key=int.bit_count)  # stable: the ids' order stays within a cardinality
+    return tuple(map(Face, order))
 
 
 def full_simplex(n: int) -> SimplicialComplex:
@@ -314,8 +326,18 @@ def complex_from_dict(data: object) -> SimplicialComplex:
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise ParseError("'facets' must be a list of vertex-id lists")
     _check_vertex_ids(n, ())  # n first: the id bound below stays under 64 bits
+    bits = {v: 1 << (v - 1) for v in range(1, n + 1)}
     faces = []
     for f in facets:
+        # types first, as 1.0 and True would find the bit of 1; then an id
+        # outside 1..n adds no bit and a repeated one carries, so the mask
+        # has as many bits as f has ids exactly when f names a face
+        if {int}.issuperset(map(type, f)):
+            m = sum(map(bits.get, f, repeat(0)))
+            if m.bit_count() == len(f):
+                faces.append(m)
+                continue
+        # a facet that fails is diagnosed id by id: the first bad id's error
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in f):
             raise ParseError(f"facet {f!r} contains a non-integer vertex id")
         if any(v > n for v in f):  # before the mask, which is v bits wide

@@ -59,12 +59,12 @@ class Game:
     def __init__(
         self, complex: SimplicialComplex, values: Mapping[Face, Fraction | int] = ()
     ):
-        face_masks = complex.face_masks
+        face_ids = complex.face_ids
         worth: dict[Face, tuple[int, int]] = {}
         for face, w in dict(values).items():
             face = as_face(face)
             w = Fraction(w)
-            if face not in face_masks:
+            if face not in face_ids:
                 raise GameFaceNotInComplex(f"{face} is not a face of the complex")
             if face == EMPTY_FACE and w != 0:
                 raise EmptyCoalitionWorth("the empty coalition is always worth 0")
@@ -236,10 +236,6 @@ def random_dummy_game(delta: SimplicialComplex, i: int, rng: Random) -> Game:
 
 # -- JSON interchange -----------------------------------------------------
 
-def face_key(face: Face) -> str:
-    return ",".join(str(v) for v in face.vertices)
-
-
 def _coalition_ids(key: str) -> list[int]:
     """The vertex ids of a key "i,j,...": each one a run of ASCII digits."""
     parts = key.split(",")
@@ -257,7 +253,7 @@ def _key_face(key: str, delta: SimplicialComplex) -> Face:
         raise ParseError("the empty coalition may not appear in a game file")
     ids = _coalition_ids(key)
     # ids are compared with n before the mask, which is max(ids) bits wide
-    if max(ids) > delta.n or (f := Face.from_vertices(ids)) not in delta.face_masks:
+    if max(ids) > delta.n or (f := Face.from_vertices(ids)) not in delta.face_ids:
         raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")
     return f
 
@@ -269,7 +265,7 @@ def game_from_dict(data: object, delta: SimplicialComplex) -> Game:
     if not isinstance(raw, dict):
         raise ParseError("'values' must map coalition keys to rationals")
     bits = {str(v): 1 << (v - 1) for v in range(1, delta.n + 1)}
-    faces = delta.face_masks
+    faces = delta.face_ids
     worth: dict[int, tuple[int, int]] = {}
     for key, text in raw.items():
         parts = key.split(",")

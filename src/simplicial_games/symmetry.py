@@ -116,7 +116,7 @@ def moved_facet(delta: SimplicialComplex, perm: Permutation) -> Face | None:
             f"permutation of 1..{perm.n} applied to a complex over 1..{delta.n}"
         )
     bits = perm.bits
-    faces = delta.face_masks
+    faces = delta.face_ids
     for f in delta.facets:
         if _image_mask(f, bits) not in faces:
             return f
@@ -141,7 +141,7 @@ class SymmetryGroup:
 
     def __init__(self, delta: SimplicialComplex):
         self.n = delta.n
-        self._faces = delta.face_masks
+        self._faces = delta.face_ids
         self._facets = delta.facets
         # _holders[v]: indices of the facets through vertex v+1
         self._holders = [

@@ -240,7 +240,7 @@ def efficiency_coefficients(
     d = math.lcm(*{p.denominator for _, t in player_tables for p in t.weights.values()})
     a = dict.fromkeys(delta.faces, 0)
     for i, table in player_tables:
-        for t, up, p in _link_weights(table, i, delta.face_masks):
+        for t, up, p in _link_weights(table, i, delta.face_ids):
             x = p.numerator * (d // p.denominator)
             a[up] += x
             a[t] -= x
@@ -268,7 +268,7 @@ def shapley_efficiency_closed_form(
     weights = shapley_weights(cls.s_vector)
     # a face g extends g - j for each of its vertices j
     ext = dict.fromkeys(delta.faces, 0)
-    for g in delta.face_masks:
+    for g in delta.face_ids:
         rest = g
         while rest:
             low = rest & -rest

@@ -19,8 +19,12 @@ from a scan of every facet per link face, with the weights written out,
 and ``game_from_dict_ref``, ``efficiency_scatter_ref`` and
 ``closed_form_ref`` the per-key game loader, the ``Fraction`` scatter and
 the per-bit extension count that the int-pair loader, the int scatter and
-the set-bit walk replaced, kept as the references their results must
-equal.  ``built_link`` builds a link as a complex, which no command does:
+the set-bit walk replaced, and ``complex_from_dict_ref``,
+``link_f_vectors_ref``, ``sort_key`` and ``face_key`` the per-vertex complex
+loader, the (face, vertex) walk, the mask-flip canonical key and the
+per-face printed key that the one-pass loader and the vertex-id table
+replaced, kept as the references their results must equal.  ``built_link``
+builds a link as a complex, which no command does:
 ``SimplicialComplex.link`` returns only its faces.
 
 The JSON writers, the indicator game, the monotone and dummy predicates,
@@ -36,7 +40,14 @@ from math import comb
 from random import Random
 from typing import Mapping
 
-from simplicial_games.complexes import EMPTY_FACE, Face, SimplicialComplex, as_face
+from simplicial_games.complexes import (
+    EMPTY_FACE,
+    Face,
+    SimplicialComplex,
+    _check_vertex_ids,
+    as_face,
+    format_ids,
+)
 from simplicial_games.errors import (
     DimensionMismatch,
     EmptyCarrierNotAllowed,
@@ -50,13 +61,13 @@ from simplicial_games.errors import (
     ParseError,
     PlayerMismatch,
     SimplicialGamesError,
+    VertexOutOfRange,
 )
 from simplicial_games.exactnum import LinearSolution, SolveStatus, format_rational, parse_rational
 from simplicial_games.games import (
     Game,
     _coalition_ids,
     carrier_game,
-    face_key,
     random_dummy_game,
     random_game,
     random_monotone_game,
@@ -84,6 +95,25 @@ from simplicial_games.values import (
 
 class PermutationNotSymmetry(SimplicialGamesError):
     code = "PermutationNotSymmetry"
+
+
+# each byte bit-reversed and complemented: the low 64 bits of sort_key
+_FLIPPED = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def sort_key(face: int) -> int:
+    """Cardinality, then the lowest differing vertex: the vertex tuples' order.
+
+    The low 64 bits are the complemented bit-reversed mask, so of two faces
+    of one size the one holding the lowest vertex they differ in is smaller.
+    """
+    flipped = face.to_bytes(8, "little").translate(_FLIPPED)
+    return face.bit_count() << 64 | int.from_bytes(flipped, "big")
+
+
+def face_key(face: Face) -> str:
+    """The key "i,j,..." a face is printed under, from its vertex tuple."""
+    return ",".join(str(v) for v in face.vertices)
 
 
 def complex_to_dict(delta: SimplicialComplex) -> dict:
@@ -199,7 +229,7 @@ def game_from_dict_ref(data: object, delta: SimplicialComplex) -> Game:
             raise ParseError("the empty coalition may not appear in a game file")
         ids = _coalition_ids(key)
         # ids are compared with n before the mask, which is max(ids) bits wide
-        if max(ids) > delta.n or (f := Face.from_vertices(ids)) not in delta.face_masks:
+        if max(ids) > delta.n or (f := Face.from_vertices(ids)) not in delta.face_ids:
             raise GameFaceNotInComplex(f"{{{key}}} is not a face of the complex")
         if f in worth:  # read already, under another spelling
             first = next(k for k in raw if Face.from_vertices(_coalition_ids(k)) == f)
@@ -210,12 +240,53 @@ def game_from_dict_ref(data: object, delta: SimplicialComplex) -> Game:
     return Game(delta, worth)
 
 
+def complex_from_dict_ref(data: object) -> SimplicialComplex:
+    """The complex file read vertex by vertex: each facet checked, then a Face."""
+    if not isinstance(data, dict):
+        raise ParseError("complex document must be a JSON object")
+    try:
+        n = data["n"]
+        facets = data["facets"]
+    except KeyError as e:
+        raise ParseError(f"complex document missing key {e.args[0]!r}") from None
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError("'n' must be an integer")
+    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+        raise ParseError("'facets' must be a list of vertex-id lists")
+    _check_vertex_ids(n, ())  # n first: the id bound below stays under 64 bits
+    faces = []
+    for f in facets:
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in f):
+            raise ParseError(f"facet {f!r} contains a non-integer vertex id")
+        if any(v > n for v in f):  # before the mask, which is v bits wide
+            raise VertexOutOfRange(
+                f"face {format_ids(sorted(f))} has vertices outside 1..{n}"
+            )
+        faces.append(Face.from_vertices(f))
+    return SimplicialComplex.from_facets(n, faces)
+
+
+def link_f_vectors_ref(delta) -> dict:
+    """f(Link(v)) for every vertex v, counted by walking every (face, vertex) pair."""
+    counts: list[list[int]] = [[] for _ in range(delta.n)]
+    for f in delta.faces:
+        card = f.bit_count()
+        while f:
+            low = f & -f
+            row = counts[low.bit_length() - 1]
+            if len(row) < card:
+                row.extend([0] * (card - len(row)))
+            row[card - 1] += 1
+            f ^= low
+    return {v + 1: tuple(row) for v, row in enumerate(counts) if row}
+
+
 def efficiency_scatter_ref(delta, tables) -> dict:
     """The efficiency coefficients scattered from the weights as ``Fraction``s."""
     player_tables = list(_player_tables(delta, tables))
     a = dict.fromkeys(delta.faces, Fraction(0))
     for i, table in player_tables:
-        for t, up, p in _link_weights(table, i, delta.face_masks):
+        for t, up, p in _link_weights(table, i, delta.face_ids):
             a[up] += p
             a[t] -= p
     del a[EMPTY_FACE]
@@ -233,7 +304,7 @@ def closed_form_ref(delta) -> dict:
             f"vertices {cls.witness} differ"
         )
     weights = shapley_weights(cls.s_vector)
-    ext = Counter(g ^ 1 << j for g in delta.face_masks for j in range(delta.n) if g >> j & 1)
+    ext = Counter(g ^ 1 << j for g in delta.face_ids for j in range(delta.n) if g >> j & 1)
     return {
         t: t.bit_count() * weights[t.bit_count() - 1]
         - (ext[t] * weights[t.bit_count()] if ext[t] else 0)

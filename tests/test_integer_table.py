@@ -81,7 +81,7 @@ def random_worths(delta: SimplicialComplex, rng: Random) -> dict[Face, Fraction]
 def dummy_worths(delta: SimplicialComplex, i: int, rng: Random) -> dict[Face, Fraction]:
     """Random worth off i; a face through i is worth v(F - i) + v({i})."""
     bit = 1 << (i - 1)
-    worth = {m: random_rational(rng) for m in delta.face_masks if not m & bit}
+    worth = {m: random_rational(rng) for m in delta.face_ids if not m & bit}
     worth[0], vi = F(0), random_rational(rng)
     return {f: worth[f.mask & ~bit] + (vi if f.mask & bit else 0) for f in delta.faces}
 
