@@ -45,6 +45,7 @@ from .errors import (
 MAX_VERTICES = 64
 FACE_BUDGET = 1 << 20  # subsets one closure may walk: 2^|facet| summed over facets
 _ID_BYTE = [bytes([v]) for v in range(MAX_VERTICES + 1)]  # vertex id v -> its byte in face_ids
+_ID_BIT = [0] + [1 << v for v in range(MAX_VERTICES)]  # vertex id v -> its bit in a mask
 
 FVector = tuple[int, ...]
 
@@ -151,8 +152,18 @@ class SimplicialComplex:
         int order, where f minus its lowest vertex is a smaller int, so its
         ids are in the table when f's are written.
         """
-        inputs = [as_face(f) for f in faces]
-        _check_vertex_ids(n, inputs)
+        inputs = list(faces)
+        # masks in range pass one C-level bound test; anything else is read
+        # and checked face by face, which raises the first bad input's error
+        if not (
+            {int, Face}.issuperset(map(type, inputs))
+            and isinstance(n, int)
+            and 0 <= n <= MAX_VERTICES
+            and min(inputs, default=0) >= 0
+            and max(inputs, default=0) >> n == 0
+        ):
+            inputs = [as_face(f) for f in inputs]
+            _check_vertex_ids(n, inputs)
         closure: set[int] = set()
         facets = []
         walked = 0

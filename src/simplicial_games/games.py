@@ -5,14 +5,16 @@ canonical face order, maps to an ``int`` numerator, zeros included, and the
 worth of a face is its numerator over the game's ``denominator``, the lcm of
 the worths' reduced denominators, so equal games store equal tables.  The
 empty coalition is pinned to 0.  The value kernels add and subtract the
-numerators, reading the faces through a player as the faces that hold its
-bit, and build a ``Fraction`` only for a result; ``value``, ``values`` and
-``mask_table`` are ``Fraction`` views derived from the table.  A table costs
-|faces| times the bits of the denominator, so a game whose denominator would
-pass ``TABLE_BITS_BUDGET`` is refused before its table is built.  Carrier
-games v_T (containment) and their strict variants (proper containment) are
-the probing basis of Weber's axioms; the axiom suite reads their values off
-the weight tables instead of building them.
+numerators and build a ``Fraction`` only for a result; ``value``,
+``values`` and ``mask_table`` are ``Fraction`` views derived from the
+table.  The marginal sums of every player, per cardinality, are taken in
+one pass over the complex's id table the first time a value asks for them,
+and kept on the game.  A table costs |faces| times the bits of the
+denominator, so a game whose denominator would pass ``TABLE_BITS_BUDGET``
+is refused before its table is built.  Carrier games v_T (containment) and
+their strict variants (proper containment) are the probing basis of Weber's
+axioms; the axiom suite reads their values off the weight tables instead of
+building them.
 
 A game file is read straight to integers.  One table per load maps the text
 "1".."n" of each vertex id to its bit, so a key whose parts all hit it, each
@@ -21,6 +23,10 @@ a different vertex, is its mask, and each worth is read as a reduced
 key (a leading zero, a repeated id, an id above n, no digits) goes through
 the per-key diagnosis, which accepts the spellings that name a face and
 raises the typed error of the first bad key in file order.
+
+The seeded generators draw all the worths of a game in one call to
+``_draws``, which reads ``getrandbits`` exactly as ``randint`` does, so the
+games a seed gives do not depend on how the draws are made.
 """
 
 from __future__ import annotations
@@ -29,9 +35,17 @@ import math
 from fractions import Fraction
 from random import Random
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .complexes import EMPTY_FACE, Face, FaceLike, SimplicialComplex, as_face, read_json
+from .complexes import (
+    _ID_BIT,
+    EMPTY_FACE,
+    Face,
+    FaceLike,
+    SimplicialComplex,
+    as_face,
+    read_json,
+)
 from .errors import (
     BudgetExceeded,
     ComplexMismatch,
@@ -51,10 +65,11 @@ class Game:
     """An exact-rational characteristic function v on a complex, v({}) = 0.
 
     ``values`` maps faces to worths; faces it leaves out are worth 0.  The
-    game stores ``numerators`` (every face -> int) over ``denominator``.
+    game stores ``numerators`` (every face -> int) over ``denominator``, and
+    once asked for them, its ``marginal_sums``.
     """
 
-    __slots__ = ("complex", "denominator", "_num")
+    __slots__ = ("complex", "denominator", "_num", "_marginal_sums")
 
     def __init__(
         self, complex: SimplicialComplex, values: Mapping[Face, Fraction | int] = ()
@@ -71,6 +86,7 @@ class Game:
             worth[face] = w.numerator, w.denominator
         self.complex = complex
         self._num, self.denominator = _over_lcm(complex, worth)
+        self._marginal_sums: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def _of(cls, complex: SimplicialComplex, num: dict[Face, int], denominator: int) -> "Game":
@@ -85,12 +101,31 @@ class Game:
             denominator //= g
         game = cls.__new__(cls)
         game.complex, game._num, game.denominator = complex, num, denominator
+        game._marginal_sums = None
         return game
 
     @property
     def numerators(self) -> Mapping[Face, int]:
         """The stored table, read only: every face -> numerator, in canonical order."""
         return MappingProxyType(self._num)
+
+    def marginal_sums(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex id j, the sums of num[F] - num[F - j] over the faces F through j, by |F|.
+
+        Row j holds one sum per cardinality 0..rank; row 0 and the rows of
+        ids that are no vertex are zeros.  One pass over the complex's id
+        table visits each (face, vertex) pair once; the rows are taken once
+        per game.
+        """
+        if self._marginal_sums is None:
+            delta, num, bit = self.complex, self._num, _ID_BIT
+            levels = [[0] * (delta.n + 1) for _ in range(delta.rank + 1)]
+            for f, ids in delta.face_ids.items():
+                w, level = num[f], levels[f.bit_count()]
+                for j in ids:
+                    level[j] += w - num[f ^ bit[j]]
+            self._marginal_sums = tuple(zip(*levels))
+        return self._marginal_sums
 
     def value(self, face: FaceLike) -> Fraction:
         face = as_face(face)
@@ -184,22 +219,48 @@ def scale_add(v: Game, w: Game, a: Fraction | int, b: Fraction | int) -> Game:
 
 # every denominator drawn (1 to 9) divides this one
 _DRAWN_DENOMINATOR = math.lcm(*range(1, 10))
+_PER_Q = tuple(_DRAWN_DENOMINATOR // q for q in range(1, 10))  # at index q - 1
 
 
-def _draw(rng: Random, lo: int = -9) -> int:
-    """p/q for p drawn from lo..9, then q from 1..9, as a numerator over _DRAWN_DENOMINATOR."""
-    p = rng.randint(lo, 9)
-    return p * (_DRAWN_DENOMINATOR // rng.randint(1, 9))
+def _draws(rng: Random, k: int, lo: int = -9) -> list[int]:
+    """k draws of p/q, p from lo..9 and then q from 1..9, as numerators over _DRAWN_DENOMINATOR.
+
+    The bits are taken from ``rng.getrandbits`` as ``rng.randint(lo, 9)``
+    and ``rng.randint(1, 9)`` take them: an int below m is m.bit_length()
+    bits, drawn again until it falls below m.  So the draws, and the state
+    left in ``rng``, are those of k pairs of ``randint`` calls.
+    """
+    bits = rng.getrandbits
+    span = 10 - lo
+    width = span.bit_length()
+    out = []
+    for _ in range(k):
+        p = bits(width)  # p - lo
+        while p >= span:
+            p = bits(width)
+        q = bits(4)  # q - 1
+        while q >= 9:
+            q = bits(4)
+        out.append((lo + p) * _PER_Q[q])
+    return out
+
+
+def _drawn_table(
+    delta: SimplicialComplex, drawn: Sequence[Face], rng: Random, lo: int = -9
+) -> dict[Face, int]:
+    """Every face of delta in canonical order -> 0, but each face of ``drawn`` -> a draw."""
+    num = dict.fromkeys(delta.faces, 0)
+    num.update(zip(drawn, _draws(rng, len(drawn), lo)))
+    return num
 
 
 def random_rational(rng: Random) -> Fraction:
-    return Fraction(_draw(rng), _DRAWN_DENOMINATOR)
+    return Fraction(*_draws(rng, 1), _DRAWN_DENOMINATOR)
 
 
 def random_game(delta: SimplicialComplex, rng: Random) -> Game:
     """Independent random rational worth on every nonempty face."""
-    num = {f: _draw(rng) if f else 0 for f in delta.faces}
-    return Game._of(delta, num, _DRAWN_DENOMINATOR)
+    return Game._of(delta, _drawn_table(delta, delta.faces[1:], rng), _DRAWN_DENOMINATOR)
 
 
 def random_monotone_game(delta: SimplicialComplex, rng: Random) -> Game:
@@ -209,7 +270,7 @@ def random_monotone_game(delta: SimplicialComplex, rng: Random) -> Game:
     sum of the weights of its subfaces, accumulated one vertex bit at a time
     over the downward-closed face set (a subset-sum pass, O(n |faces|)).
     """
-    num = {f: _draw(rng, lo=0) if f else 0 for f in delta.faces}
+    num = _drawn_table(delta, delta.faces[1:], rng, lo=0)
     for j in range(delta.n):
         bit = 1 << j
         for m in num:
@@ -225,8 +286,8 @@ def random_dummy_game(delta: SimplicialComplex, i: int, rng: Random) -> Game:
     is pinned to v(T) + v({i}) for T the face minus i.
     """
     bit = delta.require_vertex(i)
-    num = {f: _draw(rng) if f else 0 for f in delta.faces if not f & bit}
-    vi = _draw(rng)
+    num = _drawn_table(delta, [f for f in delta.faces if f and not f & bit], rng)
+    [vi] = _draws(rng, 1)
     return Game._of(
         delta,
         {f: num[f ^ bit] + vi if f & bit else num[f] for f in delta.faces},

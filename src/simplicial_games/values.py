@@ -12,7 +12,9 @@ full simplex this reduces exactly to the classical Shapley value, which is
 also implemented here independently (by permutation enumeration, not by the
 weight formula) as the reference the tests compare against.  The kernels
 sum a game's integer marginals against the weights in ``_dot``, which
-builds one ``Fraction`` per result.
+builds one ``Fraction`` per result; the generalized value reads the
+marginals summed per size for all players at once, ``Game.marginal_sums``,
+so n values make one pass over the faces, not n.
 
 Efficiency aggregates come from the coefficient construction
 
@@ -38,11 +40,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from random import Random
 from typing import Container, Iterable, Iterator, Mapping
 
-from .complexes import EMPTY_FACE, Face, FaceLike, FVector, SimplicialComplex, as_face
+from .complexes import _ID_BIT, EMPTY_FACE, Face, FaceLike, FVector, SimplicialComplex, as_face
 from .errors import (
     HypothesisNotMet,
     KeyOutsideLink,
@@ -56,7 +58,7 @@ from .exactnum import RationalMatrix, SolveStatus, solve_exact
 from .games import (
     _DRAWN_DENOMINATOR,
     Game,
-    _draw,
+    _drawn_table,
     random_dummy_game,
     random_game,
     random_monotone_game,
@@ -136,16 +138,12 @@ def generalized_shapley(v: Game, i: int) -> Fraction:
 
     The faces F through i are the T + i for T in the link, so the marginals
     v(F) - v(F - i) are summed per size |F|, and each sum is weighted once by
-    the Shapley weight of a link face of cardinality |F| - 1.
+    the Shapley weight of a link face of cardinality |F| - 1.  The sums of
+    every player come from one pass over the game, ``Game.marginal_sums``.
     """
-    bit = v.complex.require_vertex(i)
-    sums = [0] * (v.complex.n + 1)
-    num = v.numerators
-    for m, w in num.items():
-        if m & bit:
-            sums[m.bit_count()] += w - num[m ^ bit]
+    v.complex.require_vertex(i)
     weights = shapley_weights(v.complex.link_f_vectors()[i])
-    return _dot(list(zip(weights, sums[1:])), v.denominator)
+    return _dot(list(zip(weights, v.marginal_sums()[i][1:])), v.denominator)
 
 
 def _player_set(v: Game, players: Iterable[int] | None) -> tuple[int, ...]:
@@ -202,14 +200,18 @@ def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, ProbabilityT
     """The weight tables realizing the generalized Shapley value.
 
     Each link face T weighs shapley_weights(f(Link(i)))[|T|]; each table is a
-    probability distribution (the per-size weights telescope to 1).
+    probability distribution (the per-size weights telescope to 1).  One pass
+    over the faces in canonical order hands each face F to the link of each
+    vertex i in its ids as F - i, so every link is in canonical order.
     """
-    tables = {}
-    for i, fv in delta.link_f_vectors().items():
-        weights = shapley_weights(fv)
-        link = delta.link(Face.from_vertices([i]))
-        tables[i] = ProbabilityTable(i, {t: weights[t.bit_count()] for t in link})
-    return tables
+    weights = {i: shapley_weights(fv) for i, fv in delta.link_f_vectors().items()}
+    links: dict[int, dict[Face, Fraction]] = {i: {} for i in weights}
+    ids, bit = delta.face_ids, _ID_BIT
+    for f in delta.faces[1:]:
+        c = f.bit_count() - 1
+        for j in ids[f]:
+            links[j][Face(f ^ bit[j])] = weights[j][c]
+    return {i: ProbabilityTable(i, link) for i, link in links.items()}
 
 
 def _player_tables(
@@ -268,20 +270,17 @@ def shapley_efficiency_closed_form(
     weights = shapley_weights(cls.s_vector)
     # a face g extends g - j for each of its vertices j
     ext = dict.fromkeys(delta.faces, 0)
-    for g in delta.face_ids:
-        rest = g
-        while rest:
-            low = rest & -rest
-            ext[g ^ low] += 1
-            rest ^= low
-    by_pair: dict[tuple[int, int], Fraction] = {}  # one a_T per (|T|, ext(T))
-    out: EfficiencyCoefficients = {}
-    for t in delta.faces[1:]:
-        card, e = t.bit_count(), ext[t]
-        if (card, e) not in by_pair:
-            by_pair[card, e] = card * weights[card - 1] - (e * weights[card] if e else 0)
-        out[t] = by_pair[card, e]
-    return out
+    bit = _ID_BIT
+    for g, ids in delta.face_ids.items():
+        for j in ids:
+            ext[g ^ bit[j]] += 1
+    nonempty = delta.faces[1:]
+    pairs = list(zip(map(int.bit_count, nonempty), islice(ext.values(), 1, None)))
+    by_pair = {  # one a_T per (|T|, ext(T))
+        (card, e): card * weights[card - 1] - (e * weights[card] if e else 0)
+        for card, e in set(pairs)
+    }
+    return dict(zip(nonempty, map(by_pair.__getitem__, pairs)))
 
 
 @dataclass(frozen=True)
@@ -430,6 +429,7 @@ def axiom_suite(
     for i, table in player_tables:
         single = Face.from_vertices([i])
         star = delta.star(single)
+        off_star = [f for f in delta.faces if f not in star]
 
         def phi(v: Game) -> Fraction:
             return probabilistic_value(v, i, table)
@@ -445,8 +445,8 @@ def axiom_suite(
         def star_locality() -> Iterator[str]:
             for _ in range(rounds):
                 v = random_game(delta, rng)
-                num = {f: 0 if f in star else _draw(rng) for f in delta.faces}
-                w = scale_add(v, Game._of(delta, num, _DRAWN_DENOMINATOR), 1, 1)
+                off = Game._of(delta, _drawn_table(delta, off_star, rng), _DRAWN_DENOMINATOR)
+                w = scale_add(v, off, 1, 1)
                 if phi(v) != phi(w):
                     yield "value moved with off-star modification"
 

@@ -23,9 +23,10 @@ the set-bit walk replaced, and ``complex_from_dict_ref``,
 ``link_f_vectors_ref``, ``sort_key`` and ``face_key`` the per-vertex complex
 loader, the (face, vertex) walk, the mask-flip canonical key and the
 per-face printed key that the one-pass loader and the vertex-id table
-replaced, kept as the references their results must equal.  ``built_link``
-builds a link as a complex, which no command does:
-``SimplicialComplex.link`` returns only its faces.
+replaced, and ``draw_ref`` the two ``randint`` calls per drawn worth that
+the one-call draw from ``getrandbits`` replaced, kept as the references
+their results must equal.  ``built_link`` builds a link as a complex,
+which no command does: ``SimplicialComplex.link`` returns only its faces.
 
 The JSON writers, the indicator game, the monotone and dummy predicates,
 the permutation action on games and the symmetry-reduction check are used
@@ -65,6 +66,7 @@ from simplicial_games.errors import (
 )
 from simplicial_games.exactnum import LinearSolution, SolveStatus, format_rational, parse_rational
 from simplicial_games.games import (
+    _DRAWN_DENOMINATOR,
     Game,
     _coalition_ids,
     carrier_game,
@@ -623,6 +625,12 @@ def is_monotone_ref(v) -> bool:
             if v.complex.has_face(t) and ws > v.value(t):
                 return False
     return True
+
+
+def draw_ref(rng: Random, lo: int = -9) -> int:
+    """p/q for p = rng.randint(lo, 9), then q = rng.randint(1, 9), over _DRAWN_DENOMINATOR."""
+    p = rng.randint(lo, 9)
+    return p * (_DRAWN_DENOMINATOR // rng.randint(1, 9))
 
 
 def random_monotone_game_ref(delta, rng):

@@ -236,6 +236,46 @@ def test_full_simplex_closure():
     assert delta.facets == (face(1, 2, 3),)
 
 
+def per_face_outcome(n, inputs):
+    """The complex, or the error type and message, of the inputs read face by face."""
+    try:
+        faces = [as_face(f) for f in inputs]
+        complexes._check_vertex_ids(n, faces)
+        return SimplicialComplex(n, [f.vertices for f in faces])
+    except (SimplicialGamesError, TypeError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize(
+    "n, inputs",
+    [
+        (3, [0b011, 0b110, 0b100]),
+        (3, [Face(5), 3, 0]),
+        (0, []),
+        (0, [0]),
+        (64, [(1 << 64) - 1 - (1 << 40)]),
+        (3, [0b1000, 1]),  # an id above n
+        (3, [1, -1]),  # a negative mask
+        (3, [1, -1, 0b1000]),  # a negative mask comes first
+        (3, [0b1000, -1]),  # ... wherever it is
+        (65, [1]),
+        (-1, [0]),
+        (-1, []),
+        (2, [True]),  # no mask, and no vertex list either
+        (2, [[1, 2], 1]),  # vertex ids, read face by face
+        (2, [[1, 3], 1]),
+    ],
+)
+def test_int_masks_in_range_skip_the_per_face_check(n, inputs):
+    def outcome():
+        try:
+            return SimplicialComplex(n, inputs)
+        except (SimplicialGamesError, TypeError) as e:
+            return type(e), str(e)
+
+    assert outcome() == per_face_outcome(n, inputs)
+
+
 def test_redundant_facets_absorbed():
     delta = SimplicialComplex.from_facets(3, [[1, 2], [1], [1, 2, 3]])
     assert delta.facets == (face(1, 2, 3),)

@@ -34,6 +34,7 @@ from simplicial_games.symmetry import moved_facet
 from conftest import figure_a, figure_b, golden_fixtures, random_nonpure_complexes
 from oracles import (
     PermutationNotSymmetry,
+    draw_ref,
     game_to_dict,
     indicator_game,
     inverse,
@@ -250,6 +251,31 @@ def test_monotone_game_matches_all_pairs_reference():
             assert random_monotone_game(delta, Random(seed)) == random_monotone_game_ref(
                 delta, Random(seed)
             )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 808])
+@pytest.mark.parametrize("lo", [-9, 0])
+@pytest.mark.parametrize("k", [0, 1, 500])
+def test_draws_are_the_randint_pairs(seed, lo, k):
+    mine, ref = Random(seed), Random(seed)
+    assert games._draws(mine, k, lo) == [draw_ref(ref, lo) for _ in range(k)]
+    assert mine.getstate() == ref.getstate()
+
+
+def test_seeded_generators_draw_as_the_randint_pairs():
+    d = games._DRAWN_DENOMINATOR
+    for k, delta in enumerate(CORPUS):
+        mine, ref = Random(k), Random(k)
+        assert random_rational(mine) == F(draw_ref(ref), d)
+        want = {f: F(draw_ref(ref), d) for f in delta.faces[1:]}
+        assert random_game(delta, mine) == Game(delta, want)
+        i = delta.vertices[k % len(delta.vertices)]
+        bit = delta.require_vertex(i)
+        free = {f: F(draw_ref(ref), d) for f in delta.faces[1:] if not f & bit}
+        vi = F(draw_ref(ref), d)
+        want = {f: free.get(f ^ bit, 0) + vi if f & bit else free[f] for f in delta.faces[1:]}
+        assert random_dummy_game(delta, i, mine) == Game(delta, want)
+        assert mine.getstate() == ref.getstate()
 
 
 def test_dummy_carrier():

@@ -34,7 +34,7 @@ from simplicial_games import (
     shapley_efficiency_closed_form,
 )
 from simplicial_games import values
-from simplicial_games.games import random_rational
+from simplicial_games.games import game_from_dict, random_rational
 from simplicial_games.values import DecompositionStatus
 from simplicial_games.errors import (
     KeyOutsideLink,
@@ -57,6 +57,7 @@ from oracles import (
     built_link,
     decomposition_system_ref,
     efficiency_coefficients_ref,
+    game_to_dict,
     generalized_shapley_ref,
     indicator_game,
     probabilistic_value_ref,
@@ -200,10 +201,54 @@ def test_generalized_matches_term_by_term_reference():
                 assert generalized_shapley(v, i) == generalized_shapley_ref(v, i)
 
 
+def games_of_every_kind(delta: SimplicialComplex, rng: Random) -> list[Game]:
+    """One game per constructor: Game, game_from_dict, each random_*, scale_add, carrier_game."""
+    i = delta.vertices[-1]
+    given = Game(delta, {f: random_rational(rng) for f in delta.faces[1::2]})
+    v, w = random_game(delta, rng), random_monotone_game(delta, rng)
+    return [
+        given,
+        game_from_dict(game_to_dict(given), delta),
+        v,
+        w,
+        random_dummy_game(delta, i, rng),
+        scale_add(v, w, random_rational(rng), random_rational(rng)),
+        carrier_game(delta, face(i)),
+        carrier_game(delta, EMPTY_FACE, strict=True),
+    ]
+
+
+def test_every_players_value_from_one_pass_matches_the_reference():
+    rng = Random(23)
+    corpus = [*golden_fixtures().values(), *random_nonpure_complexes(20, seed=2323)]
+    for delta in corpus:
+        for v in games_of_every_kind(delta, rng):
+            for i in delta.vertices:
+                assert generalized_shapley(v, i) == generalized_shapley_ref(v, i), (delta, v)
+
+
+def test_a_game_derived_after_its_sources_sums_were_taken_has_its_own():
+    rng = Random(4)
+    for delta in (figure_a(), figure_b(), full_simplex(5), cycle(6)):
+        v, w = random_game(delta, rng), random_game(delta, rng)
+        before = {i: generalized_shapley(v, i) for i in delta.vertices}
+        for derived in (scale_add(v, w, 2, -1), scale_add(v, v, 1, 1), scale_add(w, v, 0, 3)):
+            for i in delta.vertices:
+                assert generalized_shapley(derived, i) == generalized_shapley_ref(derived, i)
+        assert before == {i: generalized_shapley_ref(v, i) for i in delta.vertices}
+        assert before == {i: generalized_shapley(v, i) for i in delta.vertices}
+
+
 def test_generalized_requires_vertex():
     delta = figure_b()
     with pytest.raises(VertexNotInComplex):
         generalized_shapley(Game(delta), 6)
+    # a game whose sums were taken still refuses an id that is no vertex
+    v = random_game(SimplicialComplex.from_facets(4, [[1, 2], [2, 4]]), Random(2))
+    assert generalized_shapley(v, 2) == generalized_shapley_ref(v, 2)
+    for i in (3, 5, 70):
+        with pytest.raises(VertexNotInComplex):
+            generalized_shapley(v, i)
 
 
 # -- classical oracle ----------------------------------------------------------
@@ -273,6 +318,18 @@ def test_canonical_tables_on_cycle():
         for t in table.weights:
             if t != EMPTY_FACE:
                 assert table.weight(t) == F(1, 4)
+
+
+def test_canonical_tables_are_the_links_weighted_by_size():
+    corpus = [*golden_fixtures().values(), *random_nonpure_complexes(30, seed=909)]
+    for delta in corpus:
+        tables = canonical_shapley_tables(delta)
+        assert list(tables) == list(delta.vertices)
+        for i, table in tables.items():
+            link = delta.link(face(i))
+            weights = values.shapley_weights(built_link(delta, face(i)).f_vector())
+            assert list(table.weights.items()) == [(t, weights[len(t)]) for t in link]
+            assert all(type(t) is Face for t in table.weights)
 
 
 def test_canonical_tables_are_probability_distributions(fixtures):
