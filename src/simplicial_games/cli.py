@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Callable
 
-from .complexes import SimplicialComplex, format_ids, load_complex
+from .complexes import Face, SimplicialComplex, format_ids, load_complex
 from .errors import (
     EmptyComplex, HypothesisNotMet, NotPureLinks, ParseError, SimplicialGamesError,
 )
@@ -126,7 +126,7 @@ def _json_text(o, nl: str = "\n") -> str:
         return "null"
     if t is bool:
         return "true" if o else "false"
-    if isinstance(o, int):  # a Face too
+    if isinstance(o, int):  # an int subclass too, as json.dumps prints one
         return int.__repr__(o)
     raise TypeError(f"{t.__name__} is not JSON serializable")
 
@@ -238,7 +238,8 @@ def cmd_symmetry(args) -> int:
     gens = pi_delta_generators(delta)
     skeleton = _is_skeleton(delta)  # then every generator, a permutation of V, preserves it
     bads = [None if skeleton else moved_facet(delta, g) for g in gens]
-    verdicts = [(g, bad.vertices if bad else None) for g, bad in zip(gens, bads)]
+    ids = delta.face_ids
+    verdicts = [(g, None if bad is None else tuple(ids[bad])) for g, bad in zip(gens, bads)]
     witness = next(((g, moved) for g, moved in verdicts if moved is not None), None)
     group = symm_group(delta) if delta.n <= SYMM_GROUP_MAX_N else None
     pairing = "canonical sorted order for overlapping swaps"
@@ -315,7 +316,7 @@ def cmd_decompose(args) -> int:
     result = {
         "player": dec.player,
         "status": dec.status.value,
-        "facets": [f.vertices for f in dec.facet_order],
+        "facets": [tuple(delta.face_ids[f]) for f in dec.facet_order],
         "weights": weights,
         "certificate": dec.certificate,
     }
@@ -332,7 +333,7 @@ def cmd_decompose(args) -> int:
             )
             for t, coeff in zip(dec.row_faces, dec.certificate):
                 if coeff != 0:
-                    lines.append(f"  {format_rational(coeff)} * row[{t}]")
+                    lines.append(f"  {format_rational(coeff)} * row[{Face(t)}]")
         return lines
 
     return show(args, result, table)

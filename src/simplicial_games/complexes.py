@@ -1,16 +1,17 @@
 """Simplicial complexes over the vertex set {1, ..., n} and their queries.
 
-A ``Face`` is an ``int`` subclass, its own 64-bit vertex bitmask (hard cap
-n <= 64): set operations are the int operators (``s & f == s``, ``a | b``,
-``a & ~b``, ``bit_count()``), and a face equals and hashes as its mask, so
-no table converts between the two.  Wherever a face is taken, any
-non-negative ``int`` is read as the face whose mask it is, and any other
-argument as its vertex ids.  ``SimplicialComplex(n, faces)`` takes any face
-family on [n] and materializes its downward closure eagerly: every
-downstream formula sums over faces or links, and the canonical ordering
-(cardinality, then lexicographic on the vertex tuple) is fixed wherever
-output order matters.  A closure whose walk would pass ``FACE_BUDGET``
-subsets is refused before it starts.
+A face is its 64-bit vertex bitmask, a plain ``int`` (hard cap n <= 64):
+set operations are the int operators (``s & f == s``, ``a | b``, ``a & ~b``,
+``bit_count()``), and every face a complex stores or returns, and every key
+of a table of faces, is that ``int``.  ``Face`` is the edge: ``as_face``
+reads a non-negative ``int`` as the face it masks and anything else as
+vertex ids, and ``Face(m)`` prints m as ``{1,3}``.
+``SimplicialComplex(n, faces)`` takes any face family on [n] and
+materializes its downward closure eagerly: every downstream formula sums
+over faces or links, and the canonical ordering (cardinality, then
+lexicographic on the vertex tuple) is fixed wherever output order matters.
+A closure whose walk would pass ``FACE_BUDGET`` subsets is refused before
+it starts.
 
 One table per complex, ``face_ids``, maps every face to its vertex ids in
 ascending order, one byte per id.  It is the complex's membership test, and
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import json
 from itertools import groupby, repeat, takewhile
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import (
     BudgetExceeded,
@@ -51,10 +52,10 @@ FVector = tuple[int, ...]
 
 
 class Face(int):
-    """An immutable subset of {1, ..., n}: an ``int`` that is its own vertex bitmask.
+    """One face read in or printed out: an ``int`` that is its own vertex bitmask.
 
     Vertex id v occupies bit v-1. The empty face is ``Face(0)``.  A face
-    equals and hashes as its mask, so tables keyed by face are keyed by mask.
+    equals and hashes as its mask, so it looks up any table keyed by mask.
     """
 
     __slots__ = ()
@@ -80,15 +81,6 @@ class Face(int):
     def vertices(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.bit_length()) if self >> i & 1)
 
-    def __len__(self) -> int:
-        return self.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices)
-
-    def __contains__(self, vertex: int) -> bool:
-        return vertex >= 1 and self >> (vertex - 1) & 1 == 1
-
     def __str__(self) -> str:
         return format_ids(self.vertices)
 
@@ -109,8 +101,6 @@ FaceLike = Union[int, Iterable[int]]
 
 def as_face(obj: FaceLike) -> Face:
     """The face a non-negative int (not a bool) is the mask of, or that vertex ids name."""
-    if isinstance(obj, Face):
-        return obj
     if isinstance(obj, int) and not isinstance(obj, bool):
         if obj < 0:
             raise VertexOutOfRange(f"a face mask must be >= 0, got {obj}")
@@ -118,8 +108,10 @@ def as_face(obj: FaceLike) -> Face:
     return Face.from_vertices(obj)
 
 
-def _check_vertex_ids(n: int, faces: Iterable[Face]) -> None:
-    """Raise unless 0 <= n <= MAX_VERTICES and every face lies in 1..n."""
+def _check_vertex_ids(n: int, faces: Iterable[int]) -> None:
+    """Raise unless n is an int in 0..MAX_VERTICES, not a bool, and every face lies in 1..n."""
+    if isinstance(n, bool):
+        raise VertexOutOfRange(f"vertex count must be an integer, got {n}")
     if n > MAX_VERTICES:
         raise TooManyVertices(f"at most {MAX_VERTICES} vertices supported, got n={n}")
     if n < 0:
@@ -127,7 +119,7 @@ def _check_vertex_ids(n: int, faces: Iterable[Face]) -> None:
     limit = (1 << n) - 1
     for f in faces:
         if f & ~limit:
-            raise VertexOutOfRange(f"face {f} has vertices outside 1..{n}")
+            raise VertexOutOfRange(f"face {Face(f)} has vertices outside 1..{n}")
 
 
 class SimplicialComplex:
@@ -153,16 +145,17 @@ class SimplicialComplex:
         ids are in the table when f's are written.
         """
         inputs = list(faces)
-        # masks in range pass one C-level bound test; anything else is read
-        # and checked face by face, which raises the first bad input's error
+        # int masks in range pass one C-level bound test; anything else is
+        # read and checked face by face, which raises the first bad input's
+        # error, and kept as plain ints
         if not (
-            {int, Face}.issuperset(map(type, inputs))
-            and isinstance(n, int)
+            {int}.issuperset(map(type, inputs))
+            and type(n) is int
             and 0 <= n <= MAX_VERTICES
             and min(inputs, default=0) >= 0
             and max(inputs, default=0) >> n == 0
         ):
-            inputs = [as_face(f) for f in inputs]
+            inputs = [int(as_face(f)) for f in inputs]
             _check_vertex_ids(n, inputs)
         closure: set[int] = set()
         facets = []
@@ -189,8 +182,8 @@ class SimplicialComplex:
         del closure  # the table holds every face; kept, the set adds 15% to the peak
         self.n = n
         self.face_ids = ids
-        self.faces: tuple[Face, ...] = _canonical(ids.keys(), ids)
-        self.facets: tuple[Face, ...] = _canonical(facets, ids)
+        self.faces: tuple[int, ...] = _canonical(ids.keys(), ids)
+        self.facets: tuple[int, ...] = _canonical(facets, ids)
         self.rank = self.faces[-1].bit_count() if self.faces else -1
         self._link_f_vectors: dict[int, FVector] | None = None
 
@@ -223,7 +216,7 @@ class SimplicialComplex:
 
     # -- queries -------------------------------------------------------
 
-    def link(self, s: FaceLike) -> tuple[Face, ...]:
+    def link(self, s: FaceLike) -> tuple[int, ...]:
         """The faces of Link(s): faces disjoint from s whose union with s is a face.
 
         These are the g - s for the faces g that contain s, in canonical
@@ -231,9 +224,9 @@ class SimplicialComplex:
         player can join.
         """
         sm = self.require_face(s)
-        return tuple(Face(f ^ sm) for f in self.faces if f & sm == sm)
+        return tuple(f ^ sm for f in self.faces if f & sm == sm)
 
-    def star(self, s: FaceLike) -> frozenset[Face]:
+    def star(self, s: FaceLike) -> frozenset[int]:
         """All faces contained in some face that contains s: the t with t + s a face."""
         sm = self.require_face(s)
         return frozenset(t for t in self.faces if t | sm in self.face_ids)
@@ -292,7 +285,7 @@ class SimplicialComplex:
             if not m >> j & 1 and m | 1 << j in self.face_ids
         )
 
-    def facets_containing(self, s: FaceLike) -> tuple[Face, ...]:
+    def facets_containing(self, s: FaceLike) -> tuple[int, ...]:
         s = self.require_face(s)
         return tuple(f for f in self.facets if s & f == s)
 
@@ -307,14 +300,14 @@ class SimplicialComplex:
         return hash((self.n, self.faces))
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex(n={self.n}, facets={[str(f) for f in self.facets]})"
+        return f"SimplicialComplex(n={self.n}, facets={[str(Face(f)) for f in self.facets]})"
 
 
-def _canonical(faces: Iterable[int], ids: dict[int, bytes]) -> tuple[Face, ...]:
+def _canonical(faces: Iterable[int], ids: dict[int, bytes]) -> tuple[int, ...]:
     """``faces`` by cardinality, then by their vertex ids: the canonical order."""
     order = sorted(faces, key=ids.__getitem__)
     order.sort(key=int.bit_count)  # stable: the ids' order stays within a cardinality
-    return tuple(map(Face, order))
+    return tuple(order)
 
 
 def full_simplex(n: int) -> SimplicialComplex:

@@ -4,17 +4,18 @@ A game is integers over one denominator: every face of its complex, in
 canonical face order, maps to an ``int`` numerator, zeros included, and the
 worth of a face is its numerator over the game's ``denominator``, the lcm of
 the worths' reduced denominators, so equal games store equal tables.  The
-empty coalition is pinned to 0.  The value kernels add and subtract the
-numerators and build a ``Fraction`` only for a result; ``value``,
-``values`` and ``mask_table`` are ``Fraction`` views derived from the
-table.  The marginal sums of every player, per cardinality, are taken in
-one pass over the complex's id table the first time a value asks for them,
-and kept on the game.  A table costs |faces| times the bits of the
-denominator, so a game whose denominator would pass ``TABLE_BITS_BUDGET``
-is refused before its table is built.  Carrier games v_T (containment) and
-their strict variants (proper containment) are the probing basis of Weber's
-axioms; the axiom suite reads their values off the weight tables instead of
-building them.
+table and its views are keyed by the complex's ``faces``, plain ``int``
+masks, in whatever form a face was given.  The empty coalition is pinned to
+0.  The value kernels add and subtract the numerators and build a
+``Fraction`` only for a result; ``value``, ``values`` and ``mask_table`` are
+``Fraction`` views derived from the table.  The marginal sums of every
+player, per cardinality, are taken in one pass over the complex's id table
+the first time a value asks for them, and kept on the game.  A table costs
+|faces| times the bits of the denominator, so a game whose denominator would
+pass ``TABLE_BITS_BUDGET`` is refused before its table is built.  Carrier
+games v_T (containment) and their strict variants (proper containment) are
+the probing basis of Weber's axioms; the axiom suite reads their values off
+the weight tables instead of building them.
 
 A game file is read straight to integers.  One table per load maps the text
 "1".."n" of each vertex id to its bit, so a key whose parts all hit it, each
@@ -39,7 +40,6 @@ from typing import Mapping, Sequence
 
 from .complexes import (
     _ID_BIT,
-    EMPTY_FACE,
     Face,
     FaceLike,
     SimplicialComplex,
@@ -72,16 +72,16 @@ class Game:
     __slots__ = ("complex", "denominator", "_num", "_marginal_sums")
 
     def __init__(
-        self, complex: SimplicialComplex, values: Mapping[Face, Fraction | int] = ()
+        self, complex: SimplicialComplex, values: Mapping[FaceLike, Fraction | int] = ()
     ):
         face_ids = complex.face_ids
-        worth: dict[Face, tuple[int, int]] = {}
+        worth: dict[int, tuple[int, int]] = {}
         for face, w in dict(values).items():
             face = as_face(face)
             w = Fraction(w)
             if face not in face_ids:
                 raise GameFaceNotInComplex(f"{face} is not a face of the complex")
-            if face == EMPTY_FACE and w != 0:
+            if not face and w != 0:
                 raise EmptyCoalitionWorth("the empty coalition is always worth 0")
             worth[face] = w.numerator, w.denominator
         self.complex = complex
@@ -89,7 +89,7 @@ class Game:
         self._marginal_sums: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
-    def _of(cls, complex: SimplicialComplex, num: dict[Face, int], denominator: int) -> "Game":
+    def _of(cls, complex: SimplicialComplex, num: dict[int, int], denominator: int) -> "Game":
         """The game worth num[f] / denominator at each face f.
 
         ``num`` lists every face in canonical order, the empty one 0.
@@ -105,7 +105,7 @@ class Game:
         return game
 
     @property
-    def numerators(self) -> Mapping[Face, int]:
+    def numerators(self) -> Mapping[int, int]:
         """The stored table, read only: every face -> numerator, in canonical order."""
         return MappingProxyType(self._num)
 
@@ -134,13 +134,13 @@ class Game:
             raise GameFaceNotInComplex(f"{face} is not a face of the complex")
         return Fraction(w, self.denominator)
 
-    def mask_table(self) -> Mapping[Face, Fraction]:
+    def mask_table(self) -> Mapping[int, Fraction]:
         """Every face -> worth, in canonical order: a read-only view, built per call."""
         d = self.denominator
         return MappingProxyType({m: Fraction(w, d) for m, w in self._num.items()})
 
     @property
-    def values(self) -> dict[Face, Fraction]:
+    def values(self) -> dict[int, Fraction]:
         """The nonzero worths by face, in canonical face order (a new dict)."""
         d = self.denominator
         return {f: Fraction(w, d) for f, w in self._num.items() if w}
@@ -155,12 +155,12 @@ class Game:
         )
 
     def __repr__(self) -> str:
-        return f"Game({{{', '.join(f'{f}: {w}' for f, w in self.values.items())}}})"
+        return f"Game({{{', '.join(f'{Face(f)}: {w}' for f, w in self.values.items())}}})"
 
 
 def _over_lcm(
     delta: SimplicialComplex, worth: Mapping[int, tuple[int, int]]
-) -> tuple[dict[Face, int], int]:
+) -> tuple[dict[int, int], int]:
     """The numerators of the reduced worths ``(p, q)`` by face, 0 elsewhere, over the lcm of the q.
 
     The lcm is taken one distinct denominator at a time, and BudgetExceeded is
@@ -193,7 +193,7 @@ def carrier_game(
     t = as_face(t)
     if not delta.has_face(t):
         raise FaceNotInComplex(f"{t} is not a face of the complex")
-    if t == EMPTY_FACE and not strict:
+    if not t and not strict:
         raise EmptyCarrierNotAllowed("carrier game of the empty face must be strict")
     num = {f: int(f & t == t and not (strict and f == t)) for f in delta.faces}
     return Game._of(delta, num, 1)
@@ -246,8 +246,8 @@ def _draws(rng: Random, k: int, lo: int = -9) -> list[int]:
 
 
 def _drawn_table(
-    delta: SimplicialComplex, drawn: Sequence[Face], rng: Random, lo: int = -9
-) -> dict[Face, int]:
+    delta: SimplicialComplex, drawn: Sequence[int], rng: Random, lo: int = -9
+) -> dict[int, int]:
     """Every face of delta in canonical order -> 0, but each face of ``drawn`` -> a draw."""
     num = dict.fromkeys(delta.faces, 0)
     num.update(zip(drawn, _draws(rng, len(drawn), lo)))

@@ -34,7 +34,7 @@ from itertools import chain, combinations, groupby
 from math import comb
 from typing import Iterator
 
-from .complexes import Face, FVector, SimplicialComplex
+from .complexes import FVector, SimplicialComplex
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -106,7 +106,7 @@ class Permutation:
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
 
 
-def moved_facet(delta: SimplicialComplex, perm: Permutation) -> Face | None:
+def moved_facet(delta: SimplicialComplex, perm: Permutation) -> int | None:
     """The first facet perm maps outside the complex, or None if it preserves it.
 
     A bijection sending every facet to a face preserves the whole complex.
@@ -243,7 +243,7 @@ def _generators(delta: SimplicialComplex) -> Iterator[Permutation]:
     link_pairs = (
         (left, right)
         for i in verts
-        for _, same in groupby(delta.link(1 << i - 1)[1:], key=len)  # nonempty T
+        for _, same in groupby(delta.link(1 << i - 1)[1:], key=int.bit_count)  # nonempty T
         for left, right in combinations(same, 2)
         if not left & right
     )
@@ -274,7 +274,7 @@ class ContainmentReport:
 
     contained: bool
     witness_generator: Permutation | None = None
-    witness_face: Face | None = None
+    witness_face: int | None = None
 
 
 def _is_skeleton(delta: SimplicialComplex) -> bool:

@@ -44,7 +44,7 @@ from itertools import chain, islice, permutations
 from random import Random
 from typing import Container, Iterable, Iterator, Mapping
 
-from .complexes import _ID_BIT, EMPTY_FACE, Face, FaceLike, FVector, SimplicialComplex, as_face
+from .complexes import _ID_BIT, Face, FaceLike, FVector, SimplicialComplex, as_face
 from .errors import (
     HypothesisNotMet,
     KeyOutsideLink,
@@ -72,10 +72,10 @@ ORACLE_MAX_PLAYERS = 10
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Per-player weights p_T over the coalitions in the player's link."""
+    """Per-player weights p_T over the coalitions in the player's link, keyed by mask."""
 
     player: int
-    weights: Mapping[Face, Fraction]
+    weights: Mapping[int, Fraction]
 
     def weight(self, face: FaceLike) -> Fraction:
         return self.weights.get(as_face(face), Fraction(0))
@@ -86,17 +86,17 @@ class ProbabilityTable:
 
 GroupValue = dict[int, Fraction]
 
-EfficiencyCoefficients = dict[Face, Fraction]
+EfficiencyCoefficients = dict[int, Fraction]
 
 
 def _link_weights(
     table: ProbabilityTable, i: int, faces: Container[int]
-) -> Iterator[tuple[Face, int, Fraction]]:
+) -> Iterator[tuple[int, int, Fraction]]:
     """(T, T + i, p_T) per weight; KeyOutsideLink unless T is in Link(i)."""
     bit = 1 << (i - 1)
     for t, p in table.weights.items():
         if t & bit or t | bit not in faces:
-            raise KeyOutsideLink(f"{t} is not in the link of vertex {i}")
+            raise KeyOutsideLink(f"{Face(t)} is not in the link of vertex {i}")
         yield t, t | bit, p
 
 
@@ -205,12 +205,12 @@ def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, ProbabilityT
     vertex i in its ids as F - i, so every link is in canonical order.
     """
     weights = {i: shapley_weights(fv) for i, fv in delta.link_f_vectors().items()}
-    links: dict[int, dict[Face, Fraction]] = {i: {} for i in weights}
+    links: dict[int, dict[int, Fraction]] = {i: {} for i in weights}
     ids, bit = delta.face_ids, _ID_BIT
     for f in delta.faces[1:]:
         c = f.bit_count() - 1
         for j in ids[f]:
-            links[j][Face(f ^ bit[j])] = weights[j][c]
+            links[j][f ^ bit[j]] = weights[j][c]
     return {i: ProbabilityTable(i, link) for i, link in links.items()}
 
 
@@ -246,7 +246,7 @@ def efficiency_coefficients(
             x = p.numerator * (d // p.denominator)
             a[up] += x
             a[t] -= x
-    del a[EMPTY_FACE]
+    del a[0]
     return {t: Fraction(x, d) for t, x in a.items()}
 
 
@@ -332,9 +332,9 @@ class Decomposition:
 
     player: int
     status: DecompositionStatus
-    facet_order: tuple[Face, ...]
-    row_faces: tuple[Face, ...]
-    facet_weights: dict[Face, Fraction] | None = None
+    facet_order: tuple[int, ...]
+    row_faces: tuple[int, ...]
+    facet_weights: dict[int, Fraction] | None = None
     certificate: tuple[Fraction, ...] | None = None
 
 
@@ -427,7 +427,7 @@ def axiom_suite(
         checks.append(AxiomCheck(axiom, i, detail is None, detail or ""))
 
     for i, table in player_tables:
-        single = Face.from_vertices([i])
+        single = 1 << (i - 1)
         star = delta.star(single)
         off_star = [f for f in delta.faces if f not in star]
 

@@ -81,7 +81,7 @@ def random_nonpure_complexes(count: int, seed: int) -> list[SimplicialComplex]:
             for _ in range(rng.randint(2, 6))
         ]
         delta = SimplicialComplex.from_facets(n, facets)
-        tops = facet_masks_of({f.mask for f in delta.faces})
+        tops = facet_masks_of(set(delta.faces))
         if len({f.bit_count() for f in tops}) > 1:
             out.append(delta)
     return out

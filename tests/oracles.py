@@ -115,11 +115,11 @@ def sort_key(face: int) -> int:
 
 def face_key(face: Face) -> str:
     """The key "i,j,..." a face is printed under, from its vertex tuple."""
-    return ",".join(str(v) for v in face.vertices)
+    return ",".join(str(v) for v in Face(face).vertices)
 
 
 def complex_to_dict(delta: SimplicialComplex) -> dict:
-    return {"n": delta.n, "facets": [list(f.vertices) for f in delta.facets]}
+    return {"n": delta.n, "facets": [list(Face(f).vertices) for f in delta.facets]}
 
 
 def game_to_dict(v: Game) -> dict:
@@ -596,7 +596,7 @@ def efficiency_coefficients_ref(delta, tables) -> dict:
         if t == EMPTY_FACE:
             continue
         gain = sum(
-            (tables[i].weight(Face(t.mask & ~(1 << (i - 1)))) for i in t.vertices),
+            (tables[i].weight(Face(t & ~(1 << (i - 1)))) for i in Face(t).vertices),
             Fraction(0),
         )
         loss = sum((tables[j].weight(t) for j in delta.extension_set(t)), Fraction(0))
@@ -619,9 +619,9 @@ def is_monotone_ref(v) -> bool:
     for s in v.complex.faces:
         ws = v.value(s)
         for j in range(1, v.complex.n + 1):
-            if j in s:
+            if s >> (j - 1) & 1:
                 continue
-            t = Face(s.mask | 1 << (j - 1))
+            t = Face(s | 1 << (j - 1))
             if v.complex.has_face(t) and ws > v.value(t):
                 return False
     return True
@@ -714,8 +714,8 @@ def link_transposition_bijection(delta, i: int, j: int) -> dict:
     """
     out = {}
     for t in delta.link(Face.from_vertices([i])):
-        if j in t:
-            out[t] = Face((t.mask | 1 << (i - 1)) & ~(1 << (j - 1)))
+        if t >> (j - 1) & 1:
+            out[t] = Face((t | 1 << (i - 1)) & ~(1 << (j - 1)))
         else:
             out[t] = t
     return out

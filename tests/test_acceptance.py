@@ -182,19 +182,19 @@ def test_criterion_5_symmetry_reduction():
 def test_criterion_6_structural_oracles():
     failures = []
     for name, delta in FIXTURES.items():
-        faces = {f.mask for f in delta.faces}
-        if faces != closure_masks(delta.n, [f.mask for f in delta.facets]):
+        faces = set(delta.faces)
+        if faces != closure_masks(delta.n, list(delta.facets)):
             failures.append((name, "closure"))
         if delta.f_vector() != f_vector_of(faces):
             failures.append((name, "f-vector"))
         for s in delta.faces:
-            if {f.mask for f in delta.link(s)} != link_masks(
-                delta.n, faces, s.mask
+            if set(delta.link(s)) != link_masks(
+                delta.n, faces, s
             ):
                 failures.append((name, "link", s))
-            if {f.mask for f in delta.star(s)} != star_masks(faces, s.mask):
+            if set(delta.star(s)) != star_masks(faces, s):
                 failures.append((name, "star", s))
-            if set(delta.extension_set(s)) != ext_ids(delta.n, faces, s.mask):
+            if set(delta.extension_set(s)) != ext_ids(delta.n, faces, s):
                 failures.append((name, "ext", s))
     for n in range(2, 11):
         if symm_group(full_simplex(n)).order != factorial(n):
@@ -226,7 +226,7 @@ def test_criterion_7_decomposition():
                 v = random_game(delta, rng)
                 combined = sum(
                     (
-                        w * classical_shapley_all(v, f.vertices)[i]
+                        w * classical_shapley_all(v, Face(f).vertices)[i]
                         for f, w in dec.facet_weights.items()
                     ),
                     F(0),

@@ -46,7 +46,7 @@ from oracles import (
 
 
 def masks(delta):
-    return {f.mask for f in delta.faces}
+    return set(delta.faces)
 
 
 def face(*vs):
@@ -58,14 +58,14 @@ def face(*vs):
 def test_face_ordering_key():
     fs = [face(2, 3), face(1, 4), face(3), face(), face(1, 2)]
     ordered = sorted(fs, key=sort_key)
-    assert [f.vertices for f in ordered] == [(), (3,), (1, 2), (1, 4), (2, 3)]
+    assert [Face(f).vertices for f in ordered] == [(), (3,), (1, 2), (1, 4), (2, 3)]
 
 
 def test_face_ordering_key_is_the_tuple_order():
     rng = Random(61)
     masks = [*range(1 << 12), *(rng.getrandbits(rng.randint(1, 64)) for _ in range(20000))]
     faces = [Face(m) for m in masks]
-    by_tuple = sorted(faces, key=lambda f: (f.bit_count(), f.vertices))
+    by_tuple = sorted(faces, key=lambda f: (f.bit_count(), Face(f).vertices))
     assert sorted(faces, key=sort_key) == by_tuple
 
 
@@ -81,7 +81,7 @@ def test_face_set_operations():
     assert Face(a | b) == face(1, 2, 3, 4)
     assert Face(a & ~b) == face(1, 2)
     assert face(1, 2) & a == face(1, 2) and a & b != a
-    assert 2 in a and 5 not in a
+    assert 2 in a.vertices and 5 not in a.vertices
 
 
 def masks_on_up_to_12_vertices(size):
@@ -102,9 +102,9 @@ def test_a_face_is_its_mask(case):
         # a plain mask finds a face key, and a face finds a mask key
         assert {f: "face"}[m] == "face" and m in {f} and {m: "mask"}[f] == "mask"
         vs = vertices_of(n, m)
-        assert f.vertices == tuple(vs) and list(f) == vs
-        assert len(f) == f.bit_count() == len(vs)
-        assert [v for v in range(-1, n + 3) if v in f] == vs
+        assert f.vertices == tuple(vs) and f.bit_count() == len(vs)
+        # a face is read as an int: no len, iteration or membership of its own
+        assert not any(hasattr(f, name) for name in ("__len__", "__iter__", "__contains__"))
         back = pickle.loads(pickle.dumps(f))
         assert type(back) is Face and back == f
         # every way of printing a face gives the vertex-id form, never the int
@@ -132,8 +132,8 @@ def test_game_tables_are_keyed_by_the_complex_faces(case):
     v = random_game(delta, Random(n))
     for table in (v.numerators, v.mask_table(), Game(delta, v.values).numerators):
         assert tuple(table) == delta.faces
-        assert all(type(k) is Face for k in table)
-    assert all(type(k) is Face for k in v.values)
+        assert all(type(k) is int for k in table)
+    assert all(type(k) is int for k in v.values)
 
 
 # -- any int is a face ------------------------------------------------------
@@ -241,7 +241,7 @@ def per_face_outcome(n, inputs):
     try:
         faces = [as_face(f) for f in inputs]
         complexes._check_vertex_ids(n, faces)
-        return SimplicialComplex(n, [f.vertices for f in faces])
+        return SimplicialComplex(n, [Face(f).vertices for f in faces])
     except (SimplicialGamesError, TypeError) as e:
         return type(e), str(e)
 
@@ -313,7 +313,7 @@ def test_constructor_builds_the_closure_of_any_family(case):
     delta = SimplicialComplex(n, [Face(m) for m in family])
     faces = closure_masks(n, family)
     assert masks(delta) == faces
-    assert {f.mask for f in delta.facets} == facet_masks_of(faces)
+    assert set(delta.facets) == facet_masks_of(faces)
     for part in (delta.faces, delta.facets):
         assert list(part) == sorted(part, key=sort_key)
     assert delta.rank == max((m.bit_count() for m in faces), default=-1)
@@ -353,7 +353,7 @@ def test_link_figure_a_vertex_3():
     delta = figure_a()
     lk = built_link(delta, face(3))
     expected = {(), (1,), (2,), (4,), (5,), (1, 2), (2, 5), (4, 5)}
-    assert {f.vertices for f in lk.faces} == expected
+    assert {Face(f).vertices for f in lk.faces} == expected
     assert lk.f_vector() == (1, 4, 3)
 
 
@@ -403,8 +403,8 @@ def test_star_link_bijection_for_vertices(fixtures):
         for i in delta.vertices:
             lk = delta.link(face(i))
             st_ = delta.star(face(i))
-            with_i = {f for f in st_ if i in f}
-            assert {Face(t.mask | 1 << (i - 1)) for t in lk} == with_i
+            with_i = {f for f in st_ if f >> (i - 1) & 1}
+            assert {Face(t | 1 << (i - 1)) for t in lk} == with_i
             assert len(st_) == 2 * len(lk)
 
 
@@ -434,7 +434,7 @@ def test_skeleton_k4():
 
 def test_skeleton_trivial_cases():
     delta = figure_a()
-    assert {f.vertices for f in delta.skeleton(0).faces} == {()}
+    assert {Face(f).vertices for f in delta.skeleton(0).faces} == {()}
     assert delta.skeleton(delta.rank) == delta
     assert delta.skeleton(2).skeleton(2) == delta.skeleton(2)
 
@@ -479,14 +479,14 @@ def test_queries_match_bruteforce(fixtures):
     for delta in fixtures.values():
         faces = masks(delta)
         assert faces == closure_masks(
-            delta.n, [f.mask for f in delta.facets]
+            delta.n, list(delta.facets)
         )
-        assert {f.mask for f in delta.facets} == facet_masks_of(faces)
+        assert set(delta.facets) == facet_masks_of(faces)
         assert delta.f_vector() == f_vector_of(faces)
         for s in delta.faces:
-            assert {t.mask for t in delta.link(s)} == link_masks(delta.n, faces, s.mask)
-            assert {f.mask for f in delta.star(s)} == star_masks(faces, s.mask)
-            assert set(delta.extension_set(s)) == ext_ids(delta.n, faces, s.mask)
+            assert set(delta.link(s)) == link_masks(delta.n, faces, s)
+            assert set(delta.star(s)) == star_masks(faces, s)
+            assert set(delta.extension_set(s)) == ext_ids(delta.n, faces, s)
 
 
 def test_link_is_the_built_link_in_canonical_order():
@@ -499,8 +499,8 @@ def test_link_is_the_built_link_in_canonical_order():
 def test_downward_closure(fixtures):
     for delta in fixtures.values():
         for f in delta.faces:
-            for v in f.vertices:
-                assert delta.has_face(Face(f.mask & ~(1 << (v - 1))))
+            for v in Face(f).vertices:
+                assert delta.has_face(Face(f & ~(1 << (v - 1))))
 
 
 def test_f_vector_totals(fixtures):
@@ -524,10 +524,10 @@ def random_complexes(draw):
 @given(random_complexes())
 def test_random_complex_invariants(delta):
     faces = masks(delta)
-    assert faces == closure_masks(delta.n, [f.mask for f in delta.facets])
-    assert {f.mask for f in delta.facets} == facet_masks_of(faces)
+    assert faces == closure_masks(delta.n, list(delta.facets))
+    assert set(delta.facets) == facet_masks_of(faces)
     for s in delta.faces:
-        assert {t.mask for t in delta.link(s)} == link_masks(delta.n, faces, s.mask)
+        assert set(delta.link(s)) == link_masks(delta.n, faces, s)
     fv = delta.f_vector()
     assert sum(fv) == len(delta.faces)
 
@@ -538,17 +538,17 @@ NONPURE = random_nonpure_complexes(200, seed=505)
 def test_nonpure_facets_links_and_skeleta_match_oracles():
     for delta in NONPURE:
         faces = masks(delta)
-        assert faces == closure_masks(delta.n, [f.mask for f in delta.facets])
-        assert {f.mask for f in delta.facets} == facet_masks_of(faces)
+        assert faces == closure_masks(delta.n, list(delta.facets))
+        assert set(delta.facets) == facet_masks_of(faces)
         assert list(delta.facets) == sorted(delta.facets, key=sort_key)
         for s in delta.faces:
             lk = built_link(delta, s)
-            assert masks(lk) == link_masks(delta.n, faces, s.mask)
-            assert {f.mask for f in lk.facets} == facet_masks_of(masks(lk))
+            assert masks(lk) == link_masks(delta.n, faces, s)
+            assert set(lk.facets) == facet_masks_of(masks(lk))
         for k in range(delta.rank + 2):
             sk = delta.skeleton(k)
             assert masks(sk) == skeleton_masks(faces, k)
-            assert {f.mask for f in sk.facets} == facet_masks_of(masks(sk))
+            assert set(sk.facets) == facet_masks_of(masks(sk))
 
 
 def test_closed_forms_match_link_walks():
@@ -560,7 +560,7 @@ def test_closed_forms_match_link_walks():
             v: built_link(delta, face(v)).f_vector() for v in delta.vertices
         }
         for s in delta.faces:
-            assert {f.mask for f in delta.star(s)} == star_masks(faces, s.mask)
+            assert set(delta.star(s)) == star_masks(faces, s)
 
 
 def test_link_f_vectors_are_counted_once_and_returned_fresh():
@@ -578,7 +578,7 @@ def test_constructions_return_closed_families():
     for delta in [*NONPURE, figure_a(), full_simplex(6)]:
         assert is_downward_closed(masks(delta))
         for s in delta.faces:
-            assert is_downward_closed({t.mask for t in delta.link(s)})
+            assert is_downward_closed(set(delta.link(s)))
         for k in range(delta.rank + 1):
             assert is_downward_closed(masks(delta.skeleton(k)))
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from simplicial_games import SimplicialComplex
 from simplicial_games.cli import by_face_key
-from simplicial_games.complexes import complex_from_dict
+from simplicial_games.complexes import Face, complex_from_dict
 from oracles import (
     complex_from_dict_ref,
     face_key,
@@ -116,7 +116,7 @@ def test_table_readers_match_their_references(case):
     assert len(ids) == len(delta.faces) and set(ids) == set(delta.faces)
     assert (not family) == (not ids)
     for f in delta.faces:
-        assert tuple(ids[f]) == f.vertices
+        assert tuple(ids[f]) == Face(f).vertices
     keys = by_face_key(delta, {f: f for f in delta.faces})
     assert list(keys) == [face_key(f) for f in delta.faces]
     assert list(keys.values()) == list(delta.faces)

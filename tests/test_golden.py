@@ -23,7 +23,7 @@ from random import Random
 
 import pytest
 
-from simplicial_games import SimplicialComplex, full_simplex
+from simplicial_games import Face, SimplicialComplex, full_simplex
 from simplicial_games.cli import main
 from simplicial_games.games import random_game
 from simplicial_games.symmetry import check_pi_delta_contained
@@ -112,7 +112,7 @@ def test_symmetry_containment_is_the_library_report(name):
     assert doc["pi_delta_contained"] == report.contained
     assert doc["witness"] == (None if report.contained else {
         "perm": list(report.witness_generator.images),
-        "face": list(report.witness_face.vertices),
+        "face": list(Face(report.witness_face).vertices),
     })
 
 

@@ -69,7 +69,7 @@ def nonpure_complex(rng: Random) -> SimplicialComplex:
             rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(2, 5))
         ]
         delta = SimplicialComplex.from_facets(n, facets)
-        tops = facet_masks_of({f.mask for f in delta.faces})
+        tops = facet_masks_of(set(delta.faces))
         if len({m.bit_count() for m in tops}) > 1:
             return delta
 
@@ -83,13 +83,13 @@ def dummy_worths(delta: SimplicialComplex, i: int, rng: Random) -> dict[Face, Fr
     bit = 1 << (i - 1)
     worth = {m: random_rational(rng) for m in delta.face_ids if not m & bit}
     worth[0], vi = F(0), random_rational(rng)
-    return {f: worth[f.mask & ~bit] + (vi if f.mask & bit else 0) for f in delta.faces}
+    return {f: worth[f & ~bit] + (vi if f & bit else 0) for f in delta.faces}
 
 
 def additive_worths(delta: SimplicialComplex, rng: Random) -> dict[Face, Fraction]:
     """v(S) = sum of nonnegative c_j over j in S: monotone, every player dummy."""
     c = {j: random_rational(rng, signed=False) for j in range(1, delta.n + 1)}
-    return {f: sum((c[j] for j in f.vertices), F(0)) for f in delta.faces}
+    return {f: sum((c[j] for j in Face(f).vertices), F(0)) for f in delta.faces}
 
 
 def signed_table(delta: SimplicialComplex, i: int, rng: Random) -> ProbabilityTable:
@@ -169,7 +169,7 @@ def test_equal_tables_in_other_spellings_are_equal_games(seed):
     k = rng.randint(2, 10**6)
     doc = {
         "values": {
-            ",".join(map(str, f.vertices)): f"{w.numerator * k}/{w.denominator * k}"
+            ",".join(map(str, Face(f).vertices)): f"{w.numerator * k}/{w.denominator * k}"
             for f, w in worth.items()
         }
     }
@@ -198,7 +198,7 @@ def game_files(draw):
         if flaw == 1:
             key = draw(st.sampled_from([*BAD_KEYS, str(n + 1), f"1,{n + 1}"]))
         else:
-            ids = list(draw(st.sampled_from(delta.faces[1:])).vertices)
+            ids = list(Face(draw(st.sampled_from(delta.faces[1:]))).vertices)
             if flaw == 2:  # another order, and leading zeros
                 ids = draw(st.permutations(ids))
                 ids = ["0" * draw(st.integers(0, 2)) + str(v) for v in ids]
