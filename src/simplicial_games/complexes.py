@@ -110,8 +110,8 @@ def as_face(obj: FaceLike) -> Face:
 
 def _check_vertex_ids(n: int, faces: Iterable[int]) -> None:
     """Raise unless n is an int in 0..MAX_VERTICES, not a bool, and every face lies in 1..n."""
-    if isinstance(n, bool):
-        raise VertexOutOfRange(f"vertex count must be an integer, got {n}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise VertexOutOfRange(f"vertex count must be an integer, got {n!r}")
     if n > MAX_VERTICES:
         raise TooManyVertices(f"at most {MAX_VERTICES} vertices supported, got n={n}")
     if n < 0:

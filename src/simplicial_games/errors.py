@@ -68,10 +68,6 @@ class HypothesisNotMet(SimplicialGamesError):
     code = "HypothesisNotMet"
 
 
-class PlayerMismatch(SimplicialGamesError):
-    code = "PlayerMismatch"
-
-
 class KeyOutsideLink(SimplicialGamesError):
     code = "KeyOutsideLink"
 

@@ -1,7 +1,9 @@
 """Probabilistic values, the generalized Shapley value, efficiency, decomposition.
 
 The probabilistic value of player i is the p-weighted sum of marginal
-contributions over the coalitions in the vertex link.  The generalized
+contributions over the coalitions in the vertex link.  A player's table p
+is a plain mapping from link-face mask to weight, and every reader of a
+mapping of tables takes ``tables[i]`` as player i's.  The generalized
 Shapley value picks the weights uniformly over coalition sizes and
 uniformly within each size, sizes counted by the link f-vector:
 
@@ -44,13 +46,12 @@ from itertools import chain, islice, permutations
 from random import Random
 from typing import Container, Iterable, Iterator, Mapping
 
-from .complexes import _ID_BIT, Face, FaceLike, FVector, SimplicialComplex, as_face
+from .complexes import _ID_BIT, Face, FVector, SimplicialComplex
 from .errors import (
     HypothesisNotMet,
     KeyOutsideLink,
     MissingPlayerTable,
     NotPureLinks,
-    PlayerMismatch,
     TooManyPlayers,
     VertexNotInComplex,
 )
@@ -70,19 +71,7 @@ from .symmetry import classify_shapley
 ORACLE_MAX_PLAYERS = 10
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
-    """Per-player weights p_T over the coalitions in the player's link, keyed by mask."""
-
-    player: int
-    weights: Mapping[int, Fraction]
-
-    def weight(self, face: FaceLike) -> Fraction:
-        return self.weights.get(as_face(face), Fraction(0))
-
-    def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
-
+ProbabilityTable = Mapping[int, Fraction]  # a player's p_T, keyed by link-face mask
 
 GroupValue = dict[int, Fraction]
 
@@ -94,7 +83,7 @@ def _link_weights(
 ) -> Iterator[tuple[int, int, Fraction]]:
     """(T, T + i, p_T) per weight; KeyOutsideLink unless T is in Link(i)."""
     bit = 1 << (i - 1)
-    for t, p in table.weights.items():
+    for t, p in table.items():
         if t & bit or t | bit not in faces:
             raise KeyOutsideLink(f"{Face(t)} is not in the link of vertex {i}")
         yield t, t | bit, p
@@ -125,8 +114,6 @@ def _dot(pairs: list[tuple[Fraction, int]], denominator: int) -> Fraction:
 
 def probabilistic_value(v: Game, i: int, table: ProbabilityTable) -> Fraction:
     """sum_T p_T (v(T+i) - v(T)) over the link of i: the T without i with T+i a face."""
-    if table.player != i:
-        raise PlayerMismatch(f"table belongs to player {table.player}, not {i}")
     v.complex.require_vertex(i)
     num = v.numerators
     marginals = [(p, num[up] - num[m]) for m, up, p in _link_weights(table, i, num)]
@@ -196,7 +183,7 @@ def classical_shapley_oracle(
     return classical_shapley_all(v, ps)[i]
 
 
-def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, ProbabilityTable]:
+def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, dict[int, Fraction]]:
     """The weight tables realizing the generalized Shapley value.
 
     Each link face T weighs shapley_weights(f(Link(i)))[|T|]; each table is a
@@ -211,7 +198,7 @@ def canonical_shapley_tables(delta: SimplicialComplex) -> dict[int, ProbabilityT
         c = f.bit_count() - 1
         for j in ids[f]:
             links[j][f ^ bit[j]] = weights[j][c]
-    return {i: ProbabilityTable(i, link) for i, link in links.items()}
+    return links
 
 
 def _player_tables(
@@ -239,7 +226,7 @@ def efficiency_coefficients(
     denominators; the nonempty faces, zeros kept, in canonical order.
     """
     player_tables = list(_player_tables(delta, tables))
-    d = math.lcm(*{p.denominator for _, t in player_tables for p in t.weights.values()})
+    d = math.lcm(*{p.denominator for _, t in player_tables for p in t.values()})
     a = dict.fromkeys(delta.faces, 0)
     for i, table in player_tables:
         for t, up, p in _link_weights(table, i, delta.face_ids):
@@ -454,14 +441,14 @@ def axiom_suite(
         record("star_locality", i, star_locality())
         games = [random_dummy_game(delta, i, rng) for _ in range(rounds)]
         paid = chain(
-            [(table.total(), Fraction(1))],  # the carrier game of {i}
+            [(sum(table.values(), Fraction(0)), Fraction(1))],  # the carrier game of {i}
             ((phi(v), v.value(single)) for v in games),
         )
         unpaid = (f"dummy payoff {got} != v(i) = {want}" for got, want in paid if got != want)
         record("dummy", i, unpaid)
         games = [random_monotone_game(delta, rng) for _ in range(rounds)]
         paid = chain(
-            (table.weight(t) for t in delta.link(single)),  # strict carriers
+            (table.get(t, 0) for t in delta.link(single)),  # strict carriers
             map(phi, games),
         )
         negative = (f"negative value {got} on a monotone game" for got in paid if got < 0)

@@ -60,7 +60,6 @@ from simplicial_games.errors import (
     MissingPlayerTable,
     NotPureLinks,
     ParseError,
-    PlayerMismatch,
     SimplicialGamesError,
     VertexOutOfRange,
 )
@@ -207,7 +206,7 @@ def check_symmetry_reduction(
     for i in delta.vertices:
         table = tables[i]
         for t in delta.link(Face.from_vertices([i]))[1:]:  # nonempty T
-            p = table.weight(t)
+            p = table.get(t, 0)
             card = t.bit_count()
             if card not in common:
                 common[card] = p
@@ -574,14 +573,12 @@ def generalized_shapley_ref(v, i: int) -> Fraction:
 
 def probabilistic_value_ref(v, i: int, table) -> Fraction:
     """sum_T p_T (v(T+i) - v(T)) over the link of i, the link built."""
-    if table.player != i:
-        raise PlayerMismatch(f"table belongs to player {table.player}, not {i}")
     single = v.complex.require_vertex(i)
     link = built_link(v.complex, single)
     total = Fraction(0)
-    for t, p in table.weights.items():
+    for t, p in table.items():
         if not link.has_face(t):
-            raise KeyOutsideLink(f"{t} is not in the link of vertex {i}")
+            raise KeyOutsideLink(f"{Face(t)} is not in the link of vertex {i}")
         total += p * (v.value(t | single) - v.value(t))
     return total
 
@@ -596,10 +593,10 @@ def efficiency_coefficients_ref(delta, tables) -> dict:
         if t == EMPTY_FACE:
             continue
         gain = sum(
-            (tables[i].weight(Face(t & ~(1 << (i - 1)))) for i in Face(t).vertices),
+            (tables[i].get(Face(t & ~(1 << (i - 1))), 0) for i in Face(t).vertices),
             Fraction(0),
         )
-        loss = sum((tables[j].weight(t) for j in delta.extension_set(t)), Fraction(0))
+        loss = sum((tables[j].get(t, 0) for j in delta.extension_set(t)), Fraction(0))
         out[t] = gain - loss
     return out
 

@@ -86,7 +86,7 @@ def test_criterion_2_carrier_identities():
             table = tables[i]
             for t in delta.link(face(i)):
                 probe = carrier_game(delta, t, strict=True)
-                if probabilistic_value(probe, i, table) != table.weight(t):
+                if probabilistic_value(probe, i, table) != table.get(t, 0):
                     failures.append((name, i, "strict carrier", t))
             own = carrier_game(delta, face(i))
             if probabilistic_value(own, i, table) != 1:

@@ -10,7 +10,6 @@ from simplicial_games import (
     Face,
     Game,
     SimplicialComplex,
-    canonical_shapley_tables,
     carrier_game,
     complexes,
     full_simplex,
@@ -199,7 +198,6 @@ def test_every_face_argument_takes_a_face_its_mask_or_its_vertex_ids(case):
     n, family, m = case
     delta = SimplicialComplex(n, family)
     game = random_game(delta, Random(m))
-    tables = canonical_shapley_tables(delta).values()
     calls = [
         delta.has_face,
         delta.require_face,
@@ -208,7 +206,6 @@ def test_every_face_argument_takes_a_face_its_mask_or_its_vertex_ids(case):
         delta.facets_containing,
         delta.extension_set,
         game.value,
-        *(table.weight for table in tables),
         lambda t: carrier_game(delta, t),
         lambda t: carrier_game(delta, t, strict=True),
         lambda t: indicator_game(delta, t),

@@ -7,6 +7,7 @@ JSON document.  ``Face`` is the edge where one face is read in or printed,
 so each print site gives the same text for a mask and for a ``Face``.
 """
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -18,7 +19,6 @@ from simplicial_games import (
     DecompositionStatus,
     Face,
     Game,
-    ProbabilityTable,
     SimplicialComplex,
     canonical_shapley_tables,
     check_pi_delta_contained,
@@ -36,6 +36,7 @@ from simplicial_games.complexes import as_face, complex_from_dict
 from simplicial_games.errors import (
     HypothesisNotMet, KeyOutsideLink, NotPureLinks, ParseError, VertexOutOfRange,
 )
+from oracles import probabilistic_value_ref
 
 F = Fraction
 FIGURE_A = [[1, 2, 3], [2, 3, 5], [3, 4, 5]]
@@ -94,10 +95,10 @@ def test_every_table_of_faces_is_keyed_by_ints(name):
         for view in (game.numerators, game.values, game.mask_table()):
             assert all_ints(view)
     tables = canonical_shapley_tables(delta)
-    assert all(all_ints(t.weights) for t in tables.values())
+    assert all(type(t) is dict and all_ints(t) for t in tables.values())
     assert all_ints(efficiency_coefficients(delta, tables))
     # a table given with Face keys gives the same int-keyed coefficients
-    as_faces = {i: ProbabilityTable(i, {Face(t): p for t, p in table.weights.items()})
+    as_faces = {i: {Face(t): p for t, p in table.items()}
                 for i, table in tables.items()}
     coeffs = efficiency_coefficients(delta, as_faces)
     assert all_ints(coeffs) and coeffs == efficiency_coefficients(delta, tables)
@@ -131,7 +132,7 @@ def test_a_face_read_in_is_still_a_face():
     assert type(Face.from_vertices([1, 3])) is Face
 
 
-# -- a bool is not a vertex count -----------------------------------------
+# -- only an int is a vertex count ----------------------------------------
 
 @pytest.mark.parametrize("n", [True, False])
 def test_a_bool_vertex_count_is_refused_like_a_negative_one(n):
@@ -150,6 +151,16 @@ def test_a_bool_vertex_count_is_refused_like_a_negative_one(n):
         as_face(n)
 
 
+@pytest.mark.parametrize("family", [[[1]], [1], []])
+@pytest.mark.parametrize("n", [3.0, None, "3", True])
+def test_a_non_int_vertex_count_is_refused_with_its_repr(n, family):
+    message = f"^vertex count must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(VertexOutOfRange, match=message):
+        SimplicialComplex(n, family)
+    with pytest.raises(ParseError):  # the loader checks n first
+        complex_from_dict({"n": n, "facets": [[1]]})
+
+
 def test_an_int_vertex_count_still_builds():
     assert SimplicialComplex(0, []).n == 0 and full_simplex(1).n == 1
     assert type(full_simplex(1).n) is int
@@ -165,11 +176,12 @@ def figure_a() -> SimplicialComplex:
 def test_key_outside_link_prints_the_vertex_ids(key):
     delta = figure_a()
     v = Game(delta)
-    with pytest.raises(KeyOutsideLink, match=r"^\{2,3\} is not in the link of vertex 2$"):
-        probabilistic_value(v, 2, ProbabilityTable(2, {key: F(1)}))
+    for value in (probabilistic_value, probabilistic_value_ref):  # the library and its reference
+        with pytest.raises(KeyOutsideLink, match=r"^\{2,3\} is not in the link of vertex 2$"):
+            value(v, 2, {key: F(1)})
     with pytest.raises(KeyOutsideLink, match=r"^\{2,3\} is not in the link of vertex 2$"):
         efficiency_coefficients(delta, {**canonical_shapley_tables(delta),
-                                        2: ProbabilityTable(2, {key: F(1)})})
+                                        2: {key: F(1)}})
 
 
 @pytest.mark.parametrize("spell", [int, Face, lambda m: Face(m).vertices])

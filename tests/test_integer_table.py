@@ -100,11 +100,11 @@ def signed_table(delta: SimplicialComplex, i: int, rng: Random) -> ProbabilityTa
     if kind == "some faces":
         link = rng.sample(link, rng.randint(0, len(link)))
     if kind == "zeros":
-        return ProbabilityTable(i, {t: F(0) for t in link})
+        return {t: F(0) for t in link}
     if kind == "one denominator":
         d = rng.choice(DENOMINATORS[3:])
-        return ProbabilityTable(i, {t: F(rng.randint(-(10**20), 10**20), d) for t in link})
-    return ProbabilityTable(i, {t: random_rational(rng) for t in link})
+        return {t: F(rng.randint(-(10**20), 10**20), d) for t in link}
+    return {t: random_rational(rng) for t in link}
 
 
 def signed_tables(delta: SimplicialComplex, rng: Random) -> dict[int, ProbabilityTable]:
@@ -148,7 +148,7 @@ def test_integer_kernels_equal_the_fraction_references(seed):
             assert generalized_shapley(v, i) == generalized_shapley_ref(v, i)
             phi[i] = probabilistic_value_ref(v, i, tables[i])
             assert probabilistic_value(v, i, tables[i]) == phi[i]
-            assert probabilistic_value(v, i, ProbabilityTable(i, {})) == 0
+            assert probabilistic_value(v, i, {}) == 0
         rhs = sum((a * worth[t] for t, a in coeffs.items()), F(0))
         assert efficiency_rhs(coeffs, v) == rhs
         drawn = signed_coefficients(delta, rng)
@@ -244,7 +244,7 @@ def mixed_tables(delta: SimplicialComplex) -> dict[int, ProbabilityTable]:
     tables = {}
     for i in delta.vertices:
         link = delta.link(Face.from_vertices([i]))
-        tables[i] = ProbabilityTable(i, {t: cycle_of[(i + k) % 7] for k, t in enumerate(link)})
+        tables[i] = {t: cycle_of[(i + k) % 7] for k, t in enumerate(link)}
     return tables
 
 
@@ -266,7 +266,7 @@ def test_efficiency_scatter_raises_in_the_reference_order():
     first, second, last = delta.vertices[0], delta.vertices[1], delta.vertices[-1]
 
     def own(i):  # a player is not in its own link
-        return ProbabilityTable(i, {**tables[i].weights, Face.from_vertices([i]): F(1)})
+        return {**tables[i], Face.from_vertices([i]): F(1)}
 
     without_last = {i: t for i, t in tables.items() if i != last}
     cases = [

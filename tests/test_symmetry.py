@@ -36,7 +36,6 @@ from simplicial_games.errors import (
     HypothesisNotMet,
     NotPureLinks,
 )
-from simplicial_games.values import ProbabilityTable
 from conftest import cycle, figure_a, figure_b, petersen
 from oracles import (
     apply_face,
@@ -568,9 +567,9 @@ def test_reduction_canonical_tables_on_simplex():
 def test_reduction_detects_perturbation():
     delta = full_simplex(3)
     tables = dict(canonical_shapley_tables(delta))
-    bad = dict(tables[2].weights)
+    bad = dict(tables[2])
     bad[face(1)] += F(1, 7)
-    tables[2] = ProbabilityTable(2, bad)
+    tables[2] = bad
     report = check_symmetry_reduction(delta, tables)
     assert not report.ok
     assert report.violation is not None
@@ -580,7 +579,7 @@ def canonical_tables_reduce(delta: SimplicialComplex) -> bool:
     """True iff p_T^i depends only on |T| over the nonempty T of every table."""
     common: dict[int, Fraction] = {}
     for table in canonical_shapley_tables(delta).values():
-        for t, p in table.weights.items():
+        for t, p in table.items():
             if t.bit_count() and common.setdefault(t.bit_count(), p) != p:
                 return False
     return True
@@ -596,7 +595,7 @@ def test_tables_reduce_under_two_link_f_vectors():
     assert not classify_shapley(delta).is_shapley
     weights: dict[int, set[Fraction]] = {}
     for table in canonical_shapley_tables(delta).values():
-        for t, p in table.weights.items():
+        for t, p in table.items():
             if t.bit_count():
                 weights.setdefault(t.bit_count(), set()).add(p)
     assert weights == {1: {F(1, 12)}, 2: {F(1, 12)}}

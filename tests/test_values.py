@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb
 from random import Random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,6 @@ from simplicial_games import (
     EMPTY_FACE,
     Face,
     Game,
-    ProbabilityTable,
     RationalMatrix,
     SimplicialComplex,
     SolveStatus,
@@ -39,7 +39,6 @@ from simplicial_games.values import DecompositionStatus
 from simplicial_games.errors import (
     KeyOutsideLink,
     MissingPlayerTable,
-    PlayerMismatch,
     TooManyPlayers,
     VertexNotInComplex,
 )
@@ -77,7 +76,7 @@ def face(*vs):
 def test_point_mass_on_empty_returns_singleton_worth():
     delta = figure_a()
     v = Game(delta, {face(3): F(7, 2), face(2, 3): F(1)})
-    table = ProbabilityTable(3, {EMPTY_FACE: F(1)})
+    table = {EMPTY_FACE: F(1)}
     assert probabilistic_value(v, 3, table) == F(7, 2)
 
 
@@ -100,15 +99,11 @@ def test_dummy_recovery_under_normalized_tables():
 
 
 def test_probabilistic_value_errors():
-    delta = figure_a()
-    tables = canonical_shapley_tables(delta)
-    v = Game(delta)
-    with pytest.raises(PlayerMismatch):
-        probabilistic_value(v, 1, tables[2])
+    v = Game(figure_a())
     with pytest.raises(KeyOutsideLink):
-        probabilistic_value(v, 1, ProbabilityTable(1, {face(4): F(1)}))
+        probabilistic_value(v, 1, {face(4): F(1)})
     with pytest.raises(KeyOutsideLink):  # a key holding the player
-        probabilistic_value(v, 1, ProbabilityTable(1, {face(1, 2): F(1)}))
+        probabilistic_value(v, 1, {face(1, 2): F(1)})
 
 
 def test_probabilistic_value_matches_link_walk_reference():
@@ -119,13 +114,74 @@ def test_probabilistic_value_matches_link_walk_reference():
         games = [random_game(delta, rng), random_monotone_game(delta, rng)]
         for i in delta.vertices:
             link = delta.link(face(i))
-            signed = ProbabilityTable(i, {t: random_rational(rng) for t in link})
-            sparse = ProbabilityTable(i, {t: F(1) for t in rng.sample(link, len(link) // 2)})
-            for table in (canonical[i], signed, sparse):
-                for v in games:
-                    assert probabilistic_value(v, i, table) == probabilistic_value_ref(
-                        v, i, table
-                    )
+            signed = {t: random_rational(rng) for t in link}
+            sparse = {t: F(1) for t in rng.sample(link, len(link) // 2)}
+            for weights in (canonical[i], signed, sparse):
+                for table in (dict(weights), MappingProxyType(weights)):
+                    for v in games:
+                        assert probabilistic_value(v, i, table) == probabilistic_value_ref(
+                            v, i, table
+                        )
+
+
+def reader_tables(delta, rng):
+    """Canonical, signed and sparse tables of every player, as dicts and as read-only views."""
+    canonical = canonical_shapley_tables(delta)
+    signed = {i: {t: random_rational(rng) for t in table} for i, table in canonical.items()}
+    sparse = {
+        i: {t: F(1) for t in rng.sample(list(table), len(table) // 2)}
+        for i, table in canonical.items()
+    }
+    for tables in (canonical, signed, sparse):
+        yield tables
+        yield MappingProxyType({i: MappingProxyType(t) for i, t in tables.items()})
+
+
+def test_every_table_reader_matches_its_reference():
+    rng = Random(53)
+    corpus = [*golden_fixtures().values(), *random_nonpure_complexes(20, seed=53)]
+    for delta in corpus:
+        v = random_game(delta, rng)
+        for tables in reader_tables(delta, rng):
+            phi = {i: probabilistic_value_ref(v, i, tables[i]) for i in delta.vertices}
+            assert group_value(v, tables) == phi
+            coeffs = efficiency_coefficients(delta, tables)
+            ref = efficiency_coefficients_ref(delta, tables)
+            assert list(coeffs.items()) == list(ref.items())
+            lhs = sum(phi.values(), F(0))
+            rhs = sum((a * v.value(t) for t, a in ref.items()), F(0))
+            check = check_efficiency_identity(coeffs, tables, v)
+            assert (check.equal, check.lhs, check.rhs) == (True, lhs, rhs)
+            report = axiom_suite(delta, tables, seed=3, rounds=1)
+            assert report == axiom_suite_ref(delta, tables, seed=3, rounds=1)
+
+
+def test_every_reader_takes_the_weights_under_key_i_as_player_is():
+    delta = figure_a()
+    # player 2 alone pays, v({2}), by a point mass on the empty coalition;
+    # its key comes first, so reading the tables by position would misplace it
+    only_2 = {2: {EMPTY_FACE: F(1)}, **{i: {} for i in delta.vertices if i != 2}}
+    coeffs = efficiency_coefficients(delta, only_2)
+    assert coeffs == {t: int(t == face(2)) for t in delta.faces[1:]}
+    rng = Random(61)
+    for v in [random_game(delta, rng) for _ in range(5)]:
+        paid = {i: v.value(face(2)) if i == 2 else 0 for i in delta.vertices}
+        assert group_value(v, only_2) == paid
+        check = check_efficiency_identity(coeffs, only_2, v)
+        assert check.equal and check.lhs == v.value(face(2))
+    # player 2's canonical table under key 1 holds {1}, outside Link(1), for every reader
+    canonical = canonical_shapley_tables(delta)
+    swapped = {**canonical, 1: canonical[2], 2: canonical[1]}
+    v = random_game(delta, rng)
+    readers = [
+        lambda: group_value(v, swapped),
+        lambda: efficiency_coefficients(delta, swapped),
+        lambda: check_efficiency_identity(efficiency_coefficients(delta, canonical), swapped, v),
+        lambda: axiom_suite(delta, swapped, rounds=1),
+    ]
+    for read in readers:
+        with pytest.raises(KeyOutsideLink, match="link of vertex 1$"):
+            read()
 
 
 def test_linearity_of_probabilistic_value():
@@ -149,7 +205,7 @@ def test_strict_carrier_probe_reads_off_the_weight():
     for i in delta.vertices:
         for t in delta.link(face(i)):
             probe = carrier_game(delta, t, strict=True)
-            assert probabilistic_value(probe, i, tables[i]) == tables[i].weight(t)
+            assert probabilistic_value(probe, i, tables[i]) == tables[i].get(t, 0)
 
 
 def test_own_carrier_reads_table_total():
@@ -157,10 +213,9 @@ def test_own_carrier_reads_table_total():
     delta = cycle(4)
     rng = Random(19)
     for i in delta.vertices:
-        weights = {t: random_rational(rng) for t in delta.link(face(i))}
-        table = ProbabilityTable(i, weights)
+        table = {t: random_rational(rng) for t in delta.link(face(i))}
         v = carrier_game(delta, face(i))
-        assert probabilistic_value(v, i, table) == table.total()
+        assert probabilistic_value(v, i, table) == sum(table.values(), F(0))
 
 
 # -- generalized Shapley -------------------------------------------------------
@@ -307,17 +362,17 @@ def test_canonical_tables_on_simplex():
     n = 4
     tables = canonical_shapley_tables(full_simplex(n))
     for i, table in tables.items():
-        for t, p in table.weights.items():
+        for t, p in table.items():
             assert p == F(1, n) * F(1, comb(n - 1, t.bit_count()))
 
 
 def test_canonical_tables_on_cycle():
     tables = canonical_shapley_tables(cycle(4))
     for i, table in tables.items():
-        assert table.weight(EMPTY_FACE) == F(1, 2)
-        for t in table.weights:
+        assert table.get(EMPTY_FACE, 0) == F(1, 2)
+        for t in table:
             if t != EMPTY_FACE:
-                assert table.weight(t) == F(1, 4)
+                assert table.get(t, 0) == F(1, 4)
 
 
 def test_canonical_tables_are_the_links_weighted_by_size():
@@ -328,15 +383,15 @@ def test_canonical_tables_are_the_links_weighted_by_size():
         for i, table in tables.items():
             link = delta.link(face(i))
             weights = values.shapley_weights(built_link(delta, face(i)).f_vector())
-            assert list(table.weights.items()) == [(t, weights[t.bit_count()]) for t in link]
-            assert all(type(t) is int for t in table.weights)
+            assert list(table.items()) == [(t, weights[t.bit_count()]) for t in link]
+            assert all(type(t) is int for t in table)
 
 
 def test_canonical_tables_are_probability_distributions(fixtures):
     for delta in fixtures.values():
         for i, table in canonical_shapley_tables(delta).items():
-            assert table.total() == 1
-            assert all(w >= 0 for w in table.weights.values())
+            assert sum(table.values(), F(0)) == 1
+            assert all(w >= 0 for w in table.values())
 
 
 def test_group_value_matches_direct_formula():
@@ -379,9 +434,7 @@ def test_efficiency_coefficients_classical():
 
 def test_efficiency_coefficients_zero_tables():
     delta = cycle(4)
-    zero_tables = {
-        i: ProbabilityTable(i, {}) for i in delta.vertices
-    }
+    zero_tables = {i: {} for i in delta.vertices}
     coeffs = efficiency_coefficients(delta, zero_tables)
     assert all(a == 0 for a in coeffs.values())
 
@@ -390,7 +443,7 @@ def test_efficiency_coefficients_reject_keys_outside_the_link():
     delta = figure_a()
     for bad in (face(1, 2), face(4)):  # holds the player; {1,4} is no face
         tables = dict(canonical_shapley_tables(delta))
-        tables[1] = ProbabilityTable(1, {**tables[1].weights, bad: F(1)})
+        tables[1] = {**tables[1], bad: F(1)}
         with pytest.raises(KeyOutsideLink):
             efficiency_coefficients(delta, tables)
 
@@ -399,7 +452,7 @@ def test_efficiency_scatter_matches_gain_loss_reference():
     rng = Random(808)
     corpus = [*golden_fixtures().values(), *random_nonpure_complexes(40, seed=808)]
     for delta in corpus:
-        empty = {i: ProbabilityTable(i, {}) for i in delta.vertices}
+        empty = {i: {} for i in delta.vertices}
         for tables in [*table_kinds(delta, rng), empty]:
             got = efficiency_coefficients(delta, tables)
             assert list(got.items()) == list(
@@ -650,7 +703,7 @@ def test_axiom_suite_flags_negative_weight():
         face(2): F(-1, 4),
         face(4): F(-1, 4),
     }
-    tables[1] = ProbabilityTable(1, weights)  # still sums to 1
+    tables[1] = weights  # still sums to 1
     report = axiom_suite(delta, tables, seed=1, rounds=2)
     failed = {(c.axiom, c.player) for c in report.checks if not c.ok}
     assert ("monotone", 1) in failed
@@ -659,9 +712,9 @@ def test_axiom_suite_flags_negative_weight():
 def test_axiom_suite_flags_unnormalized_table():
     delta = cycle(4)
     tables = dict(canonical_shapley_tables(delta))
-    weights = dict(tables[2].weights)
+    weights = dict(tables[2])
     weights[EMPTY_FACE] += F(1, 5)
-    tables[2] = ProbabilityTable(2, weights)
+    tables[2] = weights
     report = axiom_suite(delta, tables, seed=1, rounds=2)
     failed = {(c.axiom, c.player) for c in report.checks if not c.ok}
     assert ("dummy", 2) in failed
@@ -677,7 +730,7 @@ def table_kinds(delta, rng):
     canonical = canonical_shapley_tables(delta)
     mixed = {}
     for i, table in canonical.items():
-        weights = dict(table.weights)
+        weights = dict(table)
         if i % 3 == 0:
             weights = {t: random_rational(rng) for t in weights}
         elif i % 3 == 1:
@@ -686,7 +739,7 @@ def table_kinds(delta, rng):
             top = list(weights)[-1]
             weights[EMPTY_FACE] += 2 * weights[top]
             weights[top] = -weights[top]
-        mixed[i] = ProbabilityTable(i, weights)
+        mixed[i] = weights
     return [canonical, mixed]
 
 
