@@ -246,11 +246,11 @@ def cmd_symmetry(args) -> int:
     result = {
         "symm_order": group.order if group else None,
         "generators": [
-            {"perm": g.images, "preserves": moved is None, "moved_face": moved}
+            {"perm": tuple(g), "preserves": moved is None, "moved_face": moved}
             for g, moved in verdicts
         ],
         "pi_delta_contained": witness is None,
-        "witness": {"perm": witness[0].images, "face": witness[1]} if witness else None,
+        "witness": {"perm": tuple(witness[0]), "face": witness[1]} if witness else None,
         "pairing": pairing,
     }
 

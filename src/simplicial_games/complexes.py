@@ -312,6 +312,7 @@ def _canonical(faces: Iterable[int], ids: dict[int, bytes]) -> tuple[int, ...]:
 
 def full_simplex(n: int) -> SimplicialComplex:
     """2^[n], the complex where every coalition is feasible."""
+    _check_vertex_ids(n, ())  # before range() reads n
     return SimplicialComplex.from_facets(n, [range(1, n + 1)])
 
 

@@ -1,10 +1,10 @@
 """Symmetries of a complex and the common-probability linear system.
 
-A permutation acts on faces as a bit permutation of the vertex masks.  One
-primitive, :func:`moved_facet`, maps each facet mask through a per-vertex
-bit table and reports the first facet sent outside the complex; since a
-bijection preserving the facet set preserves the whole complex, this is the
-preservation test everywhere.
+A permutation is its image tuple, and acts on faces as a bit permutation of
+the vertex masks.  One primitive, :func:`moved_facet`, maps each facet mask
+through the per-vertex bit table of an image tuple and reports the first
+facet sent outside the complex; since a bijection preserving the facet set
+preserves the whole complex, this is the preservation test everywhere.
 
 Symm(D) is the subgroup of S_n whose members map faces to faces.  It is
 found by backtracking over vertex images (n <= 10): vertex v may go to w
@@ -15,7 +15,8 @@ extends to a member; the group order is the product of the orbit sizes
 along the stabilizer chain of 1, 2, ..., n, counted with those answers.
 
 The generated subgroup driving the symmetry reduction is built from two
-generator families, both by :func:`swap_permutation`: for every vertex i,
+generator families, both as image tuples of :func:`swap_permutation`, each
+distinct one wrapped once as a :class:`Permutation`: for every vertex i,
 the swap of two equal-cardinality members L, T of the vertex link (the
 sorted pairing of L-minus-T with T-minus-L), and every transposition (i j)
 whose vertex links share a face, the swap of {i} and {j}.  Every vertex
@@ -58,43 +59,38 @@ def _image_mask(mask: int, bits: list[int]) -> int:
     return img
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1, ..., n}; images[k] is the image of vertex k+1."""
+class Permutation(tuple):
+    """A bijection of {1, ..., n} as its image tuple: p[k] is the image of vertex k+1.
 
-    images: tuple[int, ...]
+    It equals and hashes as the plain tuple.  ``Permutation(images)`` checks
+    the bijection; ``cycles`` and ``str`` print the cycle notation.
+    """
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.images}")
+    __slots__ = ()
+
+    def __new__(cls, images):
+        self = super().__new__(cls, images)
+        n = len(self)
+        if sorted(self) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {tuple(self)}")
+        return self
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         """(i j): the swap of {i} and {j}."""
-        return swap_permutation(n, 1 << (i - 1), 1 << (j - 1))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    @property
-    def bits(self) -> list[int]:
-        """The bit table: bits[v-1] is the mask of the image of vertex v."""
-        return [1 << (w - 1) for w in self.images]
+        return cls(swap_permutation(n, 1 << (i - 1), 1 << (j - 1)))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, walked from the moved vertices up: each starts at its minimum."""
-        images = self.images
         seen: set[int] = set()
         out = []
-        for v in [v for v, w in enumerate(images, 1) if v != w]:
+        for v in [v for v, w in enumerate(self, 1) if v != w]:
             if v not in seen:
                 cyc = [v]
-                w = images[v - 1]
+                w = self[v - 1]
                 while w != v:
                     cyc.append(w)
-                    w = images[w - 1]
+                    w = self[w - 1]
                 seen.update(cyc)
                 out.append(tuple(cyc))
         return tuple(out)
@@ -105,17 +101,21 @@ class Permutation:
             return "id"
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
 
+    def __repr__(self) -> str:
+        return f"Permutation({tuple(self)!r})"
 
-def moved_facet(delta: SimplicialComplex, perm: Permutation) -> int | None:
+
+def moved_facet(delta: SimplicialComplex, perm: tuple[int, ...]) -> int | None:
     """The first facet perm maps outside the complex, or None if it preserves it.
 
-    A bijection sending every facet to a face preserves the whole complex.
+    perm is any image tuple of length n, a Permutation or a plain tuple.  A
+    bijection sending every facet to a face preserves the whole complex.
     """
-    if perm.n != delta.n:
+    if len(perm) != delta.n:
         raise DimensionMismatch(
-            f"permutation of 1..{perm.n} applied to a complex over 1..{delta.n}"
+            f"permutation of 1..{len(perm)} applied to a complex over 1..{delta.n}"
         )
-    bits = perm.bits
+    bits = [1 << (w - 1) for w in perm]
     faces = delta.face_ids
     for f in delta.facets:
         if _image_mask(f, bits) not in faces:
@@ -207,19 +207,8 @@ def symm_group(delta: SimplicialComplex) -> SymmetryGroup:
     return SymmetryGroup(delta)
 
 
-def _swap_images(identity: list[int], left: int, right: int) -> tuple[int, ...]:
-    """The image tuple of the swap pairing the bits of two masks in ascending order."""
-    images = identity.copy()
-    while left:
-        a, b = (left & -left).bit_length() - 1, (right & -right).bit_length() - 1
-        images[a], images[b] = b + 1, a + 1
-        left &= left - 1
-        right &= right - 1
-    return tuple(images)
-
-
-def swap_permutation(n: int, left: int, right: int) -> Permutation:
-    """The permutation exchanging two equal-cardinality sets, given as masks.
+def swap_permutation(n: int, left: int, right: int) -> tuple[int, ...]:
+    """The image tuple exchanging two equal-cardinality sets, given as masks.
 
     The symmetric differences are paired in sorted order; the overlap and
     everything else stay fixed.
@@ -229,7 +218,13 @@ def swap_permutation(n: int, left: int, right: int) -> Permutation:
         raise ValueError("sets must have equal cardinality")
     if (lo | ro) >> n:
         raise ValueError(f"sets must lie in 1..{n}")
-    return Permutation(_swap_images(list(range(1, n + 1)), lo, ro))
+    images = list(range(1, n + 1))
+    while lo:
+        a, b = (lo & -lo).bit_length() - 1, (ro & -ro).bit_length() - 1
+        images[a], images[b] = b + 1, a + 1
+        lo &= lo - 1
+        ro &= ro - 1
+    return tuple(images)
 
 
 def _generators(delta: SimplicialComplex) -> Iterator[Permutation]:
@@ -239,7 +234,7 @@ def _generators(delta: SimplicialComplex) -> Iterator[Permutation]:
         raise BudgetExceeded(
             f"generator walk would examine {pairs} link-face pairs, over {PAIR_BUDGET}"
         )
-    n, verts, ident = delta.n, delta.vertices, list(range(1, delta.n + 1))
+    n, verts = delta.n, delta.vertices
     link_pairs = (
         (left, right)
         for i in verts
@@ -250,9 +245,9 @@ def _generators(delta: SimplicialComplex) -> Iterator[Permutation]:
     singletons = combinations([1 << i - 1 for i in verts], 2)
     seen: set[tuple[int, ...]] = set()
     for left, right in chain(link_pairs, singletons):
-        if (key := _swap_images(ident, left, right)) not in seen:
-            seen.add(key)
-            yield swap_permutation(n, left, right)
+        if (g := swap_permutation(n, left, right)) not in seen:
+            seen.add(g)
+            yield tuple.__new__(Permutation, g)  # a swap is a bijection by construction
 
 
 def pi_delta_generators(delta: SimplicialComplex) -> tuple[Permutation, ...]:
@@ -261,9 +256,10 @@ def pi_delta_generators(delta: SimplicialComplex) -> tuple[Permutation, ...]:
     Link-pair swaps per vertex first, then every transposition, since every
     vertex link holds the empty face.  Only disjoint pairs are swapped: if
     L, T are in Link(i), so are L-T and T-L, a smaller pair giving the same
-    swap earlier.  A candidate is dropped before it is built when its image
-    tuple was seen already; none is the identity.  BudgetExceeded is raised
-    before the first pair if the walk would pass PAIR_BUDGET link pairs.
+    swap earlier.  Each candidate's image tuple is built once by
+    :func:`swap_permutation` and dropped if it was seen already; none is the
+    identity.  BudgetExceeded is raised before the first pair if the walk
+    would pass PAIR_BUDGET link pairs.
     """
     return tuple(_generators(delta))
 

@@ -161,8 +161,8 @@ def is_dummy(v: Game, i: int) -> bool:
 
 
 def apply_face(perm, face: int) -> Face:
-    """The image of a face under a permutation."""
-    return Face(_image_mask(face, perm.bits))
+    """The image of a face under a permutation, given as its image tuple."""
+    return Face(_image_mask(face, [1 << (w - 1) for w in perm]))
 
 
 def permuted(v: Game, perm) -> Game:
@@ -407,6 +407,14 @@ def vertices_of(n: int, m: int) -> list[int]:
     return [v for v in range(1, n + 1) if m >> (v - 1) & 1]
 
 
+def swap_images_ref(n: int, left: int, right: int) -> tuple[int, ...]:
+    """Image tuple pairing sorted L-minus-T with sorted T-minus-L; all else fixed."""
+    images = list(range(1, n + 1))
+    for x, y in zip(vertices_of(n, left & ~right), vertices_of(n, right & ~left)):
+        images[x - 1], images[y - 1] = y, x
+    return tuple(images)
+
+
 def pi_delta_generators_ref(n: int, faces: set[int]) -> list[tuple[int, ...]]:
     """Image tuples of the generated subgroup's generators, by definition.
 
@@ -432,12 +440,7 @@ def pi_delta_generators_ref(n: int, faces: set[int]) -> list[tuple[int, ...]]:
             same = [t for t in members if t.bit_count() == card]
             for a in range(len(same)):
                 for b in range(a + 1, len(same)):
-                    left, right = same[a], same[b]
-                    images = list(range(1, n + 1))
-                    lo, ro = vertices_of(n, left & ~right), vertices_of(n, right & ~left)
-                    for x, y in zip(lo, ro):
-                        images[x - 1], images[y - 1] = y, x
-                    emit(tuple(images))
+                    emit(swap_images_ref(n, same[a], same[b]))
     for a in range(len(verts)):
         for b in range(a + 1, len(verts)):
             i, j = verts[a], verts[b]

@@ -176,14 +176,14 @@ def test_symmetry_verdicts_are_the_preservation_test_of_each_generator(
     assert code == 0
     doc = json.loads(out)
     gens = pi_delta_generators(delta)
-    assert [tuple(g["perm"]) for g in doc["generators"]] == [g.images for g in gens]
+    assert [tuple(g["perm"]) for g in doc["generators"]] == [tuple(g) for g in gens]
     moved = [moved_facet(delta, g) for g in gens]
     assert [g["preserves"] for g in doc["generators"]] == [f is None for f in moved]
     assert [g["moved_face"] for g in doc["generators"]] == [
         None if f is None else list(Face(f).vertices) for f in moved
     ]
     witness = next(
-        ({"perm": list(g.images), "face": list(Face(f).vertices)}
+        ({"perm": list(g), "face": list(Face(f).vertices)}
          for g, f in zip(gens, moved) if f is not None),
         None,
     )

@@ -111,7 +111,7 @@ def test_symmetry_containment_is_the_library_report(name):
     report = check_pi_delta_contained(FIXTURES[name])
     assert doc["pi_delta_contained"] == report.contained
     assert doc["witness"] == (None if report.contained else {
-        "perm": list(report.witness_generator.images),
+        "perm": list(report.witness_generator),
         "face": list(Face(report.witness_face).vertices),
     })
 

@@ -161,6 +161,13 @@ def test_a_non_int_vertex_count_is_refused_with_its_repr(n, family):
         complex_from_dict({"n": n, "facets": [[1]]})
 
 
+@pytest.mark.parametrize("n", [2.0, "3", None, True])
+def test_full_simplex_refuses_a_non_int_vertex_count_with_its_repr(n):
+    message = f"^vertex count must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(VertexOutOfRange, match=message):
+        full_simplex(n)
+
+
 def test_an_int_vertex_count_still_builds():
     assert SimplicialComplex(0, []).n == 0 and full_simplex(1).n == 1
     assert type(full_simplex(1).n) is int

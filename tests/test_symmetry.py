@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -47,6 +48,7 @@ from oracles import (
     link_transposition_bijection,
     pi_delta_contained_ref,
     pi_delta_generators_ref,
+    swap_images_ref,
     symm_elements,
     symm_order,
 )
@@ -73,8 +75,20 @@ def random_complexes(seed: int, count: int, max_n: int):
 # -- Permutation basics ------------------------------------------------------
 
 def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3))
+    for images in [(1, 1, 3), (0, 1, 2), (1, 2, 4), (2,)]:
+        message = f"not a bijection of 1..{len(images)}: {images}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Permutation(images)
+
+
+def test_a_permutation_is_its_image_tuple():
+    images = (4, 5, 3, 1, 2)
+    p = Permutation(images)
+    assert isinstance(p, tuple) and p == images and images == p
+    assert hash(p) == hash(images) and {images: "swap"}[p] == "swap"
+    assert len(p) == 5 and p[0] == 4 and tuple(p) == images
+    assert repr(p) == "Permutation((4, 5, 3, 1, 2))"
+    assert Permutation(list(images)) == p
 
 
 def test_permutation_cycle_string():
@@ -90,7 +104,7 @@ def test_permutation_cycle_string():
 @example([2, 1])
 def test_cycles_walk_only_moved_vertices_as_the_full_walk_does(images):
     perm = Permutation(tuple(images))
-    assert perm.cycles() == cycles_ref(perm.images)
+    assert perm.cycles() == cycles_ref(perm)
 
 
 # -- Symm(Delta) -------------------------------------------------------------
@@ -196,7 +210,7 @@ def test_permutation_preserves_is_generator_mode():
 def test_swap_permutation_disjoint_pair():
     # the canonical pairing for L = {1,2}, T = {4,5} in the link of 3
     pi = swap_permutation(5, face(1, 2), face(4, 5))
-    assert pi == Permutation((4, 5, 3, 1, 2))
+    assert pi == Permutation((4, 5, 3, 1, 2)) and type(pi) is tuple
 
 
 def test_swap_permutation_overlapping_pair():
@@ -204,10 +218,32 @@ def test_swap_permutation_overlapping_pair():
     assert pi == Permutation.transposition(4, 1, 3)
 
 
-@pytest.mark.parametrize("left, right", [((1,), (2, 3)), ((1,), (4,))])
+SWAP_ERRORS = {
+    ((1,), (2, 3)): "sets must have equal cardinality",
+    ((1,), (4,)): "sets must lie in 1..3",
+}
+
+
+@pytest.mark.parametrize("left, right", list(SWAP_ERRORS))
 def test_swap_permutation_rejects_unequal_or_outside_sets(left, right):
-    with pytest.raises(ValueError):
+    message = SWAP_ERRORS[left, right]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         swap_permutation(3, face(*left), face(*right))
+
+
+@pytest.mark.parametrize("disjoint", [True, False])
+def test_swap_permutation_is_the_reference_pairing(disjoint):
+    rng = Random(26 + disjoint)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        k = rng.randint(0, n // 2 if disjoint else n)
+        left = rng.sample(range(1, n + 1), k)
+        pool = [v for v in range(1, n + 1) if v not in left] if disjoint else range(1, n + 1)
+        right = rng.sample(pool, k)
+        lm, rm = face(*left), face(*right)
+        got = swap_permutation(n, lm, rm)
+        assert type(got) is tuple, (n, left, right)
+        assert got == swap_images_ref(n, lm, rm), (n, left, right)
 
 
 def test_a_transposition_is_the_swap_of_two_singletons():
@@ -238,12 +274,6 @@ def test_swap_permutation_reads_masks_as_faces(case):
     assert swap_outcome(n, left, right) == swap_outcome(n, Face(left), Face(right))
 
 
-def test_a_permutation_bit_table_is_its_image_masks():
-    p = Permutation((3, 1, 2))
-    assert p.bits == [0b100, 0b001, 0b010]
-    assert apply_face(p, 0b011) == face(1, 3)
-
-
 def test_generators_full_simplex_include_all_transpositions():
     gens = set(pi_delta_generators(full_simplex(3)))
     for i, j in combinations(range(1, 4), 2):
@@ -258,7 +288,7 @@ def test_generators_single_edge():
 def test_generators_fix_the_link_owner():
     delta = figure_a()
     pi = swap_permutation(5, face(1, 2), face(4, 5))
-    assert pi.images[3 - 1] == 3
+    assert pi[3 - 1] == 3
     assert pi in set(pi_delta_generators(delta))
 
 
@@ -290,22 +320,43 @@ def test_wrong_size_permutation_is_rejected(size):
     perm = Permutation(tuple(range(1, size + 1)))
     with pytest.raises(DimensionMismatch):
         permutation_preserves(delta, perm)
-    with pytest.raises(DimensionMismatch):
-        moved_facet(delta, perm)
+    message = f"permutation of 1..{size} applied to a complex over 1..5"
+    for images in (perm, tuple(perm)):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            moved_facet(delta, images)
+
+
+def test_moved_facet_reads_any_image_tuple():
+    assert apply_face(Permutation((3, 1, 2)), 0b011) == face(1, 3)
+    for delta in (figure_a(), figure_b(), cycle(5), *random_complexes(26, 40, 7)):
+        for g in pi_delta_generators(delta):
+            moved = moved_facet(delta, g)
+            assert moved_facet(delta, tuple(g)) == moved
+            outside = (f for f in delta.facets if not delta.has_face(apply_face(g, f)))
+            assert moved == next(outside, None), (delta, g)
+
+
+def cycle_string(images: tuple[int, ...]) -> str:
+    """Cycle notation from the reference walk; "id" for the identity."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles_ref(images)) or "id"
+
+
+def assert_generators_match_reference(delta: SimplicialComplex) -> None:
+    gens = pi_delta_generators(delta)
+    assert all(type(g) is Permutation for g in gens), delta
+    got = [tuple(p) for p in gens]
+    assert got == pi_delta_generators_ref(delta.n, set(delta.faces)), delta
+    assert [str(g) for g in gens] == [cycle_string(images) for images in got], delta
 
 
 def test_generators_match_reference(fixtures):
-    for name, delta in fixtures.items():
-        faces = set(delta.faces)
-        got = [p.images for p in pi_delta_generators(delta)]
-        assert got == pi_delta_generators_ref(delta.n, faces), name
+    for delta in fixtures.values():
+        assert_generators_match_reference(delta)
 
 
 def test_generators_match_reference_on_random_complexes():
     for delta in random_complexes(12, 60, 7):
-        faces = set(delta.faces)
-        got = [p.images for p in pi_delta_generators(delta)]
-        assert got == pi_delta_generators_ref(delta.n, faces), delta
+        assert_generators_match_reference(delta)
 
 
 def test_containment_path_graph():
@@ -322,7 +373,7 @@ def test_containment_spot_check_closure():
         report = check_pi_delta_contained(delta)
         if not report.contained:
             continue
-        gens = [g.images for g in pi_delta_generators(delta)[:6]]
+        gens = [tuple(g) for g in pi_delta_generators(delta)[:6]]
         for a in gens:
             for b in gens:
                 assert permutation_preserves(delta, Permutation(compose(a, b)))
@@ -392,7 +443,7 @@ def test_generator_walk_budget_boundary(monkeypatch):
     delta = figure_a()
     pairs = generator_pairs(delta)
     monkeypatch.setattr(symmetry, "PAIR_BUDGET", pairs)
-    gens = [g.images for g in pi_delta_generators(delta)]
+    gens = [tuple(g) for g in pi_delta_generators(delta)]
     assert gens == pi_delta_generators_ref(5, set(delta.faces))
     monkeypatch.setattr(symmetry, "PAIR_BUDGET", pairs - 1)
     with pytest.raises(BudgetExceeded, match=f"examine {pairs} link-face pairs"):

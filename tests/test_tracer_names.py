@@ -16,6 +16,7 @@ import pytest
 
 import simplicial_games
 import simplicial_games.cli
+from simplicial_games.complexes import full_simplex
 from simplicial_games.games import random_game
 from conftest import figure_a, figure_b
 from oracles import complex_to_dict, game_to_dict
@@ -87,3 +88,22 @@ def test_traced_commands_count_what_the_benchmark_divides_by(tmp_path, capsys):
         "values.decompose_shapley.calls",
     ):
         assert figures.get(name, 0) > 0, name
+
+
+def test_a_traced_symmetry_run_counts_more_candidates_than_generators(tmp_path, capsys):
+    # symmetry.generator_yield is generators over swap_permutation calls: the
+    # 2-skeleton of the 5-simplex has 40 candidate pairs for 10 transpositions
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps(complex_to_dict(full_simplex(5).skeleton(2))))
+    tracer = TRACER_MODULE.Tracer(simplicial_games)
+    tracer.install()
+    try:
+        tracer.start_batch()
+        tracer.start_command(0)
+        assert simplicial_games.cli.main(["symmetry", "--complex", str(path)]) == 0
+        tracer.end_batch()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    figures = tracer.batches[-1]
+    assert figures["symmetry.swap_permutation.calls"] > figures["symmetry.generators"] > 0
