@@ -22,7 +22,6 @@ from .symmetry import (
     ContainmentReport,
     Permutation,
     ShapleyClassification,
-    SymmetryGroup,
     check_pi_delta_contained,
     classify_shapley,
     moved_facet,
@@ -33,7 +32,6 @@ from .symmetry import (
     symm_group,
 )
 from .values import (
-    AxiomSuiteReport,
     Decomposition,
     DecompositionStatus,
     EfficiencyCheck,

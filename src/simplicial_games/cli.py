@@ -241,10 +241,10 @@ def cmd_symmetry(args) -> int:
     ids = delta.face_ids
     verdicts = [(g, None if bad is None else tuple(ids[bad])) for g, bad in zip(gens, bads)]
     witness = next(((g, moved) for g, moved in verdicts if moved is not None), None)
-    group = symm_group(delta) if delta.n <= SYMM_GROUP_MAX_N else None
+    order = symm_group(delta) if delta.n <= SYMM_GROUP_MAX_N else None
     pairing = "canonical sorted order for overlapping swaps"
     result = {
-        "symm_order": group.order if group else None,
+        "symm_order": order,
         "generators": [
             {"perm": tuple(g), "preserves": moved is None, "moved_face": moved}
             for g, moved in verdicts
@@ -257,7 +257,7 @@ def cmd_symmetry(args) -> int:
     def table():
         skipped = f"skipped (n > {SYMM_GROUP_MAX_N}; generator checks only)"
         lines = [
-            f"symmetry group order: {group.order if group else skipped}",
+            f"symmetry group order: {skipped if order is None else order}",
             f"generated-subgroup generators: {len(gens)}",
         ]
         for g, moved in verdicts:
@@ -387,14 +387,14 @@ def cmd_verify(args) -> int:
     delta = load_nonempty_complex(args.complex)
     given = [load_game(args.game, delta)] if args.game else []
     tables = canonical_shapley_tables(delta)
-    report = axiom_suite(delta, tables, seed=args.seed)
+    checks = axiom_suite(delta, tables, seed=args.seed)
     rng = Random(args.seed)
     games = [random_game(delta, rng) for _ in range(10)] + given
     coeffs = efficiency_coefficients(delta, tables)
     identity = [check_efficiency_identity(coeffs, tables, game) for game in games]
-    ok = report.ok and all(c.equal for c in identity)
+    ok = all(c.ok for c in checks) and all(c.equal for c in identity)
     result = {
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [asdict(c) for c in checks],
         "efficiency_identity": [{"equal": c.equal, "residual": c.residual} for c in identity],
         "ok": ok,
     }
@@ -402,7 +402,7 @@ def cmd_verify(args) -> int:
     def table():
         lines = [
             f"{c.axiom} player {c.player}: " + ("ok" if c.ok else f"FAIL ({c.detail})")
-            for c in report.checks
+            for c in checks
         ]
         lines += [
             f"efficiency identity game {k}: "

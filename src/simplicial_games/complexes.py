@@ -29,6 +29,7 @@ comes out in canonical order with no closure, no sort and no complex built.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from itertools import groupby, repeat, takewhile
 from typing import Iterable, Union
 
@@ -241,10 +242,20 @@ class SimplicialComplex:
         return tuple(counts)
 
     def skeleton(self, k: int) -> "SimplicialComplex":
-        """The subcomplex of faces of cardinality at most k."""
+        """The subcomplex of faces of cardinality at most k, filtered from this one.
+
+        The faces are closed and in canonical order already, so no closure is
+        walked: the facets are the k-faces and the facets smaller than k.
+        """
         if k < 0:
             raise VertexOutOfRange(f"skeleton bound must be >= 0, got {k}")
-        return SimplicialComplex(self.n, [f for f in self.faces if f.bit_count() <= k])
+        sub = SimplicialComplex.__new__(SimplicialComplex)
+        sub.n, sub.rank, sub._link_f_vectors = self.n, min(k, self.rank), None
+        sub.face_ids = {f: ids for f, ids in self.face_ids.items() if len(ids) <= k}
+        sub.faces = self.faces[: bisect_right(self.faces, k, key=int.bit_count)]
+        small = {f for f in self.facets if f.bit_count() < k}
+        sub.facets = tuple(f for f in sub.faces if f.bit_count() == k or f in small)
+        return sub
 
     def link_f_vectors(self) -> dict[int, FVector]:
         """f(Link(v)) for every vertex v, ascending, counted without building a link.

@@ -6,13 +6,14 @@ through the per-vertex bit table of an image tuple and reports the first
 facet sent outside the complex; since a bijection preserving the facet set
 preserves the whole complex, this is the preservation test everywhere.
 
-Symm(D) is the subgroup of S_n whose members map faces to faces.  It is
-found by backtracking over vertex images (n <= 10): vertex v may go to w
-only when their vertex-link f-vectors agree or neither is a vertex, and a
-branch is cut as soon as the image of the assigned part of some facet is no
-longer a face.  The search only answers whether a partial assignment
-extends to a member; the group order is the product of the orbit sizes
-along the stabilizer chain of 1, 2, ..., n, counted with those answers.
+Symm(D) is the subgroup of S_n whose members map faces to faces, and
+:func:`symm_group` returns its order (n <= 10), the one figure read off it.
+The order is the product of the orbit sizes along the stabilizer chain of
+1, 2, ..., n, each counted by backtracking over vertex images: vertex v may
+go to w only when their vertex-link f-vectors agree or neither is a vertex,
+and a branch is cut as soon as the image of the assigned part of some facet
+is no longer a face.  The search only answers whether a partial assignment
+extends to a member.
 
 The generated subgroup driving the symmetry reduction is built from two
 generator families, both as image tuples of :func:`swap_permutation`, each
@@ -30,7 +31,6 @@ cannot be checked against its abstract alone, so this reading is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, groupby
 from math import comb
 from typing import Iterator
@@ -128,83 +128,64 @@ def permutation_preserves(delta: SimplicialComplex, perm: Permutation) -> bool:
     return moved_facet(delta, perm) is None
 
 
-class SymmetryGroup:
-    """Symm(delta), searched by backtracking over vertex images.
+def symm_group(delta: SimplicialComplex) -> int:
+    """The order of Symm(delta), the permutations of [n] preserving the complex.
 
-    Vertex v may go to w only when their vertex-link f-vectors agree or
-    neither is a vertex; a branch is cut as soon as the partial image of a
-    facet is not a face.  The search reports existence: it stops at the
-    first complete assignment and builds no permutation.  ``order``
-    multiplies, over k, the orbit size of k in the pointwise stabilizer of
-    1..k-1.  Membership of one permutation is :func:`permutation_preserves`.
+    It multiplies, over k, the orbit size of vertex k+1 in the pointwise
+    stabilizer of 1..k: the images w for which the search finds a member
+    fixing 1..k and sending k+1 to w.  The search stops at the first
+    complete assignment and builds no permutation.  Membership of one
+    permutation is :func:`permutation_preserves`.
     """
+    n = delta.n
+    if n > SYMM_GROUP_MAX_N:
+        raise GroundSetTooLarge(
+            f"symmetry group search capped at n={SYMM_GROUP_MAX_N}, got n={n}"
+        )
+    faces, facets = delta.face_ids, delta.facets
+    # holders[v]: indices of the facets through vertex v+1
+    holders = [[k for k, m in enumerate(facets) if m >> v & 1] for v in range(n)]
+    # allowed[v]: the 0-based images vertex v+1 may take
+    profile = delta.link_f_vectors()
+    allowed = [[w for w in range(n) if profile.get(w + 1) == profile.get(v + 1)] for v in range(n)]
 
-    def __init__(self, delta: SimplicialComplex):
-        self.n = delta.n
-        self._faces = delta.face_ids
-        self._facets = delta.facets
-        # _holders[v]: indices of the facets through vertex v+1
-        self._holders = [
-            [k for k, m in enumerate(self._facets) if m >> v & 1] for v in range(self.n)
-        ]
-        # _allowed[v]: the 0-based images vertex v+1 may take
-        profile = delta.link_f_vectors()
-        self._allowed = [
-            [w for w in range(self.n) if profile.get(w + 1) == profile.get(v + 1)]
-            for v in range(self.n)
-        ]
-
-    @cached_property
-    def order(self) -> int:
-        order = 1
-        for k in range(self.n):
-            fixed = list(range(k))
-            order *= sum(
-                1 for w in self._allowed[k] if w == k or (w > k and self._extends(fixed + [w]))
-            )
-        return order
-
-    def _extends(self, prefix: list[int]) -> bool:
-        """Does some member send vertex v+1 to prefix[v]+1 for every v?"""
-        img = [0] * len(self._facets)
-        for v, w in enumerate(prefix):
-            if not self._place(v, w, img):
-                return False
-        return self._search(len(prefix), img, sum(1 << w for w in prefix))
-
-    def _place(self, v: int, w: int, img: list[int]) -> bool:
+    def place(v: int, w: int, img: list[int]) -> bool:
         """Add w to the partial image of each facet through v, if all stay faces."""
         bit = 1 << w
-        holders = self._holders[v]
-        for done, k in enumerate(holders):
-            if (img[k] | bit) not in self._faces:
-                for j in holders[:done]:
+        for done, k in enumerate(holders[v]):
+            if (img[k] | bit) not in faces:
+                for j in holders[v][:done]:
                     img[j] ^= bit
                 return False
             img[k] |= bit
         return True
 
-    def _search(self, v: int, img: list[int], used: int) -> bool:
+    def search(v: int, img: list[int], used: int) -> bool:
         """Can vertices v+1..n be given unused images keeping every facet a face?"""
-        if v == self.n:
+        if v == n:
             return True
-        for w in self._allowed[v]:
-            if used >> w & 1 or not self._place(v, w, img):
+        for w in allowed[v]:
+            if used >> w & 1 or not place(v, w, img):
                 continue
-            if self._search(v + 1, img, used | 1 << w):
+            if search(v + 1, img, used | 1 << w):
                 return True
-            for k in self._holders[v]:
+            for k in holders[v]:
                 img[k] ^= 1 << w
         return False
 
-
-def symm_group(delta: SimplicialComplex) -> SymmetryGroup:
-    """Symm(delta): all permutations of [n] preserving the complex."""
-    if delta.n > SYMM_GROUP_MAX_N:
-        raise GroundSetTooLarge(
-            f"symmetry group search capped at n={SYMM_GROUP_MAX_N}, got n={delta.n}"
-        )
-    return SymmetryGroup(delta)
+    order = 1
+    for k in range(n):
+        # the identity on 1..k maps each facet into itself, so a facet's
+        # image so far is its part in 1..k, and only vertex k+1 is placed
+        fixed = (1 << k) - 1
+        orbit = 1  # k+1 is its own image
+        for w in allowed[k]:
+            if w > k:
+                img = [f & fixed for f in facets]
+                if place(k, w, img) and search(k + 1, img, fixed | 1 << w):
+                    orbit += 1
+        order *= orbit
+    return order
 
 
 def swap_permutation(n: int, left: int, right: int) -> tuple[int, ...]:

@@ -375,22 +375,13 @@ class AxiomCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class AxiomSuiteReport:
-    checks: tuple[AxiomCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 def axiom_suite(
     delta: SimplicialComplex,
     tables: Mapping[int, ProbabilityTable],
     seed: int = 0,
     rounds: int = 5,
-) -> AxiomSuiteReport:
-    """Instantiate the axiom conclusions per player on generated games.
+) -> tuple[AxiomCheck, ...]:
+    """One AxiomCheck per player and axiom, its conclusion tried on generated games.
 
     linearity      phi_i(a v + b w) = a phi_i(v) + b phi_i(w)
     star_locality  phi_i ignores changes off the star of i
@@ -453,4 +444,4 @@ def axiom_suite(
         )
         negative = (f"negative value {got} on a monotone game" for got in paid if got < 0)
         record("monotone", i, negative)
-    return AxiomSuiteReport(tuple(checks))
+    return tuple(checks)

@@ -197,12 +197,12 @@ def test_criterion_6_structural_oracles():
             if set(delta.extension_set(s)) != ext_ids(delta.n, faces, s):
                 failures.append((name, "ext", s))
     for n in range(2, 11):
-        if symm_group(full_simplex(n)).order != factorial(n):
+        if symm_group(full_simplex(n)) != factorial(n):
             failures.append(("simplex symmetry order", n))
     for n in range(4, 11):
-        if symm_group(cycle(n)).order != 2 * n:
+        if symm_group(cycle(n)) != 2 * n:
             failures.append(("cycle symmetry order", n))
-    if symm_group(FIXTURES["petersen"]).order != 120:
+    if symm_group(FIXTURES["petersen"]) != 120:
         failures.append(("petersen symmetry order", 120))
     report(6, "structural oracles", failures)
 

@@ -18,6 +18,7 @@ from simplicial_games import (
     full_simplex,
     moved_facet,
     pi_delta_generators,
+    symm_group,
 )
 from simplicial_games.cli import _json_text, main, rational
 from simplicial_games import errors
@@ -175,6 +176,7 @@ def test_symmetry_verdicts_are_the_preservation_test_of_each_generator(
     code, out, _ = run(capsys, "symmetry", "--complex", str(path), "--format", "json")
     assert code == 0
     doc = json.loads(out)
+    assert doc["symm_order"] == symm_group(delta)
     gens = pi_delta_generators(delta)
     assert [tuple(g["perm"]) for g in doc["generators"]] == [tuple(g) for g in gens]
     moved = [moved_facet(delta, g) for g in gens]
@@ -242,7 +244,7 @@ def test_output_is_deterministic(files, capsys):
 def test_failing_verdicts_are_reported(fmt, files, monkeypatch, capsys):
     # every golden identity holds, so the failure branches are forced here
     from simplicial_games import cli
-    from simplicial_games.values import AxiomCheck, AxiomSuiteReport, EfficiencyCheck
+    from simplicial_games.values import AxiomCheck, EfficiencyCheck
 
     monkeypatch.setattr(
         cli, "check_efficiency_identity", lambda *_: EfficiencyCheck(False, F(1), F(3), F(-2))
@@ -253,7 +255,7 @@ def test_failing_verdicts_are_reported(fmt, files, monkeypatch, capsys):
     monkeypatch.setattr(
         cli,
         "axiom_suite",
-        lambda *_, **__: AxiomSuiteReport((AxiomCheck("null", 2, False, "phi = 1"),)),
+        lambda *_, **__: (AxiomCheck("null", 2, False, "phi = 1"),),
     )
     cycle, game = files["cycle4.json"], files["edge_game.json"]
     as_json = fmt == "json"

@@ -338,6 +338,29 @@ def test_the_17_simplex_builds_within_the_budget():
     assert len(full_simplex(17).faces) == 1 << 17
 
 
+def test_a_skeleton_of_a_complex_within_the_budget_builds():
+    # a skeleton walks no closure: the 8-skeleton has 65,536 faces, and a
+    # closure walk of its 24,310 facets would count 2^8 subsets for each
+    sk = full_simplex(17).skeleton(8)
+    assert (len(sk.faces), len(sk.facets), sk.rank) == (65536, 24310, 8)
+
+
+def test_skeleton_is_the_closure_of_its_faces():
+    # on seeded families, every k from 0 past the rank: the filter equals the constructor
+    rng = Random(2718)
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        family = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
+        delta = SimplicialComplex(n, family)
+        for k in range(n + 2):
+            sk = delta.skeleton(k)
+            built = SimplicialComplex(n, [f for f in delta.faces if f.bit_count() <= k])
+            assert (sk.n, sk.faces, sk.facets, sk.rank) == (
+                built.n, built.faces, built.facets, built.rank
+            ), (n, family, k)
+            assert list(sk.face_ids.items()) == list(built.face_ids.items())
+
+
 def test_deterministic_face_order():
     delta = figure_a()
     keys = [sort_key(f) for f in delta.faces]
