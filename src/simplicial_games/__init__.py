@@ -33,7 +33,6 @@ from .symmetry import (
 )
 from .values import (
     Decomposition,
-    DecompositionStatus,
     EfficiencyCheck,
     ProbabilityTable,
     axiom_suite,

@@ -32,7 +32,7 @@ from .complexes import Face, SimplicialComplex, format_ids, load_complex
 from .errors import (
     EmptyComplex, HypothesisNotMet, NotPureLinks, ParseError, SimplicialGamesError,
 )
-from .exactnum import format_rational
+from .exactnum import SolveStatus, format_rational
 from .games import load_game, random_game
 from .symmetry import (
     SYMM_GROUP_MAX_N,
@@ -45,7 +45,6 @@ from .symmetry import (
     symm_group,
 )
 from .values import (
-    DecompositionStatus,
     axiom_suite,
     canonical_shapley_tables,
     check_efficiency_identity,
@@ -311,19 +310,23 @@ def cmd_psystem(args) -> int:
 def cmd_decompose(args) -> int:
     delta = load_nonempty_complex(args.complex)
     dec = decompose_shapley(delta, args.player)
-    # facet_weights, when present, is keyed in facet order
-    weights = None if dec.facet_weights is None else by_face_key(delta, dec.facet_weights)
+    solution = dec.solution
+    exact = solution.status is not SolveStatus.INCONSISTENT
+    status = "exact" if exact else "infeasible"
+    weights = (
+        by_face_key(delta, dict(zip(dec.facet_order, solution.particular))) if exact else None
+    )
     result = {
-        "player": dec.player,
-        "status": dec.status.value,
+        "player": args.player,
+        "status": status,
         "facets": [tuple(delta.face_ids[f]) for f in dec.facet_order],
         "weights": weights,
-        "certificate": dec.certificate,
+        "certificate": solution.certificate,
     }
 
     def table():
-        lines = [f"player: {dec.player}", f"status: {dec.status.value}"]
-        if dec.status is DecompositionStatus.EXACT:
+        lines = [f"player: {args.player}", f"status: {status}"]
+        if exact:
             for key, w in weights.items():
                 lines.append(f"  c_{{{key}}} = {format_rational(w)}  {approx(w)}")
         else:
@@ -331,7 +334,7 @@ def cmd_decompose(args) -> int:
                 "inconsistency certificate (combination of rows vanishing on the "
                 "left, 1 on the right):"
             )
-            for t, coeff in zip(dec.row_faces, dec.certificate):
+            for t, coeff in zip(dec.row_faces, solution.certificate):
                 if coeff != 0:
                     lines.append(f"  {format_rational(coeff)} * row[{Face(t)}]")
         return lines

@@ -67,6 +67,8 @@ class Face(int):
         for v in vertices:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise VertexOutOfRange(f"vertex ids must be integers >= 1, got {v!r}")
+            if v > MAX_VERTICES:  # before the shift builds a v-bit int
+                raise VertexOutOfRange(f"vertex ids must be <= {MAX_VERTICES}, got {v}")
             bit = 1 << (v - 1)
             if mask & bit:
                 raise VertexOutOfRange(f"duplicate vertex id {v}")
@@ -247,6 +249,8 @@ class SimplicialComplex:
         The faces are closed and in canonical order already, so no closure is
         walked: the facets are the k-faces and the facets smaller than k.
         """
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise VertexOutOfRange(f"skeleton bound must be an integer, got {k!r}")
         if k < 0:
             raise VertexOutOfRange(f"skeleton bound must be >= 0, got {k}")
         sub = SimplicialComplex.__new__(SimplicialComplex)

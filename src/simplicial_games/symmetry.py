@@ -71,7 +71,7 @@ class Permutation(tuple):
     def __new__(cls, images):
         self = super().__new__(cls, images)
         n = len(self)
-        if sorted(self) != list(range(1, n + 1)):
+        if not {int}.issuperset(map(type, self)) or sorted(self) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {tuple(self)}")
         return self
 

@@ -31,8 +31,8 @@ solves, per coalition T in the link, for weights c_F over the facets
 containing T+i so the weighted classical Shapley values on facet
 restrictions reproduce the generalized value.  Both sides are linear
 in the marginals v(T+i) - v(T), which are independent over the link, so the
-system's rows are exactly that identity: an exact solution proves the
-decomposition for every game, and no game needs to be sampled.
+system's rows are exactly that identity: a solution, unique when it exists,
+proves the decomposition for every game, and no game needs to be sampled.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice, permutations
 from random import Random
@@ -55,7 +54,7 @@ from .errors import (
     TooManyPlayers,
     VertexNotInComplex,
 )
-from .exactnum import RationalMatrix, SolveStatus, solve_exact
+from .exactnum import LinearSolution, RationalMatrix, solve_exact
 from .games import (
     _DRAWN_DENOMINATOR,
     Game,
@@ -301,28 +300,20 @@ def efficiency_rhs(coeffs: EfficiencyCoefficients, v: Game) -> Fraction:
     return _dot([(a, num[t]) for t, a in coeffs.items()], v.denominator)
 
 
-class DecompositionStatus(Enum):
-    EXACT = "exact"
-    INFEASIBLE = "infeasible"
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Facet weights writing the generalized value as classical Shapley values.
 
-    The solved system has one row per coalition T in ``row_faces``, the
-    link of the player, and one column per facet in ``facet_order``.  For
-    EXACT, ``facet_weights`` maps each facet containing the player to its
-    weight c_F, free variables fixed to 0; for INFEASIBLE, ``certificate``
-    is lam with lam @ A = 0 and lam @ b = 1 for that system A c = b.
+    ``solution`` solves the system with one row per coalition T in
+    ``row_faces``, the link of the player, and one column per facet in
+    ``facet_order``.  The row T = F - i is nonzero only in F's column, so
+    the weights c_F, in facet order, are ``solution.particular`` and unique
+    when they exist; otherwise ``certificate`` is lam with lam @ A = 0, lam @ b = 1.
     """
 
-    player: int
-    status: DecompositionStatus
     facet_order: tuple[int, ...]
     row_faces: tuple[int, ...]
-    facet_weights: dict[int, Fraction] | None = None
-    certificate: tuple[Fraction, ...] | None = None
+    solution: LinearSolution
 
 
 def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
@@ -333,10 +324,10 @@ def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
         sum_{F facet >= T+i} c_F (1/|F|) / C(|F|-1, |T|)
             = shapley_weights(f(Link(i)))[|T|]
 
-    Solved exactly in the unknowns c_F over facets containing i.  The left
-    side is the weight the combined classical values put on the marginal
-    v(T+i) - v(T), the right side the Shapley weight the generalized value
-    puts on it, so a solution reproduces the generalized value on every game.
+    Solved exactly in the unknowns c_F over facets containing i, which are
+    unique when they exist.  The left side is the weight the combined classical
+    values put on the marginal v(T+i) - v(T), the right side the Shapley weight
+    the generalized value puts on it: a solution reproduces that value on every game.
     """
     single = delta.require_vertex(i)
     weights = shapley_weights(delta.link_f_vectors()[i])
@@ -351,19 +342,8 @@ def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
         for t in row_faces
     )
     rhs = [weights[t.bit_count()] for t in row_faces]
-    solution = solve_exact(RationalMatrix(len(facet_order), rows), rhs)
-
-    base = dict(player=i, facet_order=facet_order, row_faces=row_faces)
-    if solution.status is SolveStatus.INCONSISTENT:
-        return Decomposition(
-            status=DecompositionStatus.INFEASIBLE,
-            certificate=solution.certificate,
-            **base,
-        )
     return Decomposition(
-        status=DecompositionStatus.EXACT,
-        facet_weights=dict(zip(facet_order, solution.particular)),
-        **base,
+        facet_order, row_faces, solve_exact(RationalMatrix(len(facet_order), rows), rhs)
     )
 
 

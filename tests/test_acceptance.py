@@ -32,7 +32,6 @@ from simplicial_games import (
     symm_group,
 )
 from simplicial_games.exactnum import SolveStatus
-from simplicial_games.values import DecompositionStatus
 from conftest import all_fixtures, cycle, figure_a
 from oracles import (
     built_link,
@@ -213,28 +212,30 @@ def test_criterion_7_decomposition():
         delta = full_simplex(n)
         for i in delta.vertices:
             dec = decompose_shapley(delta, i)
-            if dec.status is not DecompositionStatus.EXACT:
+            if dec.solution.status is not SolveStatus.UNIQUE:
                 failures.append(("simplex", n, i, "not exact"))
-            elif dec.facet_weights != {face(*range(1, n + 1)): F(1)}:
-                failures.append(("simplex", n, i, dec.facet_weights))
+                continue
+            weights = dict(zip(dec.facet_order, dec.solution.particular))
+            if weights != {face(*range(1, n + 1)): F(1)}:
+                failures.append(("simplex", n, i, weights))
     delta = figure_a()
     for i in delta.vertices:
         dec = decompose_shapley(delta, i)
-        if dec.status is DecompositionStatus.EXACT:
+        if dec.solution.status is SolveStatus.UNIQUE:
             rng = Random(7000 + i)
             for g in range(20):
                 v = random_game(delta, rng)
                 combined = sum(
                     (
                         w * classical_shapley_all(v, Face(f).vertices)[i]
-                        for f, w in dec.facet_weights.items()
+                        for f, w in zip(dec.facet_order, dec.solution.particular)
                     ),
                     F(0),
                 )
                 if combined != generalized_shapley(v, i):
                     failures.append(("figure_a", i, g, "weighted sum mismatch"))
         else:
-            lam = dec.certificate
+            lam = dec.solution.certificate
             _, _, rows, rhs = decomposition_system_ref(delta, i)
             lhs_ok = all(
                 sum((lam[r] * rows[r][c] for r in range(len(rows))), F(0)) == 0

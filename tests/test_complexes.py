@@ -73,6 +73,11 @@ def test_face_rejects_bad_vertices():
         face(0)
     with pytest.raises(VertexOutOfRange):
         Face.from_vertices([2, 2])
+    # an id above MAX_VERTICES is refused before a mask of that many bits is built
+    for ids in ([65], [10**6]):
+        with pytest.raises(VertexOutOfRange, match=f"^vertex ids must be <= 64, got {ids[0]}$"):
+            Face.from_vertices(ids)
+    assert Face.from_vertices([64]) == 1 << 63
 
 
 def test_face_set_operations():
@@ -457,6 +462,12 @@ def test_skeleton_trivial_cases():
     assert {Face(f).vertices for f in delta.skeleton(0).faces} == {()}
     assert delta.skeleton(delta.rank) == delta
     assert delta.skeleton(2).skeleton(2) == delta.skeleton(2)
+
+
+@pytest.mark.parametrize("k", [1.5, "2", True, None])
+def test_skeleton_refuses_a_bound_that_is_not_an_int(k):
+    with pytest.raises(VertexOutOfRange, match="^skeleton bound must be an integer, got "):
+        full_simplex(4).skeleton(k)
 
 
 # -- pure links / extensions / facets --------------------------------------

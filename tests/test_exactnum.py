@@ -369,8 +369,10 @@ def test_decompose_solves_as_the_dense_reference(name):
         ref = solve_exact_ref(a, rhs)
         assert solve_exact(a, rhs) == ref
         if ref.status is SolveStatus.INCONSISTENT:
-            assert dec.certificate == ref.certificate
-            check_certificate(rows, rhs, dec.certificate)
+            assert dec.solution.certificate == ref.certificate
+            check_certificate(rows, rhs, dec.solution.certificate)
             assert system_inconsistent(rows, rhs)
         else:
-            assert dec.facet_weights == dict(zip(facet_order, ref.particular))
+            assert dict(zip(dec.facet_order, dec.solution.particular)) == dict(
+                zip(facet_order, ref.particular)
+            )

@@ -16,10 +16,10 @@ import pytest
 
 from simplicial_games import (
     Decomposition,
-    DecompositionStatus,
     Face,
     Game,
     SimplicialComplex,
+    SolveStatus,
     canonical_shapley_tables,
     check_pi_delta_contained,
     decompose_shapley,
@@ -109,7 +109,8 @@ def test_every_table_of_faces_is_keyed_by_ints(name):
     for i in delta.vertices:
         dec = decompose_shapley(delta, i)
         assert all_ints(dec.facet_order) and all_ints(dec.row_faces)
-        assert dec.facet_weights is None or all_ints(dec.facet_weights)
+        particular = dec.solution.particular
+        assert particular is None or all_ints(dict(zip(dec.facet_order, particular)))
 
 
 @pytest.mark.parametrize("name", sorted(builds()))
@@ -219,4 +220,4 @@ def test_decompose_certificate_prints_the_vertex_ids(spell, tmp_path, capsys, mo
     assert cli.main(["decompose", "--complex", str(path), "--player", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[-2:] == ["  36 * row[{1}]", "  -18 * row[{1,2}]"]
     dec = real(figure_a(), 3)
-    assert dec.status is DecompositionStatus.INFEASIBLE and isinstance(dec, Decomposition)
+    assert dec.solution.status is SolveStatus.INCONSISTENT and isinstance(dec, Decomposition)

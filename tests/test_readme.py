@@ -48,6 +48,6 @@ def test_readme_quick_tour_shows_what_its_comments_state():
     assert type(shown["generalized_shapley(v, 3)"]) is Fraction
     assert comments["generalized_shapley(v, 3)"] == "exact Fraction"
 
-    status = "decompose_shapley(delta, 3).status"
-    assert shown[status].value == "infeasible"
-    assert comments[status].startswith("infeasible")
+    status = "decompose_shapley(delta, 3).solution.status"
+    assert shown[status].value == "inconsistent"
+    assert comments[status].startswith("inconsistent")

@@ -74,7 +74,9 @@ def random_complexes(seed: int, count: int, max_n: int):
 # -- Permutation basics ------------------------------------------------------
 
 def test_permutation_validation():
-    for images in [(1, 1, 3), (0, 1, 2), (1, 2, 4), (2,)]:
+    for images in [(1, 1, 3), (0, 1, 2), (1, 2, 4), (2,)] + [
+        (2.0, 1.0), (True, 2), ("a", 1), (1, None),  # images that are not ints
+    ]:
         message = f"not a bijection of 1..{len(images)}: {images}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Permutation(images)

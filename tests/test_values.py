@@ -32,10 +32,10 @@ from simplicial_games import (
     random_monotone_game,
     scale_add,
     shapley_efficiency_closed_form,
+    solve_exact,
 )
 from simplicial_games import values
 from simplicial_games.games import game_from_dict, random_rational
-from simplicial_games.values import DecompositionStatus
 from simplicial_games.errors import (
     KeyOutsideLink,
     MissingPlayerTable,
@@ -520,8 +520,10 @@ def test_decompose_full_simplex():
         delta = full_simplex(n)
         for i in delta.vertices:
             dec = decompose_shapley(delta, i)
-            assert dec.status is DecompositionStatus.EXACT
-            assert dec.facet_weights == {face(*range(1, n + 1)): F(1)}
+            assert dec.solution.status is SolveStatus.UNIQUE
+            assert dict(zip(dec.facet_order, dec.solution.particular)) == {
+                face(*range(1, n + 1)): F(1)
+            }
 
 
 def test_decompose_figure_a_per_player():
@@ -529,16 +531,16 @@ def test_decompose_figure_a_per_player():
     outcomes = {}
     for i in delta.vertices:
         dec = decompose_shapley(delta, i)
-        outcomes[i] = dec.status
-        if dec.status is DecompositionStatus.INFEASIBLE:
+        outcomes[i] = dec.solution.status
+        if dec.solution.status is SolveStatus.INCONSISTENT:
             _, _, rows, rhs = decomposition_system_ref(delta, i)
             assert system_inconsistent(rows, rhs)
     assert outcomes == {
-        1: DecompositionStatus.EXACT,
-        2: DecompositionStatus.INFEASIBLE,
-        3: DecompositionStatus.INFEASIBLE,
-        4: DecompositionStatus.EXACT,
-        5: DecompositionStatus.INFEASIBLE,
+        1: SolveStatus.UNIQUE,
+        2: SolveStatus.INCONSISTENT,
+        3: SolveStatus.INCONSISTENT,
+        4: SolveStatus.UNIQUE,
+        5: SolveStatus.INCONSISTENT,
     }
 
 
@@ -547,13 +549,13 @@ def test_decompose_figure_b_cone_points():
     # sees a balanced pair of facets
     delta = figure_b()
     dec = decompose_shapley(delta, 3)
-    assert dec.status is DecompositionStatus.EXACT
-    assert dec.facet_weights == {
+    assert dec.solution.status is SolveStatus.UNIQUE
+    assert dict(zip(dec.facet_order, dec.solution.particular)) == {
         face(1, 2, 3): F(1, 2),
         face(3, 4, 5): F(1, 2),
     }
     dec1 = decompose_shapley(delta, 1)
-    assert dec1.facet_weights == {face(1, 2, 3): F(1)}
+    assert dict(zip(dec1.facet_order, dec1.solution.particular)) == {face(1, 2, 3): F(1)}
 
 
 def decomposition_corpus() -> dict[str, SimplicialComplex]:
@@ -580,13 +582,13 @@ def test_decompose_solves_the_coefficient_identity(name):
     rng = Random(100)
     for i in delta.vertices:
         dec = decompose_shapley(delta, i)
-        if dec.status is DecompositionStatus.INFEASIBLE:
-            lam, (_, _, rows, rhs) = dec.certificate, decomposition_system_ref(delta, i)
+        if dec.solution.status is SolveStatus.INCONSISTENT:
+            lam, (_, _, rows, rhs) = dec.solution.certificate, decomposition_system_ref(delta, i)
             for c in range(len(dec.facet_order)):
                 assert sum(lam[r] * rows[r][c] for r in range(len(rows))) == 0
             assert sum(lam[r] * rhs[r] for r in range(len(rows))) == 1
             continue
-        weights = dec.facet_weights
+        weights = dict(zip(dec.facet_order, dec.solution.particular))
         single = face(i)
         link = built_link(delta, single)
         fv = link.f_vector()
@@ -628,10 +630,12 @@ def test_decompose_boundary_of_8_simplex():
     delta = boundary_simplex(8)
     dec = decompose_shapley(delta, 1)
     assert (len(dec.row_faces), len(dec.facet_order)) == (127, 7)
-    assert dec.status is DecompositionStatus.EXACT
+    assert dec.solution.status is SolveStatus.UNIQUE
     facet_order, _, rows, rhs = decomposition_system_ref(delta, 1)
     ref = solve_exact_ref(RationalMatrix(len(facet_order), rows), rhs)
-    assert dec.facet_weights == dict(zip(facet_order, ref.particular))
+    assert dict(zip(dec.facet_order, dec.solution.particular)) == dict(
+        zip(facet_order, ref.particular)
+    )
 
 
 def assert_decompose_matches_the_reference(delta: SimplicialComplex) -> None:
@@ -640,13 +644,10 @@ def assert_decompose_matches_the_reference(delta: SimplicialComplex) -> None:
         dec = decompose_shapley(delta, i)
         facet_order, row_faces, rows, rhs = decomposition_system_ref(delta, i)
         ref = solve_exact_ref(RationalMatrix(len(facet_order), rows), rhs)
-        if ref.status is SolveStatus.INCONSISTENT:
-            status, weights = DecompositionStatus.INFEASIBLE, None
-        else:
-            status, weights = DecompositionStatus.EXACT, dict(zip(facet_order, ref.particular))
         assert (dec.facet_order, dec.row_faces) == (facet_order, row_faces)
-        assert (dec.status, dec.facet_weights, dec.certificate) == (
-            status, weights, ref.certificate
+        sol = dec.solution
+        assert (sol.status, sol.particular, sol.certificate) == (
+            ref.status, ref.particular, ref.certificate
         )
 
 
@@ -680,6 +681,20 @@ def nonpure_complexes(draw):
 @given(nonpure_complexes())
 def test_decomposition_rows_match_the_facet_scan(delta):
     assert_decompose_matches_the_reference(delta)
+
+
+def test_decomposition_is_the_solve_of_its_system():
+    # each facet F through i owns the row T = F - i, nonzero only in F's
+    # column, so the columns are independent and a solution is unique
+    statuses = set()
+    for delta in random_nonpure_complexes(60, seed=28):
+        for i in delta.vertices:
+            facet_order, row_faces, rows, rhs = decomposition_system_ref(delta, i)
+            dec = decompose_shapley(delta, i)
+            assert (dec.facet_order, dec.row_faces) == (facet_order, row_faces)
+            assert dec.solution == solve_exact(RationalMatrix(len(facet_order), rows), rhs)
+            statuses.add(dec.solution.status)
+    assert statuses == {SolveStatus.UNIQUE, SolveStatus.INCONSISTENT}
 
 
 def test_decompose_requires_vertex():
