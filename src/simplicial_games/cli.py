@@ -2,13 +2,12 @@
 
 Commands: info, shapley, symmetry, psystem, decompose, verify, efficiency.
 Each command computes one result, a dict under its JSON keys, and ``show``
-prints it in the format asked for.  The JSON output is that result, with
-every rational as the string "p/q", in the layout of ``json.dumps(indent=2)``;
-before Python 3.13 the CLI's own writer prints it, as ``json.dumps`` writes
-an indent there with its pure-Python encoder.  The table is formatted from
-the same values.  All verdicts are computed on exact rationals; the decimal
-column of a table is a 6-significant-digit approximation, display only.
-Identical inputs and seed produce byte-identical output.
+prints it in the format asked for.  The JSON output is that result on one
+line from ``json.dumps``, with every rational as the string "p/q".  The
+table is formatted from the same values.  All verdicts are computed on exact
+rationals; the decimal column of a table is a 6-significant-digit
+approximation, display only.  Identical inputs and seed produce
+byte-identical output.
 
 Exit codes: 0 success, 2 parse/config error, a malformed command line included,
 3 mathematical precondition violated, 4 verification failure; each error prints
@@ -24,7 +23,6 @@ import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Callable
 
@@ -85,57 +83,8 @@ def emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _json_text(o, nl: str = "\n") -> str:
-    """The text of ``json.dumps(o, indent=2, default=rational)``, byte for byte.
-
-    ``emit_json`` uses it before Python 3.13, where ``json.dumps`` writes an
-    indent in pure Python; delete it once ``requires-python`` reaches 3.13.
-    Keys are str or int, not bool; values are str, int, bool, None,
-    ``Fraction``, list, tuple or dict.  Any other type is a TypeError.
-    """
-    t = type(o)
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = nl + "  "
-        if set(map(type, o)) == {int}:
-            items = map(int.__repr__, o)
-        else:
-            items = [_json_text(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        items = []
-        for k, v in o.items():
-            if type(k) is str:
-                k = encode_basestring_ascii(k)
-            elif type(k) is not bool and isinstance(k, int):
-                k = '"' + int.__repr__(k) + '"'
-            else:
-                raise TypeError(f"keys must be str or int, not {type(k).__name__}")
-            items.append(k + ": " + _json_text(v, inner))
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if t is str:
-        return encode_basestring_ascii(o)
-    if t is Fraction:
-        return encode_basestring_ascii(format_rational(o))
-    if o is None:
-        return "null"
-    if t is bool:
-        return "true" if o else "false"
-    if isinstance(o, int):  # an int subclass too, as json.dumps prints one
-        return int.__repr__(o)
-    raise TypeError(f"{t.__name__} is not JSON serializable")
-
-
 def emit_json(doc: dict) -> None:
-    if sys.version_info >= (3, 13):  # json.dumps writes an indent in C
-        text = json.dumps(doc, indent=2, default=rational)
-    else:
-        text = _json_text(doc)
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(json.dumps(doc, default=rational) + "\n")
 
 
 def show(args, result: dict, table: Callable[[], list[str]], code: int = EXIT_OK) -> int:
@@ -245,11 +194,11 @@ def cmd_symmetry(args) -> int:
     result = {
         "symm_order": order,
         "generators": [
-            {"perm": tuple(g), "preserves": moved is None, "moved_face": moved}
+            {"perm": g, "preserves": moved is None, "moved_face": moved}
             for g, moved in verdicts
         ],
         "pi_delta_contained": witness is None,
-        "witness": {"perm": tuple(witness[0]), "face": witness[1]} if witness else None,
+        "witness": {"perm": witness[0], "face": witness[1]} if witness else None,
         "pairing": pairing,
     }
 
@@ -278,16 +227,17 @@ def cmd_psystem(args) -> int:
     delta = load_nonempty_complex(args.complex)
     rows, reps = p_system_rows(delta)
     solution = solve_p_system(delta)
-    cls = classify_shapley(delta)
-    # the one row s gives sum_k s_k / (len(s) s_k) = 1: the canonical solution satisfies it
-    canonical = shapley_weights(cls.s_vector) if cls.is_shapley else None
+    # one distinct link f-vector s is a Shapley complex; its one row gives
+    # sum_k s_k / (len(s) s_k) = 1, so the canonical solution satisfies it
+    shapley = len(rows) == 1
+    canonical = shapley_weights(rows[0]) if shapley else None
     result = {
         "rows": rows,
         "status": solution.status.value,
         "particular": solution.particular or None,
         "nullspace": solution.nullspace_basis,
         "canonical": canonical,
-        "canonical_satisfies": cls.is_shapley or None,
+        "canonical_satisfies": shapley or None,
     }
 
     def table():

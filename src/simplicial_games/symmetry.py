@@ -77,7 +77,9 @@ class Permutation(tuple):
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        """(i j): the swap of {i} and {j}."""
+        """(i j): the swap of {i} and {j}, two int vertices in 1..n."""
+        if not all(type(v) is int and 1 <= v <= n for v in (i, j)):  # before the shifts
+            raise ValueError(f"transposition needs two vertices in 1..{n}, got {i!r} and {j!r}")
         return cls(swap_permutation(n, 1 << (i - 1), 1 << (j - 1)))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:

@@ -9,18 +9,17 @@ from random import Random
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from simplicial_games import (
     Face,
+    Permutation,
     SimplicialComplex,
     full_simplex,
     moved_facet,
     pi_delta_generators,
     symm_group,
 )
-from simplicial_games.cli import _json_text, main, rational
+from simplicial_games.cli import emit_json, main
 from simplicial_games import errors
 from simplicial_games.errors import BudgetExceeded, ParseError, SimplicialGamesError
 from simplicial_games.exactnum import parse_rational
@@ -510,50 +509,15 @@ def test_game_over_a_huge_denominator_is_refused_before_its_table(command, tmp_p
     assert re.fullmatch(r"error\[BudgetExceeded\]: [^\n]*\n", err), err
 
 
-# control characters and lone surrogates as well as any other code point
-json_chars = st.one_of(
-    st.characters(), st.integers(0, 0x1F).map(chr), st.integers(0xD800, 0xDFFF).map(chr)
-)
-json_text = st.lists(json_chars, max_size=6).map("".join)
-json_ints = st.one_of(
-    st.integers(), st.integers(min_value=2**64), st.integers(max_value=-(2**64)),
-    st.sampled_from([1, -1]).map(lambda sign: sign * 10**4300),  # past the int-to-text limit
-)
-json_leaves = st.one_of(
-    st.none(), st.booleans(), json_text, json_ints, st.builds(Face, st.integers(0, 2**12)),
-    st.fractions(), st.integers().map(F), st.lists(json_ints, max_size=5),
-)
-json_docs = st.recursive(
-    json_leaves,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=4),
-        st.lists(kids, max_size=4).map(tuple),
-        st.dictionaries(st.one_of(json_text, st.integers()), kids, max_size=4),
-    ),
-    max_leaves=24,
-)
-
-
-def dumped(write, doc):
-    """The text ``write`` gives the document, or ValueError for an int too long to print."""
-    try:
-        return write(doc)
-    except ValueError:
-        return ValueError
-
-
-@settings(max_examples=400, deadline=None)
-@given(json_docs)
-def test_json_writer_is_json_dumps_with_an_indent_of_2(doc):
-    # the writer runs on every interpreter here, also where emit_json uses json.dumps
-    expected = dumped(lambda d: json.dumps(d, indent=2, default=rational), doc)
-    assert dumped(_json_text, doc) == expected
+def test_emit_json_prints_one_line_from_json_dumps(capsys):
+    # a tuple subclass is a list, an int subclass an int, a rational "p/q"
+    emit_json({"perm": Permutation((2, 1, 3)), "face": Face(5), Face(3): F(1, 2)})
+    assert capsys.readouterr().out == '{"perm": [2, 1, 3], "face": 5, "3": "1/2"}\n'
 
 
 @pytest.mark.parametrize(
-    "doc", [{"x": 1.5}, {"x": [{1}]}, {True: 1}, {"x": {F(1, 2): 1}}],
-    ids=["float", "set", "bool_key", "fraction_key"],
+    "doc", [{"x": [{1}]}, {"x": {F(1, 2): 1}}], ids=["set", "fraction_key"],
 )
 def test_json_writer_refuses_what_it_has_no_form_for(doc):
     with pytest.raises(TypeError):
-        _json_text(doc)
+        emit_json(doc)

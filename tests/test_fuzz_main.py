@@ -135,8 +135,8 @@ def test_main_keeps_its_exit_and_error_promise(workdir, case):
         assert re.fullmatch(r"error\[\w+\]: [^\n]*\n", err.getvalue()), err.getvalue()
     else:
         assert err.getvalue() == ""
-        if "--format=json" in options:  # the CLI's writer gives json.dumps's layout
-            assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"
+        if "--format=json" in options:  # one line in json.dumps's default layout
+            assert out.getvalue() == json.dumps(json.loads(out.getvalue())) + "\n"
 
 
 FLAGS = ["--complex", "--game", "--player", "--format", "--seed"]

@@ -36,7 +36,7 @@ from simplicial_games.errors import (
     HypothesisNotMet,
     NotPureLinks,
 )
-from conftest import cycle, figure_a, figure_b, petersen
+from conftest import cycle, figure_a, figure_b, golden_fixtures, petersen
 from oracles import (
     apply_face,
     built_link,
@@ -255,6 +255,17 @@ def test_a_transposition_is_the_swap_of_two_singletons():
         for i, j in combinations(range(1, n + 1), 2):
             swap = swap_permutation(n, 1 << i - 1, 1 << j - 1)
             assert swap == Permutation.transposition(n, i, j)
+
+
+@pytest.mark.parametrize(
+    "i, j", [(1, 0), (0, 1), (1, 1.5), ("1", 2), (True, 2), (1, 10**7)],
+    ids=["zero", "zero_first", "float", "str", "bool", "huge"],
+)
+def test_a_transposition_refuses_a_vertex_outside_1_to_n_before_any_shift(i, j):
+    # a bool is not a vertex id; 10**7 is refused before a 10**7-bit mask is built
+    message = f"transposition needs two vertices in 1..3, got {i!r} and {j!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Permutation.transposition(3, i, j)
 
 
 def swap_outcome(n, left, right):
@@ -568,6 +579,34 @@ def test_the_canonical_solution_satisfies_the_p_system(delta):
     canonical = shapley_weights(cls.s_vector)
     assert sum(c * w for c, w in zip(cls.s_vector, canonical)) == 1
     assert solve_p_system(delta).status is not SolveStatus.INCONSISTENT
+
+
+def seeded_pure_complexes(count: int, seed: int) -> list[SimplicialComplex]:
+    """``count`` seeded complexes on 2..8 vertices whose facets share one size."""
+    rng = Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        k = rng.randint(1, n)
+        facets = [rng.sample(range(1, n + 1), k) for _ in range(rng.randint(1, 6))]
+        out.append(SimplicialComplex.from_facets(n, facets))
+    return out
+
+
+def test_one_distinct_p_system_row_is_a_shapley_complex():
+    # the psystem command reads the Shapley verdict and s off its own rows
+    complexes = [*golden_fixtures().values(), *seeded_pure_complexes(200, 29)]
+    verdicts = set()
+    for delta in complexes:
+        if not delta.has_pure_links():
+            continue
+        rows, _ = symmetry.p_system_rows(delta)
+        cls = classify_shapley(delta)
+        assert (len(rows) == 1) == cls.is_shapley, delta
+        if cls.is_shapley:
+            assert rows[0] == cls.s_vector, delta
+        verdicts.add(cls.is_shapley)
+    assert verdicts == {True, False}
 
 
 def test_p_system_simplex_3():
