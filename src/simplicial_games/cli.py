@@ -48,9 +48,9 @@ from .values import (
     check_efficiency_identity,
     decompose_shapley,
     efficiency_coefficients,
-    efficiency_rhs,
     generalized_shapley,
     shapley_efficiency_closed_form,
+    shapley_efficiency_rhs,
     shapley_weights,
 )
 
@@ -158,7 +158,7 @@ def cmd_shapley(args) -> int:
     aggregate = sum(values.values(), Fraction(0))
     closed_rhs = None
     try:
-        closed_rhs = efficiency_rhs(shapley_efficiency_closed_form(delta), game)
+        closed_rhs = shapley_efficiency_rhs(game)
     except (NotPureLinks, HypothesisNotMet):
         pass
     match = closed_rhs == aggregate if closed_rhs is not None else None

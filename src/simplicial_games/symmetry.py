@@ -35,13 +35,14 @@ from itertools import chain, combinations, groupby
 from math import comb
 from typing import Iterator
 
-from .complexes import FVector, SimplicialComplex
+from .complexes import _ID_BIT, FVector, SimplicialComplex
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     EmptyComplex,
     GroundSetTooLarge,
     NotPureLinks,
+    VertexOutOfRange,
 )
 from .exactnum import LinearSolution, RationalMatrix, solve_exact
 
@@ -111,13 +112,19 @@ def moved_facet(delta: SimplicialComplex, perm: tuple[int, ...]) -> int | None:
     """The first facet perm maps outside the complex, or None if it preserves it.
 
     perm is any image tuple of length n, a Permutation or a plain tuple.  A
-    bijection sending every facet to a face preserves the whole complex.
+    bijection sending every facet to a face preserves the whole complex.  A
+    Permutation is a bijection of 1..n already; a plain tuple is checked for
+    int images in 1..n before any image bit is built.
     """
     if len(perm) != delta.n:
         raise DimensionMismatch(
             f"permutation of 1..{len(perm)} applied to a complex over 1..{delta.n}"
         )
-    bits = [1 << (w - 1) for w in perm]
+    if not isinstance(perm, Permutation) and perm and not (
+        {int}.issuperset(map(type, perm)) and min(perm) >= 1 and max(perm) <= delta.n
+    ):
+        raise VertexOutOfRange(f"permutation images must be int vertices in 1..{delta.n}")
+    bits = list(map(_ID_BIT.__getitem__, perm))
     faces = delta.face_ids
     for f in delta.facets:
         if _image_mask(f, bits) not in faces:

@@ -26,13 +26,18 @@ Efficiency aggregates come from the coefficient construction
 sum_i phi_i(v) = sum_T a_T v(T) an identity.  It is computed as one
 scatter over the tables, in ints over the lcm of the weights' denominators:
 each weight p^i_T adds p to a_{T+i} and, unless T is empty, subtracts p
-from a_T.  The facet decomposition
-solves, per coalition T in the link, for weights c_F over the facets
-containing T+i so the weighted classical Shapley values on facet
-restrictions reproduce the generalized value.  Both sides are linear
+from a_T.  On an s-Shapley complex a_T depends only on (|T|, ext(T)), so
+the closed-form right side sums a game's numerators per class.
+
+The facet decomposition asks, per coalition T in the link, for weights c_F
+over the facets containing T+i so the weighted classical Shapley values on
+facet restrictions reproduce the generalized value.  Both sides are linear
 in the marginals v(T+i) - v(T), which are independent over the link, so the
-system's rows are exactly that identity: a solution, unique when it exists,
-proves the decomposition for every game, and no game needs to be sampled.
+system's rows are exactly that identity: a solution proves the
+decomposition for every game, and no game needs to be sampled.  The row
+F - i of a facet F holds F alone, so each weight is read off its facet's
+row and the other rows are checked by substitution; the exact solver runs
+only to certify a system with a failing row infeasible.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .errors import (
     TooManyPlayers,
     VertexNotInComplex,
 )
-from .exactnum import LinearSolution, RationalMatrix, solve_exact
+from .exactnum import LinearSolution, RationalMatrix, SolveStatus, solve_exact
 from .games import (
     _DRAWN_DENOMINATOR,
     Game,
@@ -236,14 +241,15 @@ def efficiency_coefficients(
     return {t: Fraction(x, d) for t, x in a.items()}
 
 
-def shapley_efficiency_closed_form(
+def _closed_form_classes(
     delta: SimplicialComplex,
-) -> EfficiencyCoefficients:
-    """Closed-form a_T for an s-Shapley complex with pure links.
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int], Fraction]]:
+    """The class (|T|, ext(T)) of each nonempty face T in canonical order, and a_T per class.
 
-    With w = shapley_weights(s) for the common link f-vector s, a face T
-    gets |T| w_{|T|-1} - ext(T) w_{|T|}, ext(T) counting the faces T + j.
-    A facet has no extension, so it gets |T| w_{|T|-1} alone.
+    With w = shapley_weights(s) for the common link f-vector s of an
+    s-Shapley complex with pure links, a face T gets |T| w_{|T|-1} -
+    ext(T) w_{|T|}, ext(T) counting the faces T + j.  A facet has no
+    extension, so it gets |T| w_{|T|-1} alone.
     """
     if not delta.has_pure_links():
         raise NotPureLinks("closed-form coefficients require pure links")
@@ -260,13 +266,33 @@ def shapley_efficiency_closed_form(
     for g, ids in delta.face_ids.items():
         for j in ids:
             ext[g ^ bit[j]] += 1
-    nonempty = delta.faces[1:]
-    pairs = list(zip(map(int.bit_count, nonempty), islice(ext.values(), 1, None)))
-    by_pair = {  # one a_T per (|T|, ext(T))
+    pairs = list(zip(map(int.bit_count, delta.faces[1:]), islice(ext.values(), 1, None)))
+    by_pair = {
         (card, e): card * weights[card - 1] - (e * weights[card] if e else 0)
         for card, e in set(pairs)
     }
-    return dict(zip(nonempty, map(by_pair.__getitem__, pairs)))
+    return pairs, by_pair
+
+
+def shapley_efficiency_closed_form(
+    delta: SimplicialComplex,
+) -> EfficiencyCoefficients:
+    """Closed-form a_T for an s-Shapley complex with pure links, one per nonempty face."""
+    pairs, by_pair = _closed_form_classes(delta)
+    return dict(zip(delta.faces[1:], map(by_pair.__getitem__, pairs)))
+
+
+def shapley_efficiency_rhs(v: Game) -> Fraction:
+    """sum_T a_T v(T) for the closed-form a_T, exactly.
+
+    a_T depends only on the class (|T|, ext(T)), so the numerators are
+    summed per class as ints and each class is weighted once.
+    """
+    pairs, by_pair = _closed_form_classes(v.complex)
+    sums = dict.fromkeys(by_pair, 0)
+    for pair, x in zip(pairs, islice(v.numerators.values(), 1, None)):
+        sums[pair] += x
+    return _dot([(by_pair[pair], x) for pair, x in sums.items()], v.denominator)
 
 
 @dataclass(frozen=True)
@@ -307,8 +333,9 @@ class Decomposition:
     ``solution`` solves the system with one row per coalition T in
     ``row_faces``, the link of the player, and one column per facet in
     ``facet_order``.  The row T = F - i is nonzero only in F's column, so
-    the weights c_F, in facet order, are ``solution.particular`` and unique
-    when they exist; otherwise ``certificate`` is lam with lam @ A = 0, lam @ b = 1.
+    the weights c_F, in facet order, are read off those rows and are
+    ``solution.particular`` when the other rows agree; otherwise
+    ``certificate`` is lam with lam @ A = 0, lam @ b = 1, from the solver.
     """
 
     facet_order: tuple[int, ...]
@@ -317,28 +344,41 @@ class Decomposition:
 
 
 def decompose_shapley(delta: SimplicialComplex, i: int) -> Decomposition:
-    """Solve for facet weights reproducing the generalized Shapley value.
+    """Facet weights reproducing the generalized Shapley value, or a certificate.
 
-    One equation per coalition T in the link of i:
+    One equation per coalition T in the link of i, with w =
+    shapley_weights(f(Link(i))), in the unknowns c_F over facets F through i:
 
-        sum_{F facet >= T+i} c_F (1/|F|) / C(|F|-1, |T|)
-            = shapley_weights(f(Link(i)))[|T|]
+        sum_{F facet >= T+i} c_F (1/|F|) / C(|F|-1, |T|) = w_{|T|}
 
-    Solved exactly in the unknowns c_F over facets containing i, which are
-    unique when they exist.  The left side is the weight the combined classical
-    values put on the marginal v(T+i) - v(T), the right side the Shapley weight
-    the generalized value puts on it: a solution reproduces that value on every game.
+    The left side is the weight the combined classical values put on the
+    marginal v(T+i) - v(T), the right side the weight the generalized value
+    puts on it: a solution reproduces that value on every game.  The row
+    F - i holds F alone, so c_F = |F| w_{|F|-1} is the only candidate; every
+    row is checked by substituting it.  Only when a row fails is the system
+    built and handed to ``solve_exact``, whose certificate proves it infeasible.
     """
     single = delta.require_vertex(i)
     weights = shapley_weights(delta.link_f_vectors()[i])
     facet_order = delta.facets_containing(single)
     row_faces = delta.link(single)
     # i is in every facet of the order, so T + i lies in F exactly when T
-    # does, and then |T| < |F|: coeff[|F|][|T|] = 1/(|F| C(|F|-1, |T|))
+    # does, and then |T| < |F|
     sizes = [f.bit_count() for f in facet_order]
-    coeff = {k: [Fraction(1, k * math.comb(k - 1, j)) for j in range(k)] for k in set(sizes)}
+    share = {k: [weights[k - 1] / math.comb(k - 1, j) for j in range(k)] for k in set(sizes)}
+    facets = list(zip(facet_order, sizes))
+
+    def holds(t: int) -> bool:
+        j = t.bit_count()
+        return sum(share[k][j] for f, k in facets if t & f == t) == weights[j]
+
+    if all(map(holds, row_faces)):
+        c = tuple(k * weights[k - 1] for k in sizes)
+        return Decomposition(facet_order, row_faces, LinearSolution(SolveStatus.UNIQUE, c, ()))
+    # coeff[|F|][|T|] = 1/(|F| C(|F|-1, |T|))
+    coeff = {k: [Fraction(1, k * math.comb(k - 1, j)) for j in range(k)] for k in share}
     rows = (
-        tuple(coeff[k][t.bit_count()] if t & f == t else 0 for f, k in zip(facet_order, sizes))
+        tuple(coeff[k][t.bit_count()] if t & f == t else 0 for f, k in facets)
         for t in row_faces
     )
     rhs = [weights[t.bit_count()] for t in row_faces]

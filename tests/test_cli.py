@@ -198,9 +198,11 @@ def test_closed_form_errors_other_than_its_refusals_propagate(
 ):
     from simplicial_games import cli
 
-    def over_budget(delta):
+    def over_budget(delta_or_game):
         raise BudgetExceeded("closed form over budget")
 
+    # shapley takes the closed-form right side, efficiency the whole table
+    monkeypatch.setattr(cli, "shapley_efficiency_rhs", over_budget)
     monkeypatch.setattr(cli, "shapley_efficiency_closed_form", over_budget)
     argv = ["--complex", files["simplex4.json"], "--game", files["edge_game.json"]]
     code, out, err = run(capsys, command, *argv, "--format", fmt)
@@ -251,6 +253,7 @@ def test_failing_verdicts_are_reported(fmt, files, monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "shapley_efficiency_closed_form", lambda delta: {t: F(7) for t in delta.faces[1:]}
     )
+    monkeypatch.setattr(cli, "shapley_efficiency_rhs", lambda game: F(7))
     monkeypatch.setattr(
         cli,
         "axiom_suite",

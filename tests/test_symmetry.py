@@ -35,6 +35,7 @@ from simplicial_games.errors import (
     GroundSetTooLarge,
     HypothesisNotMet,
     NotPureLinks,
+    VertexOutOfRange,
 )
 from conftest import cycle, figure_a, figure_b, golden_fixtures, petersen
 from oracles import (
@@ -338,6 +339,17 @@ def test_wrong_size_permutation_is_rejected(size):
     for images in (perm, tuple(perm)):
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             moved_facet(delta, images)
+
+
+@pytest.mark.parametrize(
+    "images", [(0, 1), (1.0, 2), (2, 10**7), (True, 2)], ids=["zero", "float", "huge", "bool"]
+)
+def test_moved_facet_refuses_an_image_outside_1_to_n_before_any_bit(images):
+    # 10**7 is refused before a 10**7-bit mask is built; a bool is not a vertex id
+    delta = SimplicialComplex.from_facets(2, [[1, 2]])
+    message = "permutation images must be int vertices in 1..2"
+    with pytest.raises(VertexOutOfRange, match=f"^{re.escape(message)}$"):
+        moved_facet(delta, images)
 
 
 def test_moved_facet_reads_any_image_tuple():

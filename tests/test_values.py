@@ -23,6 +23,7 @@ from simplicial_games import (
     classify_shapley,
     decompose_shapley,
     efficiency_coefficients,
+    efficiency_rhs,
     full_simplex,
     generalized_shapley,
     group_value,
@@ -37,8 +38,10 @@ from simplicial_games import (
 from simplicial_games import values
 from simplicial_games.games import game_from_dict, random_rational
 from simplicial_games.errors import (
+    HypothesisNotMet,
     KeyOutsideLink,
     MissingPlayerTable,
+    NotPureLinks,
     TooManyPlayers,
     VertexNotInComplex,
 )
@@ -479,6 +482,26 @@ def test_closed_form_matches_construction_on_shapley_fixtures():
     assert checked >= 14
 
 
+def test_closed_form_rhs_weights_each_class_once():
+    # the per-class sums against the whole closed-form table dotted with the
+    # game, and the closed form's own refusal where it has none
+    rng = Random(31)
+    outcomes = set()
+    for delta in [*golden_fixtures().values(), *random_nonpure_complexes(40, seed=808)]:
+        v = random_game(delta, rng)
+        try:
+            closed = shapley_efficiency_closed_form(delta)
+        except (NotPureLinks, HypothesisNotMet) as refusal:
+            with pytest.raises(type(refusal)) as caught:
+                values.shapley_efficiency_rhs(v)
+            assert str(caught.value) == str(refusal)
+            outcomes.add(type(refusal))
+            continue
+        assert values.shapley_efficiency_rhs(v) == efficiency_rhs(closed, v)
+        outcomes.add(None)
+    assert outcomes == {None, NotPureLinks, HypothesisNotMet}
+
+
 def test_efficiency_identity_everywhere(fixtures):
     rng = Random(17)
     for delta in fixtures.values():
@@ -623,6 +646,24 @@ def test_decompose_samples_no_game(monkeypatch, fixtures):
     for delta in fixtures.values():
         for i in delta.vertices:
             decompose_shapley(delta, i)
+
+
+def test_decompose_calls_the_solver_only_to_certify_an_infeasible_system(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_exact(*args)
+
+    monkeypatch.setattr(values, "solve_exact", counted)
+    statuses = set()
+    for delta in DECOMPOSITION_CORPUS.values():
+        for i in delta.vertices:
+            calls.clear()
+            status = decompose_shapley(delta, i).solution.status
+            assert len(calls) == (status is SolveStatus.INCONSISTENT)
+            statuses.add(status)
+    assert statuses == {SolveStatus.UNIQUE, SolveStatus.INCONSISTENT}
 
 
 def test_decompose_boundary_of_8_simplex():
