@@ -46,10 +46,12 @@ from .values import (
     axiom_suite,
     canonical_shapley_tables,
     check_efficiency_identity,
+    check_shapley_efficiency_identity,
     decompose_shapley,
     efficiency_coefficients,
     generalized_shapley,
     shapley_efficiency_closed_form,
+    shapley_efficiency_numerators,
     shapley_efficiency_rhs,
     shapley_weights,
 )
@@ -294,8 +296,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_efficiency(args) -> int:
     delta = load_nonempty_complex(args.complex)
-    tables = canonical_shapley_tables(delta)
-    coeffs = efficiency_coefficients(delta, tables)
+    a, d = shapley_efficiency_numerators(delta)
     closed = None
     try:
         closed = shapley_efficiency_closed_form(delta)
@@ -304,7 +305,10 @@ def cmd_efficiency(args) -> int:
     check = None
     if args.game:
         game = load_game(args.game, delta)
-        check = check_efficiency_identity(coeffs, tables, game)
+        check = check_shapley_efficiency_identity(a, d, game)
+    # one Fraction per distinct numerator, shared by the faces that have it
+    shared = {x: Fraction(x, d) for x in set(a.values())}
+    coeffs = dict(zip(a, map(shared.__getitem__, a.values())))
     # the nonempty faces in canonical order, as in closed
     coefficients = by_face_key(delta, coeffs)
     matches = closed == coeffs if closed is not None else None

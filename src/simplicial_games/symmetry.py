@@ -31,6 +31,7 @@ cannot be checked against its abstract alone, so this reading is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, groupby
 from math import comb
 from typing import Iterator
@@ -197,6 +198,12 @@ def symm_group(delta: SimplicialComplex) -> int:
     return order
 
 
+@lru_cache(maxsize=8)
+def _identity(n: int) -> tuple[int, ...]:
+    """The identity image tuple (1, ..., n), which every swap copies; the last few n are kept."""
+    return tuple(range(1, n + 1))
+
+
 def swap_permutation(n: int, left: int, right: int) -> tuple[int, ...]:
     """The image tuple exchanging two equal-cardinality sets, given as masks.
 
@@ -208,7 +215,7 @@ def swap_permutation(n: int, left: int, right: int) -> tuple[int, ...]:
         raise ValueError("sets must have equal cardinality")
     if (lo | ro) >> n:
         raise ValueError(f"sets must lie in 1..{n}")
-    images = list(range(1, n + 1))
+    images = list(_identity(n))
     while lo:
         a, b = (lo & -lo).bit_length() - 1, (ro & -ro).bit_length() - 1
         images[a], images[b] = b + 1, a + 1

@@ -24,10 +24,14 @@ Efficiency aggregates come from the coefficient construction
 
 (a facet is in no link, so its second sum is empty), which makes
 sum_i phi_i(v) = sum_T a_T v(T) an identity.  It is computed as one
-scatter over the tables, in ints over the lcm of the weights' denominators:
-each weight p^i_T adds p to a_{T+i} and, unless T is empty, subtracts p
-from a_T.  On an s-Shapley complex a_T depends only on (|T|, ext(T)), so
-the closed-form right side sums a game's numerators per class.
+scatter, in ints over the lcm of the weights' denominators: each weight
+p^i_T adds p to a_{T+i} and, unless T is empty, subtracts p from a_T.
+Any tables are scattered from their entries (``efficiency_coefficients``);
+the canonical Shapley tables need only the per-size weights, so their
+scatter walks the (face, vertex) pairs without building a table
+(``shapley_efficiency_numerators``), and their identity compares two int
+sums.  On an s-Shapley complex a_T depends only on (|T|, ext(T)), so the
+closed-form right side sums a game's numerators per class.
 
 The facet decomposition asks, per coalition T in the link, for weights c_F
 over the facets containing T+i so the weighted classical Shapley values on
@@ -241,6 +245,39 @@ def efficiency_coefficients(
     return {t: Fraction(x, d) for t, x in a.items()}
 
 
+def _shapley_weight_numerators(fvs: Mapping[int, FVector], d: int) -> dict[int, list[int]]:
+    """d * shapley_weights(f(Link(i))) per vertex i, as ints; d is a common denominator."""
+    return {
+        i: [w.numerator * (d // w.denominator) for w in shapley_weights(fv)]
+        for i, fv in fvs.items()
+    }
+
+
+def shapley_efficiency_numerators(delta: SimplicialComplex) -> tuple[dict[int, int], int]:
+    """The a_T of the canonical Shapley tables as int numerators over one d.
+
+    ``efficiency_coefficients(delta, canonical_shapley_tables(delta))`` is
+    the dict of Fraction(a[T], d), without building a table: each face g
+    is the link face g - j of each of its vertices j, weighing w^j_{|g|-1},
+    so one walk over ``face_ids`` adds d w^j_{|g|-1} to a[g] and subtracts
+    it from a[g - j].  d is the lcm of the Shapley weights' denominators;
+    a holds the nonempty faces, zeros kept, in canonical order.
+    """
+    fvs = delta.link_f_vectors()
+    d = math.lcm(*{w.denominator for fv in set(fvs.values()) for w in shapley_weights(fv)})
+    scaled = _shapley_weight_numerators(fvs, d)
+    a = dict.fromkeys(delta.faces, 0)
+    bit = _ID_BIT
+    for g, ids in delta.face_ids.items():
+        c = len(ids) - 1
+        for j in ids:
+            x = scaled[j][c]
+            a[g] += x
+            a[g ^ bit[j]] -= x
+    del a[0]
+    return a, d
+
+
 def _closed_form_classes(
     delta: SimplicialComplex,
 ) -> tuple[list[tuple[int, int]], dict[tuple[int, int], Fraction]]:
@@ -318,6 +355,25 @@ def check_efficiency_identity(
     lhs = sum(group_value(v, tables).values(), Fraction(0))
     rhs = efficiency_rhs(coeffs, v)
     return EfficiencyCheck(lhs == rhs, lhs, rhs, lhs - rhs)
+
+
+def check_shapley_efficiency_identity(a: Mapping[int, int], d: int, v: Game) -> EfficiencyCheck:
+    """``check_efficiency_identity`` for the canonical Shapley tables, as two int sums.
+
+    ``a, d`` are ``shapley_efficiency_numerators(v.complex)``.  Over
+    d * v.denominator, the left side is sum_i sum_c d w^i_c m^i_{c+1}, with
+    m^i the marginals of i summed per size (``Game.marginal_sums``): that is
+    sum_i generalized_shapley(v, i).  The right side is sum_T a[T] num[T].
+    Only the three results are built as ``Fraction``s.
+    """
+    scaled = _shapley_weight_numerators(v.complex.link_f_vectors(), d)
+    sums, num = v.marginal_sums(), v.numerators
+    lhs = sum(x * m for i, xs in scaled.items() for x, m in zip(xs, sums[i][1:]))
+    rhs = sum(x * num[t] for t, x in a.items())
+    scale = d * v.denominator
+    return EfficiencyCheck(
+        lhs == rhs, Fraction(lhs, scale), Fraction(rhs, scale), Fraction(lhs - rhs, scale)
+    )
 
 
 def efficiency_rhs(coeffs: EfficiencyCoefficients, v: Game) -> Fraction:

@@ -3,14 +3,19 @@
 A game stores int numerators over one denominator, and the value kernels
 add ints.  Here the games are hostile to that: mixed signs, zeros, and
 large pairwise-coprime denominators (2^p - 1 for distinct primes p share no
-factor), on seeded random non-pure complexes with n <= 7.  The weight
+factor), on seeded random non-pure complexes with n <= 7, and on skeleta,
+cones, complexes with an isolated vertex and complexes whose n exceeds
+their vertex count.  The weight
 tables and efficiency coefficients are as hostile: signed, zero, empty, or
 all over one large denominator.  Every kernel must equal the definitional
 Fraction computation exactly.  The game loader, which reads keys to masks
 and worths to int pairs, must build the game the per-key ``Fraction`` loader
 builds, and raise its error (type, message, first bad key in file order) on
 every file it refuses; the int efficiency scatter and the closed form must
-equal the ``Fraction`` scatter and the per-bit extension count.
+equal the ``Fraction`` scatter and the per-bit extension count.  The
+canonical tables' scatter from the per-size weights must equal the scatter
+of the built tables, and its int identity the ``Fraction`` identity, a
+failing one included.
 """
 
 import math
@@ -28,11 +33,13 @@ from simplicial_games.values import (
     ProbabilityTable,
     canonical_shapley_tables,
     check_efficiency_identity,
+    check_shapley_efficiency_identity,
     efficiency_coefficients,
     efficiency_rhs,
     generalized_shapley,
     probabilistic_value,
     shapley_efficiency_closed_form,
+    shapley_efficiency_numerators,
 )
 from conftest import cycle, figure_b, golden_fixtures
 from oracles import (
@@ -72,6 +79,24 @@ def nonpure_complex(rng: Random) -> SimplicialComplex:
         tops = facet_masks_of(set(delta.faces))
         if len({m.bit_count() for m in tops}) > 1:
             return delta
+
+
+def complex_of_any_family(rng: Random) -> SimplicialComplex:
+    """A non-pure complex, a skeleton, a cone, one with an isolated vertex, or
+    one whose n exceeds its vertex count, on at most 9 ids."""
+    kind = rng.choice(("non-pure", "skeleton", "cone", "isolated vertex", "n above"))
+    if kind == "skeleton":
+        n = rng.randint(2, 7)
+        return full_simplex(n).skeleton(rng.randint(1, n))
+    base = nonpure_complex(rng)
+    n, facets = base.n, [list(Face(f).vertices) for f in base.facets]
+    if kind == "cone":
+        return SimplicialComplex.from_facets(n + 1, [[*f, n + 1] for f in facets])
+    if kind == "isolated vertex":
+        return SimplicialComplex.from_facets(n + 1, [*facets, [n + 1]])
+    if kind == "n above":
+        return SimplicialComplex.from_facets(n + rng.randint(1, 2), facets)
+    return base
 
 
 def random_worths(delta: SimplicialComplex, rng: Random) -> dict[Face, Fraction]:
@@ -133,11 +158,16 @@ def games_of(delta: SimplicialComplex, rng: Random) -> list[Game]:
 @given(st.integers(0, 2**32 - 1))
 def test_integer_kernels_equal_the_fraction_references(seed):
     rng = Random(seed)
-    delta = nonpure_complex(rng)
+    delta = complex_of_any_family(rng)
     tables = signed_tables(delta, rng)
     coeffs = efficiency_coefficients(delta, tables)
     canonical = canonical_shapley_tables(delta)
     canonical_coeffs = efficiency_coefficients(delta, canonical)
+    a, d = shapley_efficiency_numerators(delta)
+    # one a_T off by 1/d, so the int identity must report the same residual
+    off = rng.choice(delta.faces[1:])
+    a_off = {**a, off: a[off] + 1}
+    coeffs_off = {**canonical_coeffs, off: canonical_coeffs[off] + F(1, d)}
     for v in games_of(delta, rng):
         worth = {f: v.value(f) for f in delta.faces}
         assert v.denominator == math.lcm(*(w.denominator for w in worth.values()))
@@ -156,6 +186,12 @@ def test_integer_kernels_equal_the_fraction_references(seed):
         check = check_efficiency_identity(coeffs, tables, v)
         assert (check.equal, check.lhs, check.rhs) == (True, sum(phi.values(), F(0)), rhs)
         assert check_efficiency_identity(canonical_coeffs, canonical, v).equal
+        assert check_shapley_efficiency_identity(a, d, v) == check_efficiency_identity(
+            canonical_coeffs, canonical, v
+        )
+        assert check_shapley_efficiency_identity(a_off, d, v) == check_efficiency_identity(
+            coeffs_off, canonical, v
+        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,12 +288,19 @@ def mixed_tables(delta: SimplicialComplex) -> dict[int, ProbabilityTable]:
 @given(st.integers(0, 2**32 - 1))
 def test_int_efficiency_scatter_equals_the_fraction_scatter(seed):
     rng = Random(seed)
-    delta = nonpure_complex(rng)
-    for tables in (signed_tables(delta, rng), canonical_shapley_tables(delta), mixed_tables(delta)):
-        got = efficiency_coefficients(delta, tables)
-        assert list(got.items()) == list(efficiency_scatter_ref(delta, tables).items())
-        assert got == efficiency_coefficients_ref(delta, tables)
-        assert all(type(a) is F for a in got.values())
+    for delta in (nonpure_complex(rng), complex_of_any_family(rng)):
+        canonical = canonical_shapley_tables(delta)
+        for tables in (signed_tables(delta, rng), canonical, mixed_tables(delta)):
+            got = efficiency_coefficients(delta, tables)
+            assert list(got.items()) == list(efficiency_scatter_ref(delta, tables).items())
+            assert got == efficiency_coefficients_ref(delta, tables)
+            assert all(type(a) is F for a in got.values())
+        # the canonical tables' scatter from the per-size weights, with no table built
+        a, d = shapley_efficiency_numerators(delta)
+        assert all(type(x) is int for x in a.values())
+        assert [(t, F(x, d)) for t, x in a.items()] == list(
+            efficiency_coefficients(delta, canonical).items()
+        )
 
 
 def test_efficiency_scatter_raises_in_the_reference_order():
