@@ -42,7 +42,6 @@ from .values import (
     classical_shapley_oracle,
     decompose_shapley,
     efficiency_coefficients,
-    efficiency_rhs,
     generalized_shapley,
     group_value,
     probabilistic_value,

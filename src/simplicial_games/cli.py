@@ -45,10 +45,8 @@ from .symmetry import (
 from .values import (
     axiom_suite,
     canonical_shapley_tables,
-    check_efficiency_identity,
     check_shapley_efficiency_identity,
     decompose_shapley,
-    efficiency_coefficients,
     generalized_shapley,
     shapley_efficiency_closed_form,
     shapley_efficiency_numerators,
@@ -347,8 +345,8 @@ def cmd_verify(args) -> int:
     checks = axiom_suite(delta, tables, seed=args.seed)
     rng = Random(args.seed)
     games = [random_game(delta, rng) for _ in range(10)] + given
-    coeffs = efficiency_coefficients(delta, tables)
-    identity = [check_efficiency_identity(coeffs, tables, game) for game in games]
+    a, d = shapley_efficiency_numerators(delta)
+    identity = [check_shapley_efficiency_identity(a, d, game) for game in games]
     ok = all(c.ok for c in checks) and all(c.equal for c in identity)
     result = {
         "checks": [asdict(c) for c in checks],

@@ -26,12 +26,15 @@ Efficiency aggregates come from the coefficient construction
 sum_i phi_i(v) = sum_T a_T v(T) an identity.  It is computed as one
 scatter, in ints over the lcm of the weights' denominators: each weight
 p^i_T adds p to a_{T+i} and, unless T is empty, subtracts p from a_T.
-Any tables are scattered from their entries (``efficiency_coefficients``);
-the canonical Shapley tables need only the per-size weights, so their
+The canonical Shapley tables need only the per-size weights, so their
 scatter walks the (face, vertex) pairs without building a table
 (``shapley_efficiency_numerators``), and their identity compares two int
-sums.  On an s-Shapley complex a_T depends only on (|T|, ext(T)), so the
-closed-form right side sums a game's numerators per class.
+sums; the ``efficiency`` and ``verify`` commands both take this path.
+No command reads the scatter of any tables from their entries
+(``efficiency_coefficients``, ``check_efficiency_identity``): it is the
+general definition the tests compare the int path against.  On an
+s-Shapley complex a_T depends only on (|T|, ext(T)), so the closed-form
+right side sums a game's numerators per class.
 
 The facet decomposition asks, per coalition T in the link, for weights c_F
 over the facets containing T+i so the weighted classical Shapley values on
@@ -353,7 +356,8 @@ def check_efficiency_identity(
     a property of the inputs.
     """
     lhs = sum(group_value(v, tables).values(), Fraction(0))
-    rhs = efficiency_rhs(coeffs, v)
+    num = v.numerators
+    rhs = _dot([(a, num[t]) for t, a in coeffs.items()], v.denominator)
     return EfficiencyCheck(lhs == rhs, lhs, rhs, lhs - rhs)
 
 
@@ -374,12 +378,6 @@ def check_shapley_efficiency_identity(a: Mapping[int, int], d: int, v: Game) -> 
     return EfficiencyCheck(
         lhs == rhs, Fraction(lhs, scale), Fraction(rhs, scale), Fraction(lhs - rhs, scale)
     )
-
-
-def efficiency_rhs(coeffs: EfficiencyCoefficients, v: Game) -> Fraction:
-    """sum_T a_T v(T), exactly."""
-    num = v.numerators
-    return _dot([(a, num[t]) for t, a in coeffs.items()], v.denominator)
 
 
 @dataclass(frozen=True)

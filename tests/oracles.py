@@ -27,6 +27,8 @@ replaced, and ``draw_ref`` the two ``randint`` calls per drawn worth that
 the one-call draw from ``getrandbits`` replaced, kept as the references
 their results must equal.  ``built_link`` builds a link as a complex,
 which no command does: ``SimplicialComplex.link`` returns only its faces.
+``efficiency_rhs`` is the right side sum_T a_T v(T) of the efficiency
+identity for any coefficients, which the closed-form right side must equal.
 
 The JSON writers, the indicator game, the monotone and dummy predicates,
 the permutation action on games and the symmetry-reduction check are used
@@ -291,6 +293,11 @@ def efficiency_scatter_ref(delta, tables) -> dict:
             a[t] -= p
     del a[EMPTY_FACE]
     return a
+
+
+def efficiency_rhs(coeffs, v) -> Fraction:
+    """sum_T a_T v(T), one ``Fraction`` product per face."""
+    return sum((a * v.value(t) for t, a in coeffs.items()), Fraction(0))
 
 
 def closed_form_ref(delta) -> dict:

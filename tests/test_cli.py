@@ -247,10 +247,9 @@ def test_failing_verdicts_are_reported(fmt, files, monkeypatch, capsys):
     from simplicial_games import cli
     from simplicial_games.values import AxiomCheck, EfficiencyCheck
 
-    # efficiency checks the canonical tables' identity in ints, verify any tables'
+    # efficiency and verify both check the canonical tables' identity in ints
     failed = EfficiencyCheck(False, F(1), F(3), F(-2))
     monkeypatch.setattr(cli, "check_shapley_efficiency_identity", lambda *_: failed)
-    monkeypatch.setattr(cli, "check_efficiency_identity", lambda *_: failed)
     monkeypatch.setattr(
         cli, "shapley_efficiency_closed_form", lambda delta: {t: F(7) for t in delta.faces[1:]}
     )

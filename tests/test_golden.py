@@ -154,6 +154,40 @@ def test_structure_reports_build_no_link(command, tmp_path, monkeypatch):
             assert got == golden_path(command, name, fmt).read_text()
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", ["figure_a", "figure_b", "nonpure_8"])
+def test_efficiency_and_verify_take_the_int_path(name, fmt, tmp_path, monkeypatch):
+    # both commands build a_T by the int scatter and check the identity on it:
+    # with the table scatter, its identity check and the group value raising,
+    # each exits 0 with the stdout it has without the patches
+    from simplicial_games import cli, values
+
+    delta = STRUCTURE_FIXTURES[name]
+    path, game = tmp_path / "complex.json", tmp_path / "game.json"
+    path.write_text(json.dumps(complex_to_dict(delta)))
+    game.write_text(json.dumps(game_to_dict(random_game(delta, Random(GAME_SEED)))))
+    runs = [
+        ["efficiency", "--game", str(game)],
+        ["verify", "--seed", "3", "--game", str(game)],
+    ]
+
+    def stdout(argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([*argv, "--complex", str(path), "--format", fmt]) == 0
+        return out.getvalue()
+
+    unpatched = [stdout(argv) for argv in runs]
+
+    def table_path(*_):
+        raise AssertionError("a command read the weight-table scatter")
+
+    for module in (values, cli):
+        for fn in ("efficiency_coefficients", "check_efficiency_identity", "group_value"):
+            monkeypatch.setattr(module, fn, table_path, raising=module is values)
+    assert [stdout(argv) for argv in runs] == unpatched
+
+
 if __name__ == "__main__":
     import tempfile
 

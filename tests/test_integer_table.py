@@ -35,7 +35,6 @@ from simplicial_games.values import (
     check_efficiency_identity,
     check_shapley_efficiency_identity,
     efficiency_coefficients,
-    efficiency_rhs,
     generalized_shapley,
     probabilistic_value,
     shapley_efficiency_closed_form,
@@ -137,7 +136,7 @@ def signed_tables(delta: SimplicialComplex, rng: Random) -> dict[int, Probabilit
 
 
 def signed_coefficients(delta: SimplicialComplex, rng: Random) -> dict[Face, Fraction]:
-    """Signed a_T on some nonempty faces (maybe none), as ``efficiency_rhs`` takes them."""
+    """Signed a_T on some nonempty faces (maybe none), as the identity check takes them."""
     faces = rng.sample(delta.faces[1:], rng.randint(0, len(delta.faces) - 1))
     return {t: random_rational(rng) for t in faces}
 
@@ -180,9 +179,9 @@ def test_integer_kernels_equal_the_fraction_references(seed):
             assert probabilistic_value(v, i, tables[i]) == phi[i]
             assert probabilistic_value(v, i, {}) == 0
         rhs = sum((a * worth[t] for t, a in coeffs.items()), F(0))
-        assert efficiency_rhs(coeffs, v) == rhs
         drawn = signed_coefficients(delta, rng)
-        assert efficiency_rhs(drawn, v) == sum((a * worth[t] for t, a in drawn.items()), F(0))
+        drawn_rhs = check_efficiency_identity(drawn, tables, v).rhs
+        assert drawn_rhs == sum((a * worth[t] for t, a in drawn.items()), F(0))
         check = check_efficiency_identity(coeffs, tables, v)
         assert (check.equal, check.lhs, check.rhs) == (True, sum(phi.values(), F(0)), rhs)
         assert check_efficiency_identity(canonical_coeffs, canonical, v).equal

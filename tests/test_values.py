@@ -23,7 +23,6 @@ from simplicial_games import (
     classify_shapley,
     decompose_shapley,
     efficiency_coefficients,
-    efficiency_rhs,
     full_simplex,
     generalized_shapley,
     group_value,
@@ -59,6 +58,7 @@ from oracles import (
     built_link,
     decomposition_system_ref,
     efficiency_coefficients_ref,
+    efficiency_rhs,
     game_to_dict,
     generalized_shapley_ref,
     indicator_game,
