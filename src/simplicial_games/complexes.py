@@ -10,8 +10,11 @@ vertex ids, and ``Face(m)`` prints m as ``{1,3}``.
 materializes its downward closure eagerly: every downstream formula sums
 over faces or links, and the canonical ordering (cardinality, then
 lexicographic on the vertex tuple) is fixed wherever output order matters.
-A closure whose walk would pass ``FACE_BUDGET`` subsets is refused before
-it starts.
+The closure walks each facet downward and stops at every face it already
+holds, so a family of overlapping facets costs about its faces, not the sum
+of their subsets.  That sum, 2^|F| over the facets F, bounds what the walk
+visits, and a family whose sum would pass ``FACE_BUDGET`` is refused before
+the facet that passes it is walked.
 
 One table per complex, ``face_ids``, maps every face to its vertex ids in
 ascending order, one byte per id.  It is the complex's membership test, and
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from itertools import groupby, repeat, takewhile
+from itertools import chain, groupby, repeat, takewhile
 from typing import Iterable, Union
 
 from .errors import (
@@ -45,7 +48,7 @@ from .errors import (
 )
 
 MAX_VERTICES = 64
-FACE_BUDGET = 1 << 20  # subsets one closure may walk: 2^|facet| summed over facets
+FACE_BUDGET = 1 << 20  # bound on 2^|facet| summed over facets: what a closure may walk at most
 _ID_BYTE = [bytes([v]) for v in range(MAX_VERTICES + 1)]  # vertex id v -> its byte in face_ids
 _ID_BIT = [0] + [1 << v for v in range(MAX_VERTICES)]  # vertex id v -> its bit in a mask
 
@@ -141,11 +144,16 @@ class SimplicialComplex:
 
         The distinct inputs are walked largest first.  An input already in
         the closure lies inside a larger input; every other input is a facet,
-        and its subsets join the closure.  Before each facet is walked its
-        2^|facet| subsets are counted, and BudgetExceeded is raised once the
-        count would pass FACE_BUDGET.  The closure is then read in ascending
-        int order, where f minus its lowest vertex is a smaller int, so its
-        ids are in the table when f's are written.
+        and its subsets join the closure.  A facet that shares no vertex with
+        the facets before it, such as the first, adds every subset, built by
+        doubling.  Any other facet drops its vertices lowest first, so each
+        subset has one path down from it, and the walk stops at a subset
+        already in the closure, whose own subsets are all there.  Before each
+        facet is walked its 2^|facet| subsets are counted, an upper bound on
+        what it visits, and BudgetExceeded is raised once the count would
+        pass FACE_BUDGET.  The closure is then read in ascending int order,
+        where f minus its lowest vertex is a smaller int, so its ids are in
+        the table when f's are written.
         """
         inputs = list(faces)
         # int masks in range pass one C-level bound test; anything else is
@@ -162,7 +170,7 @@ class SimplicialComplex:
             _check_vertex_ids(n, inputs)
         closure: set[int] = set()
         facets = []
-        walked = 0
+        walked = seen = 0  # seen: the vertices of the facets walked so far
         for m in sorted(set(inputs), key=int.bit_count, reverse=True):
             if m in closure:
                 continue
@@ -172,11 +180,22 @@ class SimplicialComplex:
                     f"closure would walk {walked} subsets, over the budget of {FACE_BUDGET}"
                 )
             facets.append(m)
-            subs, rest = [0], m
-            while rest:
-                low = rest & -rest
-                subs += [s | low for s in subs]
-                rest ^= low
+            if m & seen:
+                subs, rest = [m], m
+                # while subs is [m], a step to a closed subset adds nothing
+                while rest and m ^ (rest & -rest) in closure:
+                    rest &= rest - 1
+                while rest:
+                    low = rest & -rest
+                    subs += [t for s in subs if (t := s ^ low) not in closure]
+                    rest ^= low
+            else:  # every nonempty subset is new
+                subs, rest = [0], m
+                while rest:
+                    low = rest & -rest
+                    subs += [s | low for s in subs]
+                    rest ^= low
+            seen |= m
             closure.update(subs)
         ids: dict[int, bytes] = {}
         for f in sorted(closure):
@@ -347,24 +366,28 @@ def complex_from_dict(data: object) -> SimplicialComplex:
         raise ParseError("'facets' must be a list of vertex-id lists")
     _check_vertex_ids(n, ())  # n first: the id bound below stays under 64 bits
     bits = {v: 1 << (v - 1) for v in range(1, n + 1)}
-    faces = []
-    for f in facets:
-        # types first, as 1.0 and True would find the bit of 1; then an id
-        # outside 1..n adds no bit and a repeated one carries, so the mask
-        # has as many bits as f has ids exactly when f names a face
-        if {int}.issuperset(map(type, f)):
-            m = sum(map(bits.get, f, repeat(0)))
-            if m.bit_count() == len(f):
-                faces.append(m)
-                continue
-        # a facet that fails is diagnosed id by id: the first bad id's error
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in f):
-            raise ParseError(f"facet {f!r} contains a non-integer vertex id")
-        if any(v > n for v in f):  # before the mask, which is v bits wide
-            raise VertexOutOfRange(
-                f"face {format_ids(sorted(f))} has vertices outside 1..{n}"
-            )
-        faces.append(Face.from_vertices(f))
+    faces = None
+    # the whole list in one pass: types first, as 1.0 and True would find
+    # the bit of 1; an id outside 1..n has no bit, and a repeated one
+    # carries, so the masks have as many bits as their facets have ids
+    # exactly when every facet names a face
+    if {int}.issuperset(map(type, chain.from_iterable(facets))):
+        try:
+            faces = list(map(sum, map(map, repeat(bits.__getitem__), facets)))
+        except KeyError:
+            pass
+    if faces is None or list(map(int.bit_count, faces)) != list(map(len, facets)):
+        # a facet fails: the facets are diagnosed in order, id by id, so the
+        # first bad facet raises its first bad id's error
+        faces = []
+        for f in facets:
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in f):
+                raise ParseError(f"facet {f!r} contains a non-integer vertex id")
+            if any(v > n for v in f):  # before the mask, which is v bits wide
+                raise VertexOutOfRange(
+                    f"face {format_ids(sorted(f))} has vertices outside 1..{n}"
+                )
+            faces.append(Face.from_vertices(f))
     return SimplicialComplex.from_facets(n, faces)
 
 

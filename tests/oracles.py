@@ -29,6 +29,9 @@ their results must equal.  ``built_link`` builds a link as a complex,
 which no command does: ``SimplicialComplex.link`` returns only its faces.
 ``efficiency_rhs`` is the right side sum_T a_T v(T) of the efficiency
 identity for any coefficients, which the closed-form right side must equal.
+``doubling_closure_ref`` is the closure walk that doubles out every subset
+of every facet, which the walk that stops at closed faces replaced; it
+reaches the families on up to 64 vertices that ``closure_masks`` cannot.
 
 The JSON writers, the indicator game, the monotone and dummy predicates,
 the permutation action on games and the symmetry-reduction check are used
@@ -43,15 +46,19 @@ from math import comb
 from random import Random
 from typing import Mapping
 
+from simplicial_games import complexes
 from simplicial_games.complexes import (
     EMPTY_FACE,
     Face,
     SimplicialComplex,
+    _canonical,
     _check_vertex_ids,
+    _ID_BYTE,
     as_face,
     format_ids,
 )
 from simplicial_games.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     EmptyCarrierNotAllowed,
     EmptyComplex,
@@ -317,6 +324,42 @@ def closed_form_ref(delta) -> dict:
         - (ext[t] * weights[t.bit_count()] if ext[t] else 0)
         for t in delta.faces[1:]
     }
+
+
+def doubling_closure_ref(n: int, masks: list[int]) -> SimplicialComplex:
+    """The complex of in-range masks, each facet's 2^|facet| subsets doubled out in full.
+
+    The walk the constructor ran before it stopped at closed faces: facets
+    largest first, the same budget count and message before each facet
+    (``complexes.FACE_BUDGET`` read at call time), then the same tables.
+    """
+    closure: set[int] = set()
+    facets = []
+    walked = 0
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m in closure:
+            continue
+        walked += 1 << m.bit_count()
+        budget = complexes.FACE_BUDGET
+        if walked > budget:
+            raise BudgetExceeded(f"closure would walk {walked} subsets, over the budget of {budget}")
+        facets.append(m)
+        subs, rest = [0], m
+        while rest:
+            low = rest & -rest
+            subs += [s | low for s in subs]
+            rest ^= low
+        closure.update(subs)
+    ids: dict[int, bytes] = {}
+    for f in sorted(closure):
+        low = f & -f
+        ids[f] = _ID_BYTE[low.bit_length()] + ids[f ^ low] if f else b""
+    delta = SimplicialComplex.__new__(SimplicialComplex)
+    delta.n, delta.face_ids, delta._link_f_vectors = n, ids, None
+    delta.faces = _canonical(ids.keys(), ids)
+    delta.facets = _canonical(facets, ids)
+    delta.rank = delta.faces[-1].bit_count() if delta.faces else -1
+    return delta
 
 
 def closure_masks(n: int, facet_masks: list[int]) -> set[int]:

@@ -1,4 +1,6 @@
 import pickle
+from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -30,6 +32,7 @@ from oracles import (
     built_link,
     closure_masks,
     complex_to_dict,
+    doubling_closure_ref,
     ext_ids,
     f_vector_of,
     facet_masks_of,
@@ -336,6 +339,92 @@ def test_closure_budget_boundary(monkeypatch):
     monkeypatch.setattr(complexes, "FACE_BUDGET", 2**5 - 1)
     with pytest.raises(BudgetExceeded, match=f"walk {2**5} subsets"):
         SimplicialComplex(6, family)
+
+
+# a drawn family's 2^|facet| sum: each example runs in milliseconds, and a
+# family coned and joined to another stays under FACE_BUDGET
+WALK_CAP = 1 << 17
+
+
+def vertex_masks(facets):
+    return [sum(1 << (v - 1) for v in f) for f in facets]
+
+
+@st.composite
+def walk_families(draw):
+    """(n, masks) on n <= 24: a skeleton as its facets, a boundary, two large
+    facets meeting in one vertex, or a seeded non-pure family."""
+    kind = draw(st.sampled_from(["skeleton", "boundary", "two_facets", "nonpure"]))
+    if kind == "skeleton":
+        n = draw(st.integers(1, 24))
+        k = draw(st.sampled_from([k for k in range(1, n + 1) if comb(n, k) << k <= WALK_CAP]))
+        return n, vertex_masks(combinations(range(1, n + 1), k))
+    if kind == "boundary":
+        n = draw(st.integers(2, 13))
+        return n, vertex_masks(combinations(range(1, n + 1), n - 1))
+    if kind == "two_facets":
+        a, b = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+        return a + b - 1, vertex_masks([range(1, a + 1), range(a, a + b)])
+    rng = Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(1, 24)
+    facets = [rng.sample(range(1, n + 1), rng.randint(1, min(n, 8))) for _ in range(rng.randint(1, 40))]
+    return n, vertex_masks(facets)
+
+
+@st.composite
+def overlapping_families(draw):
+    """A walk family, maybe coned, maybe beside a disjoint one, with repeated
+    and absorbed inputs, in any order."""
+    n, family = draw(walk_families())
+    if n < 24 and draw(st.booleans()):  # the cone with apex n + 1
+        family, n = [m | 1 << n for m in family], n + 1
+    if draw(st.booleans()):
+        n2, other = draw(walk_families())
+        if n + n2 <= 24:
+            family, n = family + [m << n for m in other], n + n2
+    for m in draw(st.lists(st.sampled_from(family), max_size=4)):
+        family.append(m if draw(st.booleans()) else m & draw(st.integers(0, m)))
+    return n, draw(st.permutations(family))
+
+
+def closure_outcome(build, n, family):
+    """The tables ``build`` makes of the family, or the refusal's type and text."""
+    try:
+        delta = build(n, family)
+    except BudgetExceeded as e:
+        return type(e), str(e)
+    return delta.faces, delta.facets, delta.rank, list(delta.face_ids.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlapping_families(), st.integers(0, 2**40))
+@example((24, vertex_masks(combinations(range(1, 25), 3))), 2**40)
+@example((24, vertex_masks([range(1, 13), range(12, 24), [23, 24]])), 2**40)
+def test_closure_walk_matches_the_doubling_walk(case, cut):
+    n, family = case
+    expected = closure_outcome(doubling_closure_ref, n, family)
+    assert closure_outcome(SimplicialComplex, n, family) == expected
+    # under any budget up to the family's count, the same facet is refused
+    # with the same text, or the same tables are built at the count itself
+    walk = sum(1 << f.bit_count() for f in expected[1])
+    budget = cut % (walk + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "FACE_BUDGET", budget)
+        refused = closure_outcome(doubling_closure_ref, n, family)
+        assert closure_outcome(SimplicialComplex, n, family) == refused
+        assert refused[0] is BudgetExceeded or budget == walk
+
+
+def test_the_budget_refuses_and_admits_the_same_skeleta():
+    # the walk stops at closed faces, but the budget still counts 2^|facet|
+    # per facet: the 6-sets of 18 vertices count 18,564 * 64 subsets
+    doc = {"n": 18, "facets": [list(c) for c in combinations(range(1, 19), 6)]}
+    with pytest.raises(BudgetExceeded) as refused:
+        complex_from_dict(doc)
+    assert str(refused.value) == "closure would walk 1048640 subsets, over the budget of 1048576"
+    doc = {"n": 20, "facets": [list(c) for c in combinations(range(1, 21), 5)]}
+    delta = complex_from_dict(doc)
+    assert (len(delta.faces), len(delta.facets), delta.rank) == (21700, 15504, 5)
 
 
 def test_the_17_simplex_builds_within_the_budget():

@@ -2,10 +2,10 @@
 
 ``SimplicialComplex.face_ids`` maps each face to its ascending vertex ids as
 bytes; the canonical order, the printed keys and the link f-vectors are read
-off it.  ``complex_from_dict`` reads each facet list to its mask in one pass
-and diagnoses only a facet that fails it.  Each is checked against the
-reference kept in ``tests/oracles.py``: the same complex, or the same
-exception type and message.
+off it.  ``complex_from_dict`` reads the whole facet list to masks in one
+pass and, when a facet fails it, diagnoses the facets in order.  Each is
+checked against the reference kept in ``tests/oracles.py``: the same
+complex, or the same exception type and message.
 """
 
 from itertools import combinations
@@ -66,6 +66,7 @@ def complex_docs(draw):
 @example({"n": 4, "facets": [[2, 3], [1, 1], [5]]})  # a duplicate before an id above n
 @example({"n": 4, "facets": [[0, 5]]})  # 5 > n is reported before 0 < 1
 @example({"n": 4, "facets": [[5, "x"]]})  # a non-int is reported before 5 > n
+@example({"n": 4, "facets": [[5], [1, "x"]]})  # a facet's 5 > n before a later non-int
 @example({"n": 64, "facets": [[65]]})
 @example({"n": 3, "facets": [[2**70]]})
 @example({"n": 3, "facets": [[-1]]})
